@@ -50,6 +50,10 @@ class UnsupportedStepError(SigtestError):
     """A deletion event intervenes where the test assumes a clean segment."""
 
 
+class PathNonTerminationError(SigtestError):
+    """A lasso path trace hit its event cap; the data may be degenerate."""
+
+
 class TooFewRemainingError(SigtestError):
     """Fewer than 3 candidate variables remain; the extreme-value centering is undefined."""
 

@@ -13,13 +13,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DuplicateColumnError, NonUniqueSolutionWarning, SingularDesignError
+from .exceptions import (
+    DuplicateColumnError,
+    NonUniqueSolutionWarning,
+    PathNonTerminationError,
+    SingularDesignError,
+    StalePathError,
+)
 from .linmodel import RANK_TOL, Dataset
 
 # Penalty comparisons on standardized data use this absolute tolerance.
 LAMBDA_TOL = 1e-10
 # A path with max |x_m' y| below this is empty (zero response).
 ZERO_CORR_TOL = 1e-12
+# A trace that has not ended after this many events per column is abandoned.
+MAX_EVENTS_PER_COLUMN = 50
 
 
 @dataclass(frozen=True)
@@ -119,117 +127,75 @@ def _segment_direction(X: np.ndarray, y: np.ndarray, active: list[int],
     return b0, b1
 
 
-def lars_path(data: Dataset, max_steps: int | None = None,
-              columns: Sequence[int] | None = None,
-              stop_lambda: float = 0.0) -> LassoPath:
-    """Trace the lasso path, recording a knot per entry or deletion event.
-
-    ``max_steps`` caps the number of *entry* events; deletions are recorded
-    but do not count toward the cap. ``columns`` restricts the path to a
-    subset of variables (indices stay in the full coordinate space).
-    ``stop_lambda`` stops tracing once the next event falls below it.
-
-    Entry ties within 1e-10 are broken by lowest column index and recorded in
-    the path's warnings.
-    """
-    X, y = data.X, data.y
+def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
+    """Validated column list: all columns when ``columns`` is None."""
     cols = list(range(data.p)) if columns is None else [int(c) for c in columns]
     if len(set(cols)) != len(cols):
         raise ValueError("restricted column set contains repeats")
-    if max_steps is not None and max_steps > min(data.n, len(cols) or 1):
-        raise ValueError(f"max_steps={max_steps} exceeds min(n, p)")
-    _check_duplicates(X, cols)
+    _check_duplicates(data.X, cols)
+    return cols
 
-    warnings_list: list[str] = []
+
+def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
+           signs: dict[int, int], lam_cur: float, just_dropped: int | None,
+           stop_lambda: float, max_active: int, max_steps: int | None = None
+           ) -> tuple[list[Knot], list[str], tuple | None]:
+    """Continue the lasso path over ``cols`` from the state just below ``lam_cur``.
+
+    ``active`` (entry order), ``signs`` and ``just_dropped`` (deleted at
+    ``lam_cur``) give that state; the empty state at ``lam_cur = inf`` starts
+    a path. The trace ends once ``max_active`` variables are active. Returns
+    the knots of the events down to ``stop_lambda``, the entry-tie warnings,
+    and the final segment ``(active, b0, b1)`` (see :func:`_segment_direction`),
+    which is None when the trace stopped on ``max_steps`` or a rank-deficient
+    active set.
+    """
+    active, signs = list(active), dict(signs)
+    inactive = np.zeros(X.shape[1], dtype=bool)
+    inactive[cols] = True
+    inactive[active] = False
     knots: list[Knot] = []
-    active: list[int] = []
-    signs: dict[int, int] = {}
-    inactive = set(cols)
-    lam_cur = np.inf
-    just_dropped: int | None = None
+    warnings_list: list[str] = []
     entries = 0
-    max_events = 50 * max(len(cols), 1)
 
-    for _ in range(max_events):
+    for _ in range(MAX_EVENTS_PER_COLUMN * max(len(cols), 1)):
+        segment = None
         if max_steps is not None and entries >= max_steps:
             break
-        if not active:
-            if not inactive:
+        idx = np.flatnonzero(inactive)
+        b0 = b1 = np.zeros(0)
+        if active:
+            try:
+                b0, b1 = _segment_direction(X, y, active, signs)
+            except SingularDesignError:
                 break
-            idx = sorted(inactive)
-            c = X[:, idx].T @ y
-            order = np.abs(c)
-            lam_next = float(order.max()) if idx else 0.0
-            if lam_next <= ZERO_CORR_TOL:
-                break
-            tied = [idx[i] for i in np.flatnonzero(order >= lam_next - LAMBDA_TOL)]
-            j = min(tied)
-            if len(tied) > 1:
-                warnings_list.append(
-                    f"entry tie at lambda={lam_next:.6g} among {tied}; chose {j}")
-            lam_next = min(lam_next, lam_cur)
-            if lam_next < stop_lambda:
-                break
-            sign = 1 if c[idx.index(j)] >= 0 else -1
-            knots.append(Knot(k=len(knots) + 1, lam=lam_next, entering=j,
-                              active_before=tuple(active),
-                              signs_after=tuple([sign])))
-            active.append(j)
-            signs[j] = sign
-            inactive.discard(j)
-            entries += 1
-            lam_cur = lam_next
-            just_dropped = None
-            continue
-
-        try:
-            b0, b1 = _segment_direction(X, y, active, signs)
-        except SingularDesignError:
+        segment = (list(active), b0, b1)
+        if len(active) >= max_active:
             break
         XA = X[:, active]
-        r_ols = y - XA @ b0
-        drift = XA @ b1
+        XI = X[:, idx]
+        a = XI.T @ (y - XA @ b0)
+        v = XI.T @ (XA @ b1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Entry candidates: the correlation a + lam*v of inactive m meets the
+            # boundary +lam at a/(1-v) and -lam at -a/(1+v). Row m holds both
+            # roots, so flat order is index order with the + root first.
+            denom = np.column_stack((1.0 - v, 1.0 + v))
+            roots = np.column_stack((a, -a)) / denom
+            # Deletion candidates: active coefficient b0_i - lam*b1_i crosses zero.
+            drop_roots = b0 / b1
+        ok = ((np.abs(denom) >= 1e-14) & np.isfinite(roots) & (roots > ZERO_CORR_TOL)
+              & (roots <= lam_cur + LAMBDA_TOL))
+        # A just-deleted variable re-enters only strictly below lam_cur.
+        ok[idx == just_dropped] &= roots[idx == just_dropped] < lam_cur - LAMBDA_TOL
+        roots = np.where(ok, roots, -np.inf).ravel()
+        best_entry_lam = float(roots.max()) if roots.size else -np.inf
+        drop_roots = np.where((np.abs(b1) >= 1e-14) & (drop_roots > ZERO_CORR_TOL)
+                              & (drop_roots < lam_cur - LAMBDA_TOL), drop_roots, -np.inf)
+        best_drop_lam = float(drop_roots.max(initial=-np.inf))
 
-        # Entry candidates: inactive m crosses |x_m' r(lam)| = lam.
-        best_entry_lam = -np.inf
-        entry_ties: list[tuple[int, int]] = []
-        for m in sorted(inactive):
-            xm = X[:, m]
-            a_m = float(xm @ r_ols)
-            v_m = float(xm @ drift)
-            # Correlation along the segment is a_m + lam*v_m; it meets the
-            # boundary +lam at a/(1-v) and the boundary -lam at -a/(1+v).
-            for denom, root_sign in ((1.0 - v_m, 1), (1.0 + v_m, -1)):
-                if abs(denom) < 1e-14:
-                    continue
-                root = root_sign * a_m / denom
-                if not np.isfinite(root):
-                    continue
-                if root <= ZERO_CORR_TOL or root > lam_cur + LAMBDA_TOL:
-                    continue
-                if m == just_dropped and root >= lam_cur - LAMBDA_TOL:
-                    continue  # a just-deleted variable re-enters only strictly below
-                if root > best_entry_lam + LAMBDA_TOL:
-                    best_entry_lam = root
-                    entry_ties = [(m, root_sign)]
-                elif root >= best_entry_lam - LAMBDA_TOL:
-                    entry_ties.append((m, root_sign))
-
-        # Deletion candidates: active coefficient b0_i - lam*b1_i crosses zero.
-        best_drop_lam = -np.inf
-        drop_idx: int | None = None
-        for pos, i in enumerate(active):
-            if abs(b1[pos]) < 1e-14:
-                continue
-            root = b0[pos] / b1[pos]
-            if root <= ZERO_CORR_TOL or root >= lam_cur - LAMBDA_TOL:
-                continue
-            if root > best_drop_lam:
-                best_drop_lam = root
-                drop_idx = i
-
-        has_entry = np.isfinite(best_entry_lam) and best_entry_lam > ZERO_CORR_TOL
-        has_drop = drop_idx is not None
+        has_entry = best_entry_lam > ZERO_CORR_TOL
+        has_drop = best_drop_lam > -np.inf
         if not has_entry and not has_drop:
             break
 
@@ -238,41 +204,61 @@ def lars_path(data: Dataset, max_steps: int | None = None,
             lam_next = min(best_drop_lam, lam_cur)
             if lam_next < stop_lambda:
                 break
-            before = tuple(active)
+            drop_idx = active[int(np.argmax(drop_roots))]
             knots.append(Knot(k=len(knots) + 1, lam=lam_next, entering=drop_idx,
-                              active_before=before,
+                              active_before=tuple(active),
                               signs_after=tuple(signs[i] for i in active if i != drop_idx),
                               action="leave"))
             active.remove(drop_idx)
             del signs[drop_idx]
-            inactive.add(drop_idx)
+            inactive[drop_idx] = True
             just_dropped = drop_idx
             lam_cur = lam_next
             continue
 
-        lam_next = min(best_entry_lam, lam_cur)
+        # Entry ties within LAMBDA_TOL go to the lowest index.
+        tied = np.flatnonzero(roots >= best_entry_lam - LAMBDA_TOL)
+        lam_next = min(float(roots[tied[0]]), lam_cur)
         if lam_next < stop_lambda:
             break
-        if len(entry_ties) > 1:
-            tied_vars = sorted({m for m, _ in entry_ties})
+        j, sgn = int(idx[tied[0] // 2]), 1 - 2 * int(tied[0] % 2)
+        if len(tied) > 1:
+            tied_vars = sorted(set(idx[tied // 2].tolist()))
             warnings_list.append(
-                f"entry tie at lambda={lam_next:.6g} among {tied_vars}; chose {min(tied_vars)}")
-        j, sgn = min(entry_ties, key=lambda t: t[0])
-        before = tuple(active)
+                f"entry tie at lambda={lam_next:.6g} among {tied_vars}; chose {j}")
         knots.append(Knot(k=len(knots) + 1, lam=lam_next, entering=j,
-                          active_before=before,
+                          active_before=tuple(active),
                           signs_after=tuple([signs[i] for i in active] + [sgn])))
         active.append(j)
         signs[j] = sgn
-        inactive.discard(j)
+        inactive[j] = False
         entries += 1
         lam_cur = lam_next
         just_dropped = None
-        if len(active) >= min(data.n, len(cols)):
-            break
     else:
-        raise RuntimeError("path did not terminate; data may be degenerate")
+        raise PathNonTerminationError("path did not terminate; data may be degenerate")
+    return knots, warnings_list, segment
 
+
+def lars_path(data: Dataset, max_steps: int | None = None,
+              columns: Sequence[int] | None = None,
+              stop_lambda: float = 0.0) -> LassoPath:
+    """Trace the lasso path, recording a knot per entry or deletion event.
+
+    ``max_steps`` caps the number of *entry* events; deletions are recorded
+    but do not count toward the cap. ``columns`` restricts the path to a
+    subset of variables (indices stay in the full coordinate space).
+    ``stop_lambda`` stops tracing once the next event falls below it, and
+    tracing ends at the entry that makes min(n, len(columns)) variables active.
+
+    Entry ties within 1e-10 are broken by lowest column index and recorded in
+    the path's warnings.
+    """
+    cols = _columns(data, columns)
+    if max_steps is not None and max_steps > min(data.n, len(cols) or 1):
+        raise ValueError(f"max_steps={max_steps} exceeds min(n, p)")
+    knots, warnings_list, _ = _trace(data.X, data.y, cols, [], {}, np.inf, None,
+                                     stop_lambda, min(data.n, len(cols)), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list))
 
@@ -299,8 +285,6 @@ def solve_at(path: LassoPath, data: Dataset, lam: float) -> np.ndarray:
     The path must extend below ``lam`` (or be exhausted above it).
     """
     if path.data_digest != data.digest:
-        from .exceptions import StalePathError
-
         raise StalePathError("path was computed from different data")
     beta = np.zeros(data.p)
     active, signs = _state_at(path, lam)
@@ -316,13 +300,21 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
     """Minimize 0.5*||y - X beta||^2 + lam*||beta||_1 over the given coordinates.
 
     Returns a vector in the full coordinate space with support inside
-    ``subset``. Solved by tracing the restricted path and evaluating the
-    containing linear segment, so knot values are reproduced exactly.
-    A precomputed ``path`` (full-set only) is reused when supplied.
+    ``subset``. Solved by tracing the restricted path down to ``lam`` (unlike
+    :func:`lars_path`, on past the entry that makes all of ``subset``
+    active, up to n active) and evaluating the containing linear segment.
+
+    A supplied ``path`` -- over all columns, or over a superset of ``subset``
+    -- warm-starts the trace. Where its active set lies inside ``subset``, its
+    solution also meets the restricted KKT conditions, so both paths share
+    the state just below such a knot. The trace starts at the lowest such
+    knot above ``lam`` (else from the empty state) and covers only the
+    stretch from there down to ``lam``.
 
     A degenerate equicorrelation set (entry tie) makes the solution
     non-unique; the lowest-index representative is returned with a
-    :class:`NonUniqueSolutionWarning`.
+    :class:`NonUniqueSolutionWarning`, which also passes on the tie warnings
+    of a supplied path.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -334,13 +326,32 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
         columns = [int(c) for c in subset]
         if not columns:
             return np.zeros(data.p)
-    if path is None or columns is not None:
-        path = lars_path(data, columns=columns, stop_lambda=lam)
-    if path.warnings:
+    if path is None:
+        path = LassoPath(knots=(), data_digest=data.digest)
+    elif path.data_digest != data.digest:
+        raise StalePathError("path was computed from different data")
+    cols = _columns(data, columns)
+    inside = set(cols)
+    state = ([], {}, np.inf, None)
+    for kn in path.knots:
+        if kn.lam <= lam + LAMBDA_TOL:
+            break
+        if inside.issuperset(kn.active_after):
+            state = (kn.active_after, dict(zip(kn.active_after, kn.signs_after)), kn.lam,
+                     kn.entering if kn.action == "leave" else None)
+    _, warnings_list, segment = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
+                                       max_active=data.n)
+    warnings_list = list(path.warnings) + warnings_list
+    if warnings_list:
         _warnings.warn(
-            "solution may be non-unique (" + "; ".join(path.warnings) + ")",
+            "solution may be non-unique (" + "; ".join(warnings_list) + ")",
             NonUniqueSolutionWarning)
-    return solve_at(path, data, lam)
+    if segment is None:
+        raise SingularDesignError(f"columns {cols} are rank deficient above lambda={lam}")
+    active, b0, b1 = segment
+    beta = np.zeros(data.p)
+    beta[active] = b0 - lam * b1
+    return beta
 
 
 def kkt_check(data: Dataset, beta: np.ndarray, lam: float,

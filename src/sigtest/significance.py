@@ -20,7 +20,7 @@ from .exceptions import (
     UnsupportedStepError,
 )
 from .lasso import LassoPath, lasso_solve, solve_at
-from .linmodel import Dataset, least_squares, r_stat
+from .linmodel import Dataset, least_squares
 from .selection import SelectionStep
 
 GUMBEL_LOCATION = -math.log(math.pi)
@@ -196,24 +196,20 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     lam_next = knot_k1.lam
 
     beta_full = solve_at(path, data, lam_next)
-    beta_restricted = lasso_solve(data, lam_next, subset=A)
+    beta_restricted = lasso_solve(data, lam_next, subset=A, path=path)
     y = data.y
     primary = (float(y @ (data.X @ beta_full))
                - float(y @ (data.X @ beta_restricted))) / sigma2
 
     # Decomposition route: R_j - lam_next * (<s_Aj, b_Aj> - <s_A, b_A>) / sigma2
-    # with signs taken from the path segment below the kth entry.
-    drop = r_stat(data, list(A), j)
-    order_aj = list(A) + [j]
+    # with signs taken from the path segment below the kth entry, from fresh
+    # least-squares fits on A and A + [j].
     signs_aj = np.asarray(knot_k.signs_after, dtype=float)
-    signs_a = signs_aj[:-1]
-    ls_aj = least_squares(data, order_aj)
+    ls_a = least_squares(data, list(A))
+    ls_aj = least_squares(data, list(A) + [j])
+    drop = max((ls_a.rss - ls_aj.rss) / sigma2, 0.0)
     inner_aj = float(signs_aj @ ls_aj.coefficients)
-    if A:
-        ls_a = least_squares(data, list(A))
-        inner_a = float(signs_a @ ls_a.coefficients)
-    else:
-        inner_a = 0.0
+    inner_a = float(signs_aj[:-1] @ ls_a.coefficients)
     decomposition = drop - lam_next * (inner_aj - inner_a) / sigma2
 
     warnings_list = list(path.warnings)

@@ -50,6 +50,13 @@ class TestPathVerb:
         data.write_text("a,b,y\n1,1,1\n0,0,2\n2,2,0\n")
         assert run(["path", "--input", str(data)]) == 3
 
+    def test_non_terminating_path_exit_3(self, identity_csv, monkeypatch, capsys):
+        monkeypatch.setattr("sigtest.lasso.MAX_EVENTS_PER_COLUMN", 0)
+        assert run(["path", "--input", identity_csv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sigtest: error:")
+        assert "Traceback" not in err
+
     def test_json_format(self, identity_csv, tmp_path, capsys):
         assert run(["path", "--input", identity_csv, "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)

@@ -8,9 +8,11 @@ from oracles import (
     cd_support_change_points,
     lasso_objective,
 )
+import sigtest.lasso as lasso_module
 from sigtest import (
     Dataset,
     DuplicateColumnError,
+    PathNonTerminationError,
     StalePathError,
     kkt_check,
     lars_path,
@@ -48,6 +50,14 @@ class TestLarsPath:
         assert [kn.action for kn in path.knots] == ["enter"] * 3
         assert path.knots[0].active_before == ()
         assert path.knots[2].signs_after == (1, 1, -1)
+
+    def test_event_cap_raises_sigtest_error(self, monkeypatch):
+        path = lars_path(IDENTITY)
+        monkeypatch.setattr(lasso_module, "MAX_EVENTS_PER_COLUMN", 0)
+        with pytest.raises(PathNonTerminationError):
+            lars_path(IDENTITY)
+        with pytest.raises(PathNonTerminationError):
+            lasso_solve(IDENTITY, 0.5, subset=[0, 1], path=path)
 
     def test_zero_response_empty_path(self):
         path = lars_path(Dataset(np.eye(3), np.zeros(3), sigma2=1.0))
@@ -231,3 +241,33 @@ class TestRestrictionConsistency:
             assert set(np.flatnonzero(beta)) <= set(A)
             report = kkt_check(data, beta, lam_next, subset=A)
             assert report.passed
+
+    def test_warm_start_just_below_a_deletion(self):
+        # The deleted variable sits on the boundary there and may re-enter
+        # only strictly below the deletion knot.
+        checked = 0
+        for seed in range(20):
+            data = random_dataset(seed, 25, 8, rho=0.85)
+            path = lars_path(data)
+            for m, kn in enumerate(path.knots[:-1]):
+                if kn.action != "leave":
+                    continue
+                lam = 0.5 * (kn.lam + path.knots[m + 1].lam)
+                subset = sorted(kn.active_before)
+                np.testing.assert_allclose(
+                    lasso_solve(data, lam, subset=subset, path=path),
+                    lasso_solve(data, lam, subset=subset), rtol=0, atol=1e-10)
+                checked += 1
+        assert checked >= 3
+
+    @given(st.integers(0, 10_000), st.sampled_from([(25, 12), (10, 14)]),
+           st.integers(1, 2 ** 14 - 1), st.floats(0.01, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_warm_start_from_full_path_matches_cold_trace(self, seed, shape, mask, frac):
+        n, p = shape
+        data = random_dataset(seed, n, p, rho=0.6)
+        subset = [m for m in range(p) if mask >> m & 1]
+        path = lars_path(data)
+        lam = frac * path.knots[0].lam
+        np.testing.assert_allclose(lasso_solve(data, lam, subset=subset, path=path),
+                                   lasso_solve(data, lam, subset=subset), rtol=0, atol=1e-10)

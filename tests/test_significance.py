@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gumbel_cdf_direct
+import sigtest.lasso as lasso_module
+from oracles import cd_lasso, gumbel_cdf_direct
 from sigtest import (
     Dataset,
     GumbelRef,
@@ -18,13 +19,29 @@ from sigtest import (
     gumbel_sf,
     gumbel_test,
     lars_path,
+    lasso_solve,
     standardize,
     stepwise_path,
 )
 from sigtest.exceptions import UnsupportedStepError
+from sigtest.lasso import solve_at
 from sigtest.selection import SelectionStep
 
 IDENTITY = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
+
+
+def ar1_dataset(seed, n, p, rho):
+    """AR(1) design with three signals and unit noise."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    X = np.empty_like(z)
+    X[:, 0] = z[:, 0]
+    for j in range(1, p):
+        X[:, j] = rho * X[:, j - 1] + np.sqrt(1 - rho * rho) * z[:, j]
+    X = standardize(X)
+    beta = np.zeros(p)
+    beta[:3] = (2.0, -1.5, 1.0)
+    return Dataset(X, X @ beta + rng.standard_normal(n), sigma2=1.0)
 
 
 class TestGumbelCdf:
@@ -267,3 +284,57 @@ class TestCovarianceTest:
 
         with pytest.raises(MissingVarianceError):
             covariance_test(path, data, 1)
+
+
+class TestWarmStartedRestrictedFit:
+    """The restricted lasso in the covariance test starts from the full path."""
+
+    # (rho, n, p, seeds): each group has a step whose restricted solution
+    # loses a variable of A between lambda_k and lambda_{k+1}.
+    CORPUS = [(0.5, 40, 20, range(6)), (0.8, 20, 30, range(4)), (0.5, 100, 50, [4])]
+
+    def test_matches_cold_trace_and_coordinate_descent(self):
+        deletions = 0
+        for rho, n, p, seeds in self.CORPUS:
+            for seed in seeds:
+                data = ar1_dataset(seed, n, p, rho)
+                path = lars_path(data)
+                entries = path.entry_knots()
+                for k in range(1, len(entries)):
+                    try:
+                        out = covariance_test(path, data, k)
+                    except UnsupportedStepError:
+                        continue
+                    A, lam = list(out.A), entries[k].lam
+                    fit_y = lambda beta: float(data.y @ (data.X @ beta))
+                    cold = lasso_solve(data, lam, subset=A)
+                    expect = (fit_y(solve_at(path, data, lam)) - fit_y(cold)) / data.sigma2
+                    assert out.statistic == pytest.approx(expect, abs=1e-9)
+                    if not A:
+                        continue
+                    warm = lasso_solve(data, lam, subset=A, path=path)
+                    np.testing.assert_allclose(
+                        warm[A], cd_lasso(data.X[:, A], data.y, lam), rtol=0, atol=1e-8)
+                    deletions += np.count_nonzero(warm[A]) < len(A)
+        assert deletions >= 1, "no restricted segment with a deletion in the corpus"
+
+    def test_segment_solves_per_step(self, monkeypatch):
+        # Re-tracing the restricted path from lambda = inf costs about k
+        # segment solves at step k (about 25 per step here); warm-started,
+        # the full and the restricted fit need one each unless a deletion
+        # falls between lambda_k and lambda_{k+1}.
+        data = ar1_dataset(0, 100, 50, 0.5)
+        path = lars_path(data)
+        solves = []
+        original = lasso_module._segment_direction
+        monkeypatch.setattr(lasso_module, "_segment_direction",
+                            lambda *args: solves.append(1) or original(*args))
+        steps = 0
+        for k in range(1, len(path.entry_knots())):
+            try:
+                covariance_test(path, data, k)
+            except UnsupportedStepError:
+                continue
+            steps += 1
+        assert steps >= 40
+        assert len(solves) / steps <= 3.0
