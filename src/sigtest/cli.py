@@ -31,7 +31,7 @@ from .exceptions import (
     SigtestError,
     UnsupportedStepError,
 )
-from .glm import gumbel_test_glm, lrt_drops_all
+from .glm import best_candidate, gumbel_test_glm, lrt_drops_all
 from .lasso import lars_path
 from .linmodel import estimate_sigma2
 from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
@@ -197,8 +197,7 @@ def _glm_test_rows(config: RunConfig):
             notes.extend(failures)
             if not drops:
                 break
-            best = max(drops.values())
-            j = min(m for m, d in drops.items() if d >= best - 1e-12)
+            j, best = best_candidate(drops)
         rows.append([
             k, j, ";".join(str(i) for i in A), float(best), config.family, False,
             float(outcome.statistic) if outcome else "",

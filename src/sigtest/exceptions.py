@@ -26,6 +26,10 @@ class SingularDesignError(SigtestError):
     """The requested variable subset is rank deficient."""
 
 
+class DegenerateResponseError(SigtestError, ValueError):
+    """A binary response is all 0 or all 1, so the likelihood has no maximum."""
+
+
 class MissingVarianceError(SigtestError):
     """An operation needs the noise variance but the dataset declares it unknown."""
 

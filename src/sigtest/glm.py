@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptions import (
     ConvergenceError,
+    DegenerateResponseError,
     NoEventsError,
     SeparationError,
+    SigtestError,
     SingularDesignError,
     TooFewRemainingError,
     UnreliableMaxError,
@@ -48,7 +50,7 @@ class BinaryDataset:
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("y must contain only 0 and 1")
         if y.min() == y.max():
-            raise ValueError("y must contain at least one 0 and one 1")
+            raise DegenerateResponseError("y must contain at least one 0 and one 1")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -116,47 +118,148 @@ class FitResult:
     iterations: int
 
 
-def _check_rank(Z: np.ndarray, what: str) -> None:
-    if Z.shape[1] == 0:
-        return
-    if Z.shape[1] > Z.shape[0]:
-        raise SingularDesignError(f"{what}: more columns than rows")
-    diag = np.abs(np.diag(np.linalg.qr(Z, mode="r")))
-    if diag.min() < RANK_TOL * diag.max():
-        raise SingularDesignError(f"{what}: design is rank deficient")
+def _subset(M: Sequence[int]) -> list[int]:
+    M = [int(m) for m in M]
+    if len(set(M)) != len(M):
+        raise ValueError("subset contains repeated indices")
+    return M
 
 
-def _newton(loglik_grad_hess, beta0: np.ndarray, what: str) -> tuple[np.ndarray, float, int]:
-    """Damped Newton ascent with step halving; shared by both families.
+def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
+    """Per-row rank check of a (c, n, d) stack of designs, d >= 1."""
+    c, n, d = Z.shape
+    if d > n:
+        return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
+    diag = np.abs(np.diagonal(np.linalg.qr(Z, mode="r"), axis1=1, axis2=2))
+    deficient = diag.min(axis=1) < RANK_TOL * diag.max(axis=1)
+    return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
+            for bad in deficient]
 
-    The callback returns (loglik, gradient, information matrix), the
-    information matrix being the negated Hessian, so the ascent step solves
-    ``info @ step = grad``.
-    """
-    beta = beta0.copy()
-    ll, grad, hess = loglik_grad_hess(beta)
-    for it in range(1, MAX_ITER + 1):
-        if np.linalg.norm(grad) < GRAD_TOL:
-            return beta, ll, it - 1
+
+def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps ``info[i] @ step[i] = grad[i]`` and a mask of singular rows."""
+    singular = np.zeros(len(grad), dtype=bool)
+    try:
+        return np.linalg.solve(info, grad[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    # One singular row fails the whole stacked solve; find it row by row.
+    step = np.zeros_like(grad)
+    for i in range(len(grad)):
         try:
-            step = np.linalg.solve(hess, grad)
+            step[i] = np.linalg.solve(info[i], grad[i])
         except np.linalg.LinAlgError:
-            raise ConvergenceError(f"{what}: singular information matrix") from None
-        scale = 1.0
+            singular[i] = True
+    return step, singular
+
+
+def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
+    """Damped Newton ascent on a stack of c problems of one shape.
+
+    ``Z`` is the (c, n, d) stack of designs and ``beta0`` the (c, d) starting
+    points. ``objective(Z, beta)`` returns the log-likelihood (c,), gradient
+    (c, d) and information matrix (c, d, d) of the rows it is given; the
+    information matrix is the negated Hessian, so a row's ascent step solves
+    ``info @ step = grad``. Each row keeps the rules of a single fit under its
+    own mask: the rank check, convergence once the gradient norm is below
+    GRAD_TOL, step halving with its own scale (at most MAX_HALVINGS times),
+    SeparationError once the coefficient norm passes DIVERGENCE_NORM, and
+    ConvergenceError on a singular information matrix, a failed line search
+    or MAX_ITER iterations. A failed row stops; the others go on unchanged.
+
+    Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
+    exception a fit of row i alone raises, or None when the row converged.
+    """
+    beta = np.array(beta0, dtype=float)
+    c, d = beta.shape
+    errors = _rank_errors(Z, what)
+    live = np.array([e is None for e in errors], dtype=bool)
+    iterations = np.zeros(c, dtype=int)
+    ll = np.full(c, np.nan)
+    grad = np.zeros((c, d))
+    info = np.zeros((c, d, d))
+
+    def evaluate(rows, b):
+        return objective(Z if rows.size == c else Z[rows], b)
+
+    def fail(rows, error, message):
+        for i in rows:
+            errors[i] = error(f"{what}: {message}")
+        live[rows] = False
+
+    rows = np.flatnonzero(live)
+    ll[rows], grad[rows], info[rows] = evaluate(rows, beta[rows])
+    for it in range(1, MAX_ITER + 1):
+        rows = np.flatnonzero(live)
+        done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
+        iterations[rows[done]] = it - 1
+        live[rows[done]] = False
+        rows = rows[~done]
+        if rows.size == 0:
+            break
+        step, singular = _solve_rows(info[rows], grad[rows])
+        fail(rows[singular], ConvergenceError, "singular information matrix")
+        rows, step = rows[~singular], step[~singular]
+        scale = np.ones(rows.size)
+        pending = np.arange(rows.size)
         for _ in range(MAX_HALVINGS + 1):
-            cand = beta + scale * step
-            ll_new, grad_new, hess_new = loglik_grad_hess(cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
+            if pending.size == 0:
                 break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(f"{what}: step halving failed to improve the likelihood")
-        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if np.linalg.norm(beta) > DIVERGENCE_NORM:
-            raise SeparationError(f"{what}: coefficients diverging; likelihood unbounded")
-    if np.linalg.norm(grad) < GRAD_TOL:
-        return beta, ll, MAX_ITER
-    raise ConvergenceError(f"{what}: no convergence after {MAX_ITER} iterations")
+            sub = rows[pending]
+            cand = beta[sub] + scale[pending, None] * step[pending]
+            ll_new, grad_new, info_new = evaluate(sub, cand)
+            ok = np.isfinite(ll_new) & (ll_new >= ll[sub] - 1e-12)
+            took = sub[ok]
+            beta[took], ll[took] = cand[ok], ll_new[ok]
+            grad[took], info[took] = grad_new[ok], info_new[ok]
+            pending = pending[~ok]
+            scale[pending] *= 0.5
+        fail(rows[pending], ConvergenceError, "step halving failed to improve the likelihood")
+        moved = np.delete(rows, pending)
+        fail(moved[np.linalg.norm(beta[moved], axis=1) > DIVERGENCE_NORM], SeparationError,
+             "coefficients diverging; likelihood unbounded")
+    rows = np.flatnonzero(live)
+    done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
+    iterations[rows[done]] = MAX_ITER
+    fail(rows[~done], ConvergenceError, f"no convergence after {MAX_ITER} iterations")
+    return beta, ll, iterations, errors
+
+
+class _Problem(NamedTuple):
+    """A family's model on a subset M, with rows in the order its objective needs."""
+
+    design: np.ndarray  # (n, d): the model's columns, intercept first if any
+    columns: np.ndarray  # (n, p): every column of X, rows in the same order
+    objective: Callable  # (Z (c, n, d), beta (c, d)) -> loglik, gradient, information
+    what: str
+
+
+def _logistic_problem(data: BinaryDataset, M: list[int]) -> _Problem:
+    intercept = [np.ones((data.n, 1))] if data.include_intercept else []
+    y = data.y
+
+    def objective(Z, beta):
+        eta = (Z @ beta[:, :, None])[:, :, 0]
+        ll = eta @ y - np.logaddexp(0.0, eta).sum(axis=1)
+        prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -500.0, 500.0)))
+        Zt = Z.transpose(0, 2, 1)
+        grad = (Zt @ (y - prob)[:, :, None])[:, :, 0]
+        w = prob * (1.0 - prob)
+        info = Zt @ (w[:, :, None] * Z)
+        return ll, grad, info
+
+    return _Problem(np.hstack(intercept + [data.X[:, M]]), data.X, objective, "logistic fit")
+
+
+def _fit_one(problem: _Problem, M: list[int]) -> FitResult:
+    """Fit the problem's own design, from zero, as a stack of one."""
+    design = problem.design
+    beta, ll, iterations, errors = _newton_stack(
+        problem.objective, design[None], np.zeros((1, design.shape[1])), problem.what)
+    if errors[0] is not None:
+        raise errors[0]
+    return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
+                     converged=True, iterations=int(iterations[0]))
 
 
 def logistic_fit(data: BinaryDataset, M: Sequence[int]) -> FitResult:
@@ -164,34 +267,13 @@ def logistic_fit(data: BinaryDataset, M: Sequence[int]) -> FitResult:
 
     Includes an unpenalized intercept when the dataset requests one.
     """
-    M = [int(m) for m in M]
-    if len(set(M)) != len(M):
-        raise ValueError("subset contains repeated indices")
-    blocks = []
-    if data.include_intercept:
-        blocks.append(np.ones((data.n, 1)))
-    if M:
-        blocks.append(data.X[:, M])
-    if not blocks:
+    M = _subset(M)
+    problem = _logistic_problem(data, M)
+    if problem.design.shape[1] == 0:
         # No parameters at all: eta = 0, p = 1/2 for every observation.
         return FitResult(subset=(), coefficients=np.zeros(0),
                          loglik=-data.n * math.log(2.0), converged=True, iterations=0)
-    Z = np.hstack(blocks)
-    _check_rank(Z, "logistic fit")
-    y = data.y
-
-    def objective(beta):
-        eta = Z @ beta
-        ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
-        prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -500.0, 500.0)))
-        grad = Z.T @ (y - prob)
-        w = prob * (1.0 - prob)
-        hess = Z.T @ (w[:, None] * Z)
-        return ll, grad, hess
-
-    beta, ll, iters = _newton(objective, np.zeros(Z.shape[1]), "logistic fit")
-    return FitResult(subset=tuple(M), coefficients=beta, loglik=ll,
-                     converged=True, iterations=iters)
+    return _fit_one(problem, M)
 
 
 def _cox_prepared(data: SurvivalDataset):
@@ -206,112 +288,159 @@ def _cox_prepared(data: SurvivalDataset):
     return order, event_pos, first
 
 
+def _cox_problem(data: SurvivalDataset, M: list[int]) -> _Problem:
+    order, event_pos, first = _cox_prepared(data)
+    # Number of events whose risk set starts at or before each position.
+    starts = np.searchsorted(first, np.arange(data.n), side="right")
+
+    def objective(Z, beta):
+        # Far along a diverging direction the risk-set sums can underflow;
+        # the resulting non-finite candidates are rejected by the line
+        # search, so the numpy warnings are suppressed here.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            eta = (Z @ beta[:, :, None])[:, :, 0]
+            shift = eta.max(axis=1, keepdims=True)
+            w = np.exp(eta - shift)
+            # Suffix sums over the sorted order: sum of w (and w*x) from each
+            # position to the end.
+            s0 = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+            s1 = np.cumsum((w[:, :, None] * Z)[:, ::-1], axis=1)[:, ::-1]
+            denom = s0[:, first]
+            ll = eta[:, event_pos].sum(axis=1) - (np.log(denom) + shift).sum(axis=1)
+            mean = s1[:, first] / denom[:, :, None]
+            grad = Z[:, event_pos].sum(axis=1) - mean.sum(axis=1)
+            # The information needs sum_e S2(first_e) / denom_e, with S2(k)
+            # the suffix sum of w x x' from position k. Swapping the sums
+            # gives sum_i w_i c_i x_i x_i', where c_i sums 1/denom_e over the
+            # events whose risk set starts at or before i: one prefix sum over
+            # events and one weighted Gram matrix, with no (n, d, d) array.
+            # Tied events share first_e but each keeps its own 1/denom_e
+            # term on both sides, so the identity is exact with ties.
+            inv = np.concatenate([np.zeros((len(Z), 1)), np.cumsum(1.0 / denom, axis=1)],
+                                 axis=1)
+            cw = w * inv[:, starts]
+            info = Z.transpose(0, 2, 1) @ (cw[:, :, None] * Z) \
+                - mean.transpose(0, 2, 1) @ mean
+        return ll, grad, info
+
+    columns = data.X[order]
+    return _Problem(columns[:, M], columns, objective, "cox fit")
+
+
 def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
     """Maximize the partial log-likelihood on columns M by damped Newton.
 
     Ties are handled by pooling tied events over the same risk set.
     """
-    M = [int(m) for m in M]
-    if len(set(M)) != len(M):
-        raise ValueError("subset contains repeated indices")
+    M = _subset(M)
     if data.status.sum() < 1:
         raise NoEventsError("survival data contains no observed events")
-    order, event_pos, first = _cox_prepared(data)
     if not M:
+        _order, _event_pos, first = _cox_prepared(data)
         riskset_sizes = data.n - first
         ll = -float(np.log(riskset_sizes).sum())
         return FitResult(subset=(), coefficients=np.zeros(0), loglik=ll,
                          converged=True, iterations=0)
-    Xs = data.X[order][:, M]
-    _check_rank(Xs, "cox fit")
-    m = len(M)
+    return _fit_one(_cox_problem(data, M), M)
 
-    def objective(beta):
-        # Far along a diverging direction the risk-set sums can underflow;
-        # the resulting non-finite candidates are rejected by the line
-        # search, so the numpy warnings are suppressed here.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            eta = Xs @ beta
-            shift = eta.max()
-            w = np.exp(eta - shift)
-            wx = w[:, None] * Xs
-            # Suffix sums over the sorted order: sum of w (and w*x, w*x*x')
-            # from each position to the end.
-            s0 = np.cumsum(w[::-1])[::-1]
-            s1 = np.cumsum(wx[::-1], axis=0)[::-1]
-            wxx = wx[:, :, None] * Xs[:, None, :]
-            s2 = np.cumsum(wxx[::-1], axis=0)[::-1]
-            denom = s0[first]
-            ll = float(eta[event_pos].sum() - (np.log(denom) + shift).sum())
-            mean = s1[first] / denom[:, None]
-            grad = Xs[event_pos].sum(axis=0) - mean.sum(axis=0)
-            hess = (s2[first] / denom[:, None, None]).sum(axis=0) \
-                - np.einsum("ei,ej->ij", mean, mean)
-        return ll, grad, hess
 
-    beta, ll, iters = _newton(objective, np.zeros(m), "cox fit")
-    return FitResult(subset=tuple(M), coefficients=beta, loglik=ll,
-                     converged=True, iterations=iters)
+def _gaussian_fit(data: Dataset, M: Sequence[int]) -> FitResult:
+    sigma2 = data.require_sigma2()
+    fit = least_squares(data, M)
+    ll = -0.5 * data.n * math.log(2.0 * math.pi * sigma2) - fit.rss / (2.0 * sigma2)
+    return FitResult(subset=fit.subset, coefficients=fit.coefficients, loglik=ll,
+                     converged=True, iterations=0)
 
 
 def gaussian_loglik(data: Dataset, M: Sequence[int]) -> float:
     """Gaussian log-likelihood of the least-squares fit on M with known variance."""
-    sigma2 = data.require_sigma2()
-    fit = least_squares(data, M)
-    return -0.5 * data.n * math.log(2.0 * math.pi * sigma2) - fit.rss / (2.0 * sigma2)
+    return _gaussian_fit(data, M).loglik
+
+
+# Family name -> (fit on a subset, the problem its candidate fits are stacked
+# from, or None to refit each candidate by least squares). The logistic and
+# Cox fits are looked up by name when called, so a wrapped or replaced
+# `logistic_fit` or `cox_fit` serves the base fits too.
+_FAMILIES = {
+    "gaussian": (_gaussian_fit, None),
+    "logistic": (lambda data, M: logistic_fit(data, M), _logistic_problem),
+    "cox": (lambda data, M: cox_fit(data, M), _cox_problem),
+}
+
+
+def _family(family: str):
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
 
 
 def lrt_drop(family: str, data, A: Sequence[int], m: int) -> float:
     """Likelihood-ratio drop 2*(loglik(A u {m}) - loglik(A)), clamped at 0."""
+    fit, _problem = _family(family)
     A = [int(a) for a in A]
     m = int(m)
     if m in A:
         raise ValueError(f"candidate index {m} already in the subset")
-    if family == "gaussian":
-        base = gaussian_loglik(data, A)
-        full = gaussian_loglik(data, A + [m])
-    elif family == "logistic":
-        base = logistic_fit(data, A).loglik
-        full = logistic_fit(data, A + [m]).loglik
-    elif family == "cox":
-        base = cox_fit(data, A).loglik
-        full = cox_fit(data, A + [m]).loglik
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return max(2.0 * (full - base), 0.0)
-
-
-def _base_loglik(family: str, data, A: list[int]) -> float:
-    if family == "gaussian":
-        return gaussian_loglik(data, A)
-    if family == "logistic":
-        return logistic_fit(data, A).loglik
-    if family == "cox":
-        return cox_fit(data, A).loglik
-    raise ValueError(f"unknown family {family!r}")
+    return max(2.0 * (fit(data, A + [m]).loglik - fit(data, A).loglik), 0.0)
 
 
 def lrt_drops_all(family: str, data, A: Sequence[int]) -> tuple[dict[int, float], list[str]]:
-    """Drop of every candidate outside A; failed fits are reported, not raised."""
+    """Drop of every candidate outside A; failed fits are reported, not raised.
+
+    The model on A is fitted once; its log-likelihood is the base of every
+    drop, and a failure there raises. For logistic and Cox regression all
+    candidates m are then fitted in one batched Newton solve over the stack
+    of designs A u {m} (``[1, X_A, x_m]``, or ``[X_A, x_m]`` in time order),
+    each started from the base coefficients with 0 for x_m: at that start
+    every candidate fit has the base fit's likelihood, so it only climbs
+    from there. Gaussian candidates are refitted one by one by least
+    squares. A candidate whose fit fails is left out of the drops and
+    reported as ``"fit failed for candidate m: <error>"``.
+    """
+    fit, problem = _family(family)
     A = [int(a) for a in A]
-    base = _base_loglik(family, data, A)
+    base = fit(data, A)
+    candidates = [m for m in range(data.p) if m not in A]
+    if problem is None:
+        logliks = []
+        for m in candidates:
+            try:
+                logliks.append(fit(data, A + [m]).loglik)
+            except SingularDesignError as exc:
+                logliks.append(exc)
+    else:
+        logliks = _candidate_logliks(problem(data, A), base, candidates)
     drops: dict[int, float] = {}
     failures: list[str] = []
-    for m in range(data.p):
-        if m in A:
-            continue
-        try:
-            if family == "gaussian":
-                full = gaussian_loglik(data, A + [m])
-            elif family == "logistic":
-                full = logistic_fit(data, A + [m]).loglik
-            else:
-                full = cox_fit(data, A + [m]).loglik
-        except (SeparationError, ConvergenceError, SingularDesignError) as exc:
-            failures.append(f"fit failed for candidate {m}: {exc}")
-            continue
-        drops[m] = max(2.0 * (full - base), 0.0)
+    for m, ll in zip(candidates, logliks):
+        if isinstance(ll, SigtestError):
+            failures.append(f"fit failed for candidate {m}: {ll}")
+        else:
+            drops[m] = max(2.0 * (ll - base.loglik), 0.0)
     return drops, failures
+
+
+def _candidate_logliks(problem: _Problem, base: FitResult,
+                       candidates: list[int]) -> list[float | SigtestError]:
+    """Log-likelihood of the problem's design plus each candidate column, or its error."""
+    n, d = problem.design.shape
+    Z = np.empty((len(candidates), n, d + 1))
+    Z[:, :, :d] = problem.design
+    Z[:, :, d] = problem.columns[:, candidates].T
+    beta0 = np.zeros((len(candidates), d + 1))
+    beta0[:, :d] = base.coefficients
+    _beta, ll, _iterations, errors = _newton_stack(problem.objective, Z, beta0, problem.what)
+    return [float(v) if e is None else e for v, e in zip(ll, errors)]
+
+
+def best_candidate(drops: dict[int, float]) -> tuple[int, float]:
+    """Candidate with the largest drop, and that drop.
+
+    Drops within 1e-12 of the largest count as tied; the lowest index wins.
+    """
+    best = max(drops.values())
+    return min(m for m, d in drops.items() if d >= best - 1e-12), best
 
 
 def gumbel_test_glm(family: str, data, A: Sequence[int],
@@ -335,8 +464,7 @@ def gumbel_test_glm(family: str, data, A: Sequence[int],
         raise UnreliableMaxError(
             f"{len(failures)} of {m_remaining} candidate fits failed; "
             "maximum statistic unreliable")
-    best = max(drops.values())
-    j = min(m for m, d in drops.items() if d >= best - 1e-12)
+    j, best = best_candidate(drops)
     corr = gumbel_correction(m_remaining)
     stat = best - corr
     p_value = gumbel_sf(stat)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import InfeasibleDesignError, SigtestError
-from .glm import BinaryDataset, SurvivalDataset, gumbel_test_glm, lrt_drops_all
+from .glm import BinaryDataset, SurvivalDataset, best_candidate, gumbel_test_glm, lrt_drops_all
 from .lasso import lars_path
 from .linmodel import Dataset
 from .selection import lasso_steps, stepwise_path
@@ -76,6 +76,12 @@ class Scenario:
             raise ValueError(f"test {self.test!r} requires the gaussian family")
         if self.test == "gumbel_glm" and self.family == "gaussian":
             raise ValueError("gumbel_glm scenarios use the logistic or cox family")
+        # The Gaussian selection paths stop at min(n, p) entries; the
+        # covariance test of step k also needs entry k + 1.
+        entries = self.k + 1 if self.test == "covariance" else self.k
+        if self.family == "gaussian" and entries > min(self.n, self.p):
+            raise ValueError(f"step k={self.k} needs {entries} path entries, "
+                             f"more than min(n, p) = {min(self.n, self.p)}")
         if self.test in ("gumbel", "gumbel_glm") and self.p - (self.k - 1) < 3:
             raise ValueError(
                 f"step k={self.k} leaves fewer than 3 candidates out of p={self.p}")
@@ -232,12 +238,11 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
             drops, _failures = lrt_drops_all(scenario.family, gdata, A)
             if not drops:
                 return _RepOutcome(None, None, failure="greedy selection exhausted")
-            best = max(drops.values())
-            A.append(min(m for m, d in drops.items() if d >= best - 1e-12))
+            A.append(best_candidate(drops)[0])
         outcome = gumbel_test_glm(scenario.family, gdata, A, alpha=scenario.alpha)
         missed = bool(support) and not support <= set(A)
         return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
-    except (SigtestError, ValueError) as exc:
+    except SigtestError as exc:
         return _RepOutcome(None, None, failure=type(exc).__name__)
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written by a different route than the
 library: coordinate descent instead of the path algorithm, grid scans
-instead of Newton solvers, explicit formula evaluation instead of shared
+and a finite-difference quasi-Newton optimiser instead of Newton solvers, explicit formula evaluation instead of shared
 helpers.
 """
 
@@ -120,6 +120,16 @@ def cox_partial_loglik(X: np.ndarray, time: np.ndarray, status: np.ndarray,
         risk = time >= time[i]
         ll += eta[i] - np.log(np.exp(eta[risk]).sum())
     return float(ll)
+
+
+def quasi_newton_max(loglik, d: int) -> float:
+    """Maximum of a concave function on R^d by scipy's BFGS from 0, gradients by differences."""
+    from scipy.optimize import minimize
+
+    if d == 0:
+        return float(loglik(np.zeros(0)))
+    res = minimize(lambda b: -loglik(b), np.zeros(d), method="BFGS", options={"gtol": 1e-9})
+    return float(-res.fun)
 
 
 def gumbel_cdf_direct(x: float) -> float:

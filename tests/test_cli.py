@@ -148,6 +148,12 @@ class TestTestVerb:
         assert first["gumbel_statistic"] != ""
         assert first["cov_statistic"] == ""
 
+    def test_constant_binary_response_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "ones.csv"
+        data.write_text("a,b,c,y\n1,0,2,1\n0,1,3,1\n2,2,1,1\n1,3,0,1\n")
+        assert run(["test", "--input", str(data), "--family", "logistic"]) == 2
+        assert "at least one 0 and one 1" in capsys.readouterr().err
+
     def test_cox_family(self, tmp_path):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 4))

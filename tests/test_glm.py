@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cox_partial_loglik, grid_scan_max, logistic_loglik
+from oracles import cox_partial_loglik, grid_scan_max, logistic_loglik, quasi_newton_max
 from sigtest import (
     BinaryDataset,
+    ConvergenceError,
     Dataset,
+    DegenerateResponseError,
     NoEventsError,
     SeparationError,
     SingularDesignError,
@@ -22,7 +24,8 @@ from sigtest import (
     standardize,
     stepwise_path,
 )
-from sigtest.glm import gaussian_loglik
+from sigtest import glm
+from sigtest.glm import _solve_rows, gaussian_loglik, lrt_drops_all
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -48,8 +51,9 @@ def random_survival(seed, n, p, censor=0.1):
 
 class TestBinaryDataset:
     def test_rejects_constant_response(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateResponseError) as info:
             BinaryDataset(np.eye(3), np.ones(3))
+        assert isinstance(info.value, ValueError)
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
@@ -208,6 +212,125 @@ class TestLrtDrop:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             lrt_drop("poisson", None, [], 0)
+
+
+def tied_survival(seed, n, p):
+    """Survival data whose times are rounded to 0.1, so event times tie."""
+    rng = np.random.default_rng(seed)
+    X = standardize(rng.standard_normal((n, p)))
+    time = np.round(rng.exponential(1.0, n), 1) + 0.1
+    status = (rng.random(n) < 0.8).astype(float)
+    status[0] = 1.0
+    return SurvivalDataset(X, time, status)
+
+
+def oracle_loglik(family, data, M):
+    """Maximised log-likelihood on M from the oracles, by quasi-Newton."""
+    X = np.asarray(data.X)[:, M]
+    if family == "cox":
+        return quasi_newton_max(lambda b: cox_partial_loglik(
+            X, np.asarray(data.time), np.asarray(data.status), b), len(M))
+    if data.include_intercept:
+        X = np.column_stack([np.ones(data.n), X])
+    return quasi_newton_max(lambda b: logistic_loglik(X, np.asarray(data.y), b), X.shape[1])
+
+
+PARITY_DATA = {
+    "logistic": ("logistic", lambda: random_binary(83, 40, 8)),
+    "logistic-no-intercept": ("logistic", lambda: random_binary(89, 40, 8, intercept=False)),
+    "cox-ties": ("cox", lambda: tied_survival(97, 40, 8)),
+}
+
+
+class TestLrtDropsAll:
+    @pytest.mark.parametrize("case", sorted(PARITY_DATA))
+    @pytest.mark.parametrize("size", [0, 2, 5])
+    def test_batched_drops_match_single_fits_and_oracle(self, case, size):
+        family, make = PARITY_DATA[case]
+        data = make()
+        if family == "cox":
+            assert len(np.unique(data.time[data.status == 1.0])) < data.status.sum()
+        A = [6, 1, 3, 0, 4][:size]
+        drops, failures = lrt_drops_all(family, data, A)
+        assert failures == []
+        assert sorted(drops) == [m for m in range(data.p) if m not in A]
+        base = oracle_loglik(family, data, A)
+        for m, drop in drops.items():
+            assert drop == pytest.approx(lrt_drop(family, data, A, m), abs=1e-9)
+            expect = max(2.0 * (oracle_loglik(family, data, A + [m]) - base), 0.0)
+            assert drop == pytest.approx(expect, abs=1e-6)
+
+    def test_failed_candidates_are_isolated(self):
+        # Column 4 separates the labels (one pair of opposite labels a tiny
+        # gap apart, so the likelihood climbs without bound) and column 7
+        # duplicates column 0, which is in A.
+        rng = np.random.default_rng(71)
+        X = standardize(rng.standard_normal((60, 10)))
+        y = (rng.random(60) < 0.5).astype(float)
+        u = rng.uniform(0.2, 1.0, 60)
+        u[np.flatnonzero(y == 1.0)[0]] = u[np.flatnonzero(y == 0.0)[0]] = 1e-3
+        X[:, 4] = np.where(y == 1.0, u, -u) / np.linalg.norm(u)
+        X[:, 7] = X[:, 0]
+        data = BinaryDataset(X, y)
+        A = [0, 2]
+        drops, failures = lrt_drops_all("logistic", data, A)
+        expected = []
+        for m, error in ((4, SeparationError), (7, SingularDesignError)):
+            with pytest.raises(error) as info:
+                logistic_fit(data, A + [m])
+            expected.append(f"fit failed for candidate {m}: {info.value}")
+        assert failures == expected
+        assert sorted(drops) == [1, 3, 5, 6, 8, 9]
+        for m, drop in drops.items():
+            assert drop == pytest.approx(lrt_drop("logistic", data, A, m), abs=1e-9)
+
+    def test_first_step_failure_leaves_other_rows_running(self):
+        # A NaN in row 1's design makes its first Newton step fail, while
+        # rows 0 and 2 still need several steps to converge.
+        data = random_binary(109, 60, 4, beta=np.array([2.0, 1.0, 0.0, -1.0]))
+        Z = np.stack([np.column_stack([np.ones(60), np.asarray(data.X)[:, [0, j]]])
+                      for j in (1, 2, 3)])
+        Z[1, 5, 2] = np.nan
+        objective = glm._logistic_problem(data, [0]).objective
+        with np.errstate(invalid="ignore"):
+            _beta, ll, iterations, errors = glm._newton_stack(
+                objective, Z, np.zeros((3, 3)), "logistic fit")
+        assert isinstance(errors[1], ConvergenceError)
+        for row, j in ((0, 1), (2, 3)):
+            single = logistic_fit(data, [0, j])
+            assert errors[row] is None
+            assert iterations[row] == single.iterations > 1
+            assert ll[row] == pytest.approx(single.loglik, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_one_batched_solve_per_call(self, family, monkeypatch):
+        starts = []
+        newton = glm._newton_stack
+
+        def counting(objective, Z, beta0, what):
+            starts.append(beta0.copy())
+            return newton(objective, Z, beta0, what)
+
+        monkeypatch.setattr(glm, "_newton_stack", counting)
+        data = random_binary(101, 50, 12) if family == "logistic" else tied_survival(103, 50, 12)
+        drops, _failures = lrt_drops_all(family, data, [3, 5])
+        assert len(drops) == 10
+        # The base fit, then all ten candidates at once, each started from
+        # the base coefficients and 0 for its own column.
+        assert [len(b) for b in starts] == [1, 10]
+        base = (logistic_fit if family == "logistic" else cox_fit)(data, [3, 5])
+        np.testing.assert_array_equal(starts[1][:, :-1], np.tile(base.coefficients, (10, 1)))
+        np.testing.assert_array_equal(starts[1][:, -1], 0.0)
+
+    def test_singular_rows_flagged_alone(self):
+        rng = np.random.default_rng(107)
+        info = np.stack([np.eye(3) + 0.1 * rng.standard_normal((3, 3)) for _ in range(4)])
+        info[2] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        grad = rng.standard_normal((4, 3))
+        step, singular = _solve_rows(info, grad)
+        assert singular.tolist() == [False, False, True, False]
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(step[i], np.linalg.solve(info[i], grad[i]))
 
 
 class TestGumbelTestGlm:

@@ -17,6 +17,7 @@ from sigtest import (
     qq_points,
     run_scenario,
 )
+from sigtest import montecarlo
 from sigtest.montecarlo import replication_rng, resolve_threads
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
@@ -280,6 +281,33 @@ class TestRunScenario:
                      n=40, p=5, test="gumbel", k=4, reps=5, seed=1)
         with pytest.raises(ValueError):
             s.validate()
+
+    @pytest.mark.parametrize("test, k", [("covariance", 3), ("gumbel", 4)])
+    def test_step_beyond_path_length_rejected(self, test, k):
+        # min(n, p) = 3: the path has 3 entries, too few for covariance
+        # step 3 (which needs entry 4) and for gumbel step 4.
+        s = Scenario(name="bad", family="gaussian", design="iid_gaussian",
+                     n=3, p=50, test=test, k=k, reps=5, seed=1)
+        with pytest.raises(ValueError, match="path entries"):
+            s.validate()
+
+    def test_programming_error_is_not_a_failed_replication(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken test")
+
+        monkeypatch.setattr(montecarlo, "gumbel_test_glm", broken)
+        s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
+                     n=20, p=4, test="gumbel_glm", reps=3, seed=3)
+        with pytest.raises(ValueError, match="broken test"):
+            run_scenario(s, threads=1)
+
+    def test_degenerate_binary_draws_are_failed_replications(self):
+        # With n = 3 a quarter of the Bernoulli draws are all 0 or all 1.
+        s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
+                     n=3, p=4, test="gumbel_glm", reps=40, seed=3)
+        summ = run_scenario(s, threads=1)
+        assert summ.failure_reasons.get("DegenerateResponseError", 0) > 0
+        assert len(summ.statistics) + summ.failures == 40
 
 
 class TestResolveThreads:
