@@ -20,7 +20,7 @@ from .exceptions import (
     SingularDesignError,
     StalePathError,
 )
-from .linmodel import RANK_TOL, Dataset
+from .linmodel import ActiveQR, Dataset
 
 # Penalty comparisons on standardized data use this absolute tolerance.
 LAMBDA_TOL = 1e-10
@@ -63,11 +63,19 @@ class Knot:
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Ordered knots of one lasso path plus the digest of its dataset."""
+    """Ordered knots of one lasso path plus the digest of its dataset.
+
+    ``segments[i]`` is the ``(b0, b1)`` of the segment below ``knots[i]``,
+    also below the last knot of a capped path (None if rank deficient): the
+    solution there is b0 - lam * b1 on ``knots[i].active_after``, with b0 the
+    least-squares coefficients and b1 = (X_A' X_A)^{-1} s for the signs s.
+    """
 
     knots: tuple[Knot, ...]
     data_digest: str
     warnings: tuple[str, ...] = ()
+    segments: tuple[tuple[np.ndarray, np.ndarray] | None, ...] = field(
+        default=(), repr=False, compare=False)
 
     def entry_knots(self) -> tuple[Knot, ...]:
         return tuple(kn for kn in self.knots if kn.action == "enter")
@@ -108,25 +116,6 @@ def _check_duplicates(X: np.ndarray, columns: Sequence[int]) -> None:
         seen[key] = j
 
 
-def _segment_direction(X: np.ndarray, y: np.ndarray, active: list[int],
-                       signs: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Intercept and slope of the piecewise-linear segment on the active set.
-
-    On a segment where ``active`` and ``signs`` are constant the solution is
-    beta(lam) = b0 - lam * b1 with b0 the least-squares coefficients and
-    b1 = (X_A' X_A)^{-1} s.
-    """
-    XA = X[:, active]
-    Q, R = np.linalg.qr(XA)
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_TOL * diag.max():
-        raise SingularDesignError(f"active set {active} became rank deficient")
-    s = np.array([signs[i] for i in active], dtype=float)
-    b0 = np.linalg.solve(R, Q.T @ y)
-    b1 = np.linalg.solve(R, np.linalg.solve(R.T, s))
-    return b0, b1
-
-
 def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
     """Validated column list: all columns when ``columns`` is None."""
     cols = list(range(data.p)) if columns is None else [int(c) for c in columns]
@@ -138,44 +127,49 @@ def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
 
 def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
            signs: dict[int, int], lam_cur: float, just_dropped: int | None,
-           stop_lambda: float, max_active: int, max_steps: int | None = None
-           ) -> tuple[list[Knot], list[str], tuple | None]:
+           stop_lambda: float, max_active: int, max_steps: int | None = None,
+           segment: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> tuple[list[Knot], list[str], list]:
     """Continue the lasso path over ``cols`` from the state just below ``lam_cur``.
 
     ``active`` (entry order), ``signs`` and ``just_dropped`` (deleted at
-    ``lam_cur``) give that state; the empty state at ``lam_cur = inf`` starts
-    a path. The trace ends once ``max_active`` variables are active. Returns
-    the knots of the events down to ``stop_lambda``, the entry-tie warnings,
-    and the final segment ``(active, b0, b1)`` (see :func:`_segment_direction`),
-    which is None when the trace stopped on ``max_steps`` or a rank-deficient
-    active set.
+    ``lam_cur``) give that state, and ``segment`` its ``(b0, b1)`` if known;
+    the empty state at ``lam_cur = inf`` starts a path. One :class:`ActiveQR`
+    factor, built when a segment is first needed, follows the events. The
+    trace ends at ``max_active`` active variables or after ``max_steps``
+    entries. Returns the knots down to ``stop_lambda``, the entry-tie
+    warnings, and the segments (see :class:`LassoPath`) of the starting state
+    and each knot.
     """
     active, signs = list(active), dict(signs)
     inactive = np.zeros(X.shape[1], dtype=bool)
     inactive[cols] = True
     inactive[active] = False
     knots: list[Knot] = []
+    segments: list = [] if segment is None else [segment]
     warnings_list: list[str] = []
     entries = 0
+    qr = None
 
     for _ in range(MAX_EVENTS_PER_COLUMN * max(len(cols), 1)):
-        segment = None
-        if max_steps is not None and entries >= max_steps:
+        if len(segments) == len(knots):  # the current state has no segment yet
+            try:
+                if qr is None:
+                    qr = ActiveQR(X, y, active)
+                elif knots[-1].action == "enter":
+                    qr.add(knots[-1].entering)
+                else:
+                    qr.drop(knots[-1].entering)
+            except SingularDesignError:
+                segments.append(None)
+                break
+            segments.append((qr.coef, qr.gram_solve(np.array([signs[i] for i in active], float))))
+        if len(active) >= max_active or (max_steps is not None and entries >= max_steps):
             break
         idx = np.flatnonzero(inactive)
-        b0 = b1 = np.zeros(0)
-        if active:
-            try:
-                b0, b1 = _segment_direction(X, y, active, signs)
-            except SingularDesignError:
-                break
-        segment = (list(active), b0, b1)
-        if len(active) >= max_active:
-            break
+        b0, b1 = segments[-1]
         XA = X[:, active]
-        XI = X[:, idx]
-        a = XI.T @ (y - XA @ b0)
-        v = XI.T @ (XA @ b1)
+        a, v = (np.column_stack((y - XA @ b0, XA @ b1)).T @ X)[:, idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Entry candidates: the correlation a + lam*v of inactive m meets the
             # boundary +lam at a/(1-v) and -lam at -a/(1+v). Row m holds both
@@ -237,61 +231,51 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
         just_dropped = None
     else:
         raise PathNonTerminationError("path did not terminate; data may be degenerate")
-    return knots, warnings_list, segment
+    return knots, warnings_list, segments
 
 
 def lars_path(data: Dataset, max_steps: int | None = None,
-              columns: Sequence[int] | None = None,
               stop_lambda: float = 0.0) -> LassoPath:
     """Trace the lasso path, recording a knot per entry or deletion event.
 
     ``max_steps`` caps the number of *entry* events; deletions are recorded
-    but do not count toward the cap. ``columns`` restricts the path to a
-    subset of variables (indices stay in the full coordinate space).
-    ``stop_lambda`` stops tracing once the next event falls below it, and
-    tracing ends at the entry that makes min(n, len(columns)) variables active.
+    but do not count toward the cap. ``stop_lambda`` stops tracing once the
+    next event falls below it, and tracing ends at the entry that makes
+    min(n, p) variables active. The path keeps each knot's segment (see
+    :class:`LassoPath`).
 
     Entry ties within 1e-10 are broken by lowest column index and recorded in
     the path's warnings.
     """
-    cols = _columns(data, columns)
-    if max_steps is not None and max_steps > min(data.n, len(cols) or 1):
+    cols = _columns(data, None)
+    if max_steps is not None and max_steps > min(data.n, data.p):
         raise ValueError(f"max_steps={max_steps} exceeds min(n, p)")
-    knots, warnings_list, _ = _trace(data.X, data.y, cols, [], {}, np.inf, None,
-                                     stop_lambda, min(data.n, len(cols)), max_steps)
+    knots, warnings_list, segments = _trace(data.X, data.y, cols, [], {}, np.inf, None,
+                                            stop_lambda, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
-                     warnings=tuple(warnings_list))
-
-
-def _state_at(path: LassoPath, lam: float) -> tuple[list[int], dict[int, int]]:
-    """Active set and signs of the path segment containing penalty ``lam``."""
-    active: list[int] = []
-    signs: dict[int, int] = {}
-    for kn in path.knots:
-        if kn.lam <= lam + LAMBDA_TOL:
-            break
-        if kn.action == "enter":
-            active.append(kn.entering)
-            signs[kn.entering] = kn.signs_after[-1]
-        else:
-            active.remove(kn.entering)
-            del signs[kn.entering]
-    return active, signs
+                     warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
 
 def solve_at(path: LassoPath, data: Dataset, lam: float) -> np.ndarray:
-    """Exact solution at penalty ``lam`` interpolated from an existing path.
+    """Exact solution at penalty ``lam`` from a path of :func:`lars_path`.
 
-    The path must extend below ``lam`` (or be exhausted above it).
+    Above the last knot it is read from the cached segment containing
+    ``lam``. Below it by more than 1e-10 the path may lack later events, so
+    the result (as for a path without segments) is
+    ``lasso_solve(data, lam, path=path)``, which traces on from that knot.
     """
     if path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
+    i = 0
+    while i < len(path.knots) and path.knots[i].lam > lam + LAMBDA_TOL:
+        i += 1
+    if i and i >= len(path.segments):
+        return lasso_solve(data, lam, path=path)
     beta = np.zeros(data.p)
-    active, signs = _state_at(path, lam)
-    if not active:
+    if i == 0:
         return beta
-    b0, b1 = _segment_direction(data.X, data.y, active, signs)
-    beta[active] = b0 - lam * b1
+    b0, b1 = path.segments[i - 1]
+    beta[list(path.knots[i - 1].active_after)] = b0 - lam * b1
     return beta
 
 
@@ -304,8 +288,8 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
     :func:`lars_path`, on past the entry that makes all of ``subset``
     active, up to n active) and evaluating the containing linear segment.
 
-    A supplied ``path`` -- over all columns, or over a superset of ``subset``
-    -- warm-starts the trace. Where its active set lies inside ``subset``, its
+    A supplied ``path`` from :func:`lars_path` warm-starts the trace from its
+    cached segments. Where its active set lies inside ``subset``, its
     solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
     knot above ``lam`` (else from the empty state) and covers only the
@@ -332,25 +316,26 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
         raise StalePathError("path was computed from different data")
     cols = _columns(data, columns)
     inside = set(cols)
-    state = ([], {}, np.inf, None)
-    for kn in path.knots:
+    state, segment = ((), {}, np.inf, None), None
+    for kn, seg in zip(path.knots, path.segments):
         if kn.lam <= lam + LAMBDA_TOL:
             break
         if inside.issuperset(kn.active_after):
             state = (kn.active_after, dict(zip(kn.active_after, kn.signs_after)), kn.lam,
                      kn.entering if kn.action == "leave" else None)
-    _, warnings_list, segment = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
-                                       max_active=data.n)
+            segment = seg
+    knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
+                                            max_active=data.n, segment=segment)
     warnings_list = list(path.warnings) + warnings_list
     if warnings_list:
         _warnings.warn(
             "solution may be non-unique (" + "; ".join(warnings_list) + ")",
             NonUniqueSolutionWarning)
-    if segment is None:
+    if segments[-1] is None:
         raise SingularDesignError(f"columns {cols} are rank deficient above lambda={lam}")
-    active, b0, b1 = segment
+    b0, b1 = segments[-1]
     beta = np.zeros(data.p)
-    beta[active] = b0 - lam * b1
+    beta[list(knots[-1].active_after if knots else state[0])] = b0 - lam * b1
     return beta
 
 

@@ -136,29 +136,103 @@ def _check_subset(data: Dataset, M: Sequence[int]) -> list[int]:
     return M
 
 
+class ActiveQR:
+    """Thin QR factor X_A = Q R of an ordered list A of design columns.
+
+    Holds Q' (rows), R^{-1}, Q'y, the residual of y on A and, once
+    :meth:`drops` asks for them, all columns residualised on A. :meth:`add`
+    appends a column by Gram-Schmidt with one reorthogonalisation, in O(nk)
+    plus O(np) while residualised columns are kept; :meth:`drop` refactors
+    only the columns after the dropped one.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, cols: Sequence[int] = ()):
+        self.X, self.y = X, y
+        cap = min(X.shape)
+        self._Qt = np.empty((cap, X.shape[0]))
+        self._Rinv = np.zeros((cap, cap))
+        self._qty = np.empty(cap)
+        self.cols: list[int] = []
+        self.resid = y.copy()
+        self._Z = None
+        for j in cols:
+            self.add(j)
+
+    def add(self, j: int) -> None:
+        """Append column j; :class:`SingularDesignError` past n columns or when
+        a diagonal of R falls below RANK_TOL times the largest one."""
+        k = len(self.cols)
+        if k == self._Qt.shape[0]:
+            raise SingularDesignError(f"subset of size {k + 1} exceeds n={self.X.shape[0]}")
+        Qt = self._Qt[:k]
+        v, r = self.X[:, j].copy(), np.zeros(k)
+        for _ in range(2):  # Gram-Schmidt twice is enough
+            c = Qt @ v
+            v -= Qt.T @ c
+            r += c
+        rho = float(np.sqrt(v @ v))
+        diag = np.append(1.0 / self._Rinv.diagonal()[:k], rho)
+        if rho == 0.0 or diag.min() < RANK_TOL * diag.max():
+            raise SingularDesignError(f"columns {self.cols + [int(j)]} are linearly dependent")
+        q = v / rho
+        self._Qt[k] = q
+        self._Rinv[:k, k] = self._Rinv[:k, :k] @ r / -rho
+        self._Rinv[k, k] = 1.0 / rho
+        self._qty[k] = q @ self.resid
+        self.resid -= self._qty[k] * q
+        if self._Z is not None:
+            self._Z -= np.outer(q, q @ self._Z)
+        self.cols.append(int(j))
+
+    def drop(self, j: int) -> None:
+        """Remove column j; the columns after it are appended again in order."""
+        i = self.cols.index(j)
+        later, self.cols = self.cols[i + 1:], self.cols[:i]
+        self.resid = self.y - self._Qt[:i].T @ self._qty[:i]
+        self._Z = None
+        for c in later:
+            self.add(c)
+
+    @property
+    def coef(self) -> np.ndarray:
+        """Least-squares coefficients of y on A, in the order of A."""
+        k = len(self.cols)
+        return self._Rinv[:k, :k] @ self._qty[:k]
+
+    def gram_solve(self, s: np.ndarray) -> np.ndarray:
+        """(X_A' X_A)^{-1} s = R^{-1} R^{-T} s."""
+        Rinv = self._Rinv[:len(s), :len(s)]
+        return Rinv @ (Rinv.T @ s)
+
+    def drops(self, sigma2: float) -> dict[int, float]:
+        """Scaled RSS drop from adding each column m outside A.
+
+        Uses the projection identity: the drop equals
+        (x_m' r_A)^2 / ||(I - P_A) x_m||^2 / sigma2 with r_A the residual of
+        y on A. Columns numerically in the span of A get a drop of 0.
+        """
+        if self._Z is None:
+            Qt = self._Qt[:len(self.cols)]
+            self._Z = self.X - Qt.T @ (Qt @ self.X)
+        cand = np.delete(np.arange(self.X.shape[1]), self.cols)
+        num = (self.X.T @ self.resid)[cand] ** 2
+        den = np.einsum("ij,ij->j", self._Z, self._Z)[cand]
+        drops = np.zeros(cand.size)
+        ok = den > 1e-12
+        drops[ok] = num[ok] / den[ok] / sigma2
+        return {int(m): float(d) for m, d in zip(cand, drops)}
+
+
 def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:
-    """Least-squares fit on columns M, solved by QR decomposition.
+    """Least-squares fit on columns M, solved by an :class:`ActiveQR` factor.
 
     Raises :class:`SingularDesignError` when X_M is rank deficient (diagonal
     of the triangular factor below RANK_TOL times its largest entry).
     """
     M = _check_subset(data, M)
-    y = data.y
-    if not M:
-        return SubsetFit(subset=(), coefficients=np.zeros(0), rss=float(y @ y),
-                         fitted=np.zeros(data.n))
-    if len(M) > data.n:
-        raise SingularDesignError(f"subset of size {len(M)} exceeds n={data.n}")
-    XM = data.X[:, M]
-    Q, R = np.linalg.qr(XM)
-    diag = np.abs(np.diag(R))
-    if diag.min() < RANK_TOL * diag.max():
-        raise SingularDesignError(f"columns {M} are linearly dependent")
-    coef = np.linalg.solve(R, Q.T @ y)
-    fitted = XM @ coef
-    resid = y - fitted
-    return SubsetFit(subset=tuple(M), coefficients=coef, rss=float(resid @ resid),
-                     fitted=fitted)
+    qr = ActiveQR(data.X, data.y, M)
+    return SubsetFit(subset=tuple(M), coefficients=qr.coef, rss=float(qr.resid @ qr.resid),
+                     fitted=data.y - qr.resid)
 
 
 def r_stat(data: Dataset, A: Sequence[int], m: int) -> float:
@@ -177,37 +251,9 @@ def r_stat(data: Dataset, A: Sequence[int], m: int) -> float:
 
 
 def r_stats_batch(data: Dataset, A: Sequence[int]) -> dict[int, float]:
-    """Scaled RSS drop for every candidate column not in A, in one pass.
-
-    Uses the projection identity: the drop for column m equals
-    (x_m' r_A)^2 / ||(I - P_A) x_m||^2 where r_A is the residual of y on A.
-    Candidates numerically collinear with A get a drop of 0.
-    """
+    """Scaled RSS drop for every column not in A (see :meth:`ActiveQR.drops`)."""
     sigma2 = data.require_sigma2()
-    A = _check_subset(data, A)
-    mask = np.ones(data.p, dtype=bool)
-    mask[A] = False
-    cand = np.flatnonzero(mask)
-    if cand.size == 0:
-        return {}
-    y = data.y
-    Xc = data.X[:, cand]
-    if A:
-        Q, R = np.linalg.qr(data.X[:, A])
-        diag = np.abs(np.diag(R))
-        if diag.min() < RANK_TOL * diag.max():
-            raise SingularDesignError(f"columns {list(A)} are linearly dependent")
-        resid = y - Q @ (Q.T @ y)
-        Z = Xc - Q @ (Q.T @ Xc)
-    else:
-        resid = y
-        Z = Xc
-    num = (Xc.T @ resid) ** 2
-    den = np.einsum("ij,ij->j", Z, Z)
-    drops = np.zeros(cand.size)
-    ok = den > 1e-12
-    drops[ok] = num[ok] / den[ok] / sigma2
-    return {int(m): float(d) for m, d in zip(cand, drops)}
+    return ActiveQR(data.X, data.y, _check_subset(data, A)).drops(sigma2)
 
 
 def estimate_sigma2(data: Dataset) -> float:

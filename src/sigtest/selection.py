@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
-from .linmodel import Dataset, r_stats_batch
+from .linmodel import ActiveQR, Dataset
 
 # Drops at or below this are treated as "residual orthogonal to the candidate".
 ZERO_DROP_TOL = 1e-12
@@ -68,12 +68,14 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
         max_steps = limit
     elif max_steps > limit:
         raise ValueError(f"max_steps={max_steps} exceeds min(n, p)={limit}")
-    data.require_sigma2()
+    sigma2 = data.require_sigma2()
 
     steps: list[SelectionStep] = []
-    A: list[int] = []
+    qr = ActiveQR(data.X, data.y)
     for k in range(1, max_steps + 1):
-        drops = r_stats_batch(data, A)
+        if steps:
+            qr.add(steps[-1].j)
+        drops = qr.drops(sigma2)
         if not drops:
             break
         best = max(drops.values())
@@ -83,9 +85,8 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
                 PathTruncationWarning)
             break
         j = min(m for m, d in drops.items() if d >= best - 1e-12)
-        steps.append(SelectionStep(k=k, A=tuple(A), j=j, r_j=drops[j], p=data.p,
-                                   selector=selector, r_all=dict(drops)))
-        A.append(j)
+        steps.append(SelectionStep(k=k, A=tuple(qr.cols), j=j, r_j=drops[j], p=data.p,
+                                   selector=selector, r_all=drops))
     return steps
 
 
@@ -97,14 +98,19 @@ def lasso_steps(path: LassoPath, data: Dataset) -> list[SelectionStep]:
     """
     if path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
-    data.require_sigma2()
+    sigma2 = data.require_sigma2()
     steps: list[SelectionStep] = []
+    qr = ActiveQR(data.X, data.y)
     for idx, knot in enumerate(path.entry_knots(), start=1):
         A = knot.active_before
-        drops = r_stats_batch(data, A)
+        for i in [c for c in qr.cols if c not in A]:
+            qr.drop(i)
+        for i in A[len(qr.cols):]:
+            qr.add(i)
+        drops = qr.drops(sigma2)
         r_j = drops[knot.entering]
         best = max(drops.values())
         steps.append(SelectionStep(
             k=idx, A=A, j=knot.entering, r_j=r_j, p=data.p, selector="lasso",
-            r_all=dict(drops), conservative=bool(r_j < best - 1e-10)))
+            r_all=drops, conservative=bool(r_j < best - 1e-10)))
     return steps

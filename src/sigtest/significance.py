@@ -20,7 +20,7 @@ from .exceptions import (
     UnsupportedStepError,
 )
 from .lasso import LassoPath, lasso_solve, solve_at
-from .linmodel import Dataset, least_squares
+from .linmodel import Dataset
 from .selection import SelectionStep
 
 GUMBEL_LOCATION = -math.log(math.pi)
@@ -168,18 +168,19 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     The statistic is the drop in fitted inner product, at the next knot,
     between the full lasso and the lasso restricted to the pre-entry model.
     It is evaluated twice: directly from the two solutions, and through the
-    RSS-drop decomposition using sign vectors and least-squares coefficients;
-    ``decomposition`` carries the second value. The p-value is the standard
-    exponential upper tail exp(-statistic), clamped to 1 for negative
-    statistics.
+    RSS-drop decomposition using sign vectors and the least-squares
+    coefficients that the segments of ``path`` (from :func:`lars_path`) hold
+    above and below the kth entry; ``decomposition`` carries the second
+    value. The p-value is the standard exponential upper tail
+    exp(-statistic), clamped to 1 for negative statistics.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sigma2 = data.require_sigma2()
-    if path.data_digest != data.digest:
+    if path.data_digest != data.digest or len(path.segments) != len(path.knots):
         from .exceptions import StalePathError
 
-        raise StalePathError("path was computed from different data")
+        raise StalePathError("path was not traced by lars_path from this data")
 
     entries = [i for i, kn in enumerate(path.knots) if kn.action == "enter"]
     if len(entries) < k + 1:
@@ -202,14 +203,16 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
                - float(y @ (data.X @ beta_restricted))) / sigma2
 
     # Decomposition route: R_j - lam_next * (<s_Aj, b_Aj> - <s_A, b_A>) / sigma2
-    # with signs taken from the path segment below the kth entry, from fresh
-    # least-squares fits on A and A + [j].
+    # with signs from the path segment below the kth entry, and least-squares
+    # coefficients b_A and b_Aj from the segments above and below that knot.
     signs_aj = np.asarray(knot_k.signs_after, dtype=float)
-    ls_a = least_squares(data, list(A))
-    ls_aj = least_squares(data, list(A) + [j])
-    drop = max((ls_a.rss - ls_aj.rss) / sigma2, 0.0)
-    inner_aj = float(signs_aj @ ls_aj.coefficients)
-    inner_a = float(signs_aj[:-1] @ ls_a.coefficients)
+    b_a = path.segments[pos_k - 1][0] if pos_k else np.zeros(0)
+    b_aj = path.segments[pos_k][0]
+    r_a = y - data.X[:, list(A)] @ b_a
+    r_aj = y - data.X[:, list(A) + [j]] @ b_aj
+    drop = max(float(r_a @ r_a - r_aj @ r_aj) / sigma2, 0.0)
+    inner_aj = float(signs_aj @ b_aj)
+    inner_a = float(signs_aj[:-1] @ b_a)
     decomposition = drop - lam_next * (inner_aj - inner_a) / sigma2
 
     warnings_list = list(path.warnings)

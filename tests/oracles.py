@@ -91,6 +91,27 @@ def best_single_variable_drop(X: np.ndarray, y: np.ndarray, sigma2: float) -> tu
     return best_j, best_drop
 
 
+def lasso_segment(X: np.ndarray, y: np.ndarray, active, signs) -> tuple[np.ndarray, np.ndarray]:
+    """(b0, b1) of the lasso segment beta(lam) = b0 - lam * b1 on ``active``.
+
+    b0 comes from numpy's SVD least-squares solver and b1 = (X_A' X_A)^{-1} s
+    from the pseudo-inverse P of X_A as P P' s.
+    """
+    XA = X[:, list(active)]
+    P = np.linalg.pinv(XA)
+    return np.linalg.lstsq(XA, y, rcond=None)[0], P @ (P.T @ np.asarray(signs, dtype=float))
+
+
+def normal_equation_drop(X: np.ndarray, y: np.ndarray, A, m: int, sigma2: float) -> float:
+    """(RSS_A - RSS_{A+m}) / sigma2, each fit by solving its normal equations."""
+    def rss(cols):
+        XM = X[:, cols]
+        r = y - XM @ np.linalg.solve(XM.T @ XM, XM.T @ y) if cols else y
+        return float(r @ r)
+
+    return (rss(list(A)) - rss(list(A) + [m])) / sigma2
+
+
 def logistic_loglik(X1: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     """Bernoulli log-likelihood evaluated directly (X1 includes any intercept)."""
     eta = X1 @ beta

@@ -7,6 +7,7 @@ from oracles import (
     cd_lasso,
     cd_support_change_points,
     lasso_objective,
+    lasso_segment,
 )
 import sigtest.lasso as lasso_module
 from sigtest import (
@@ -129,6 +130,48 @@ class TestLarsPath:
         assert {kn.entering for kn in path.knots[:2]} == {0, 1}
         assert path.knots[0].lam == pytest.approx(path.knots[1].lam, abs=1e-10)
         assert any("tie" in w for w in path.warnings)
+
+
+class TestSegments:
+    """Each knot of a path keeps the segment b0 - lam * b1 just below it."""
+
+    def test_cached_segments_match_lstsq_oracle(self):
+        # (n, p, max_steps): n < p paths stop at n active after many
+        # deletions; the capped paths keep the segment below their last entry.
+        deletions = capped = 0
+        for rho in (0.0, 0.5, 0.8, 0.9):
+            for n, p, max_steps in ((30, 12, None), (20, 30, None), (60, 40, 12)):
+                for seed in range(3):
+                    data = random_dataset(seed, n, p, rho=rho)
+                    path = lars_path(data, max_steps=max_steps)
+                    assert len(path.segments) == len(path.knots)
+                    for kn, (b0, b1) in zip(path.knots, path.segments):
+                        e0, e1 = lasso_segment(data.X, data.y, kn.active_after, kn.signs_after)
+                        np.testing.assert_allclose(b0, e0, rtol=0, atol=1e-10)
+                        np.testing.assert_allclose(b1, e1, rtol=0, atol=1e-10)
+                    deletions += sum(kn.action == "leave" for kn in path.knots)
+                    capped += max_steps is not None
+        assert deletions >= 20 and capped == 12
+
+    def test_segments_do_not_affect_equality(self):
+        data = random_dataset(1, 30, 8)
+        path = lars_path(data)
+        assert path == lars_path(data)
+        assert "segments" not in repr(path)
+
+    def test_solve_at_below_last_knot_traces_on(self):
+        # lars_path stops at min(n, p) active variables, so below its last
+        # knot a deletion (and later events) may be missing from the path;
+        # extrapolating the last segment then fails the KKT check.
+        for rho in (0.5, 0.8):
+            for n, p in ((40, 20), (100, 50)):
+                for seed in range(10):
+                    data = random_dataset(seed, n, p, rho=rho)
+                    path = lars_path(data)
+                    lam = 0.5 * path.knots[-1].lam
+                    beta = solve_at(path, data, lam)
+                    assert kkt_check(data, beta, lam, tol=1e-8).passed
+                    np.testing.assert_array_equal(beta, lasso_solve(data, lam, path=path))
 
 
 class TestLassoSolve:

@@ -9,12 +9,14 @@ from sigtest import (
     DegenerateVarianceError,
     MissingVarianceError,
     NotEstimableError,
+    PathTruncationWarning,
     SingularDesignError,
     estimate_sigma2,
     least_squares,
     r_stat,
     r_stats_batch,
     standardize,
+    stepwise_path,
 )
 
 
@@ -199,6 +201,33 @@ class TestRStat:
         data = random_dataset(11, 25, 8)
         for m, val in r_stats_batch(data, [0, 5]).items():
             assert val >= 0.0
+
+
+class TestNearCollinearPair:
+    # Column 1 is column 0 turned by about eps. Its residual on column 0 has
+    # squared norm about eps^2: below 1e-12 its drop is 0, and with eps under
+    # RANK_TOL the pair is rank deficient.
+    @pytest.mark.parametrize("eps, singular", [(1e-8, False), (1e-12, True)])
+    def test_zero_drop_or_singular(self, eps, singular):
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((20, 4))
+        X = standardize(np.column_stack([Z[:, 0], Z[:, 0] + eps * Z[:, 1], Z[:, 2:]]))
+        data = Dataset(X, 3.0 * X[:, 0] + 0.1 * rng.standard_normal(20), sigma2=1.0)
+        assert r_stats_batch(data, [0])[1] == 0.0
+        assert r_stats_batch(data, [0, 2])[1] == 0.0
+        with pytest.warns(PathTruncationWarning):
+            steps = stepwise_path(data)
+        js = [s.j for s in steps]
+        assert js[0] == 0 and sorted(js) == [0, 2, 3]
+        if singular:
+            with pytest.raises(SingularDesignError):
+                least_squares(data, [0, 1])
+            with pytest.raises(SingularDesignError):
+                r_stats_batch(data, [2, 0, 1])
+        else:
+            fit = least_squares(data, [0, 1])
+            assert fit.rss <= least_squares(data, [0]).rss
+            assert set(r_stats_batch(data, [0, 1])) == {2, 3}
 
 
 class TestEstimateSigma2:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import best_single_variable_drop
+from oracles import best_single_variable_drop, normal_equation_drop
 from sigtest import (
     Dataset,
     PathTruncationWarning,
@@ -135,3 +135,21 @@ class TestLassoSteps:
                     assert step.conservative
                     found = True
         assert found, "no conservative lasso step found in the seed sweep"
+
+
+class TestDropsAgainstRefits:
+    def test_every_drop_matches_a_normal_equation_refit(self):
+        # Both selectors update one factor step by step (lasso_steps rebuilds
+        # it after a deletion); every candidate's drop must still equal a
+        # from-scratch refit of A + {m}.
+        deletions = 0
+        for rho in (0.0, 0.5, 0.8):
+            for seed in range(3):
+                data = random_dataset(seed, 40, 20, rho=rho, signal=((0, 2.0), (3, -1.5)))
+                path = lars_path(data)
+                deletions += sum(kn.action == "leave" for kn in path.knots)
+                for step in stepwise_path(data) + lasso_steps(path, data):
+                    for m, drop in step.r_all.items():
+                        assert drop == pytest.approx(normal_equation_drop(
+                            data.X, data.y, step.A, m, data.sigma2), abs=1e-9)
+        assert deletions >= 3

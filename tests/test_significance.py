@@ -10,6 +10,7 @@ from oracles import cd_lasso, gumbel_cdf_direct
 from sigtest import (
     Dataset,
     GumbelRef,
+    LassoPath,
     PathTooShortError,
     TooFewRemainingError,
     covariance_test,
@@ -20,11 +21,13 @@ from sigtest import (
     gumbel_test,
     lars_path,
     lasso_solve,
+    lasso_steps,
     standardize,
     stepwise_path,
 )
-from sigtest.exceptions import UnsupportedStepError
+from sigtest.exceptions import StalePathError, UnsupportedStepError
 from sigtest.lasso import solve_at
+from sigtest.linmodel import ActiveQR
 from sigtest.selection import SelectionStep
 
 IDENTITY = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
@@ -277,6 +280,12 @@ class TestCovarianceTest:
                 assert gumbel_test(step_a).p_value == pytest.approx(
                     gumbel_test(step_b).p_value, abs=1e-8)
 
+    def test_path_without_segments_rejected(self):
+        path = lars_path(IDENTITY)
+        bare = LassoPath(knots=path.knots, data_digest=path.data_digest)
+        with pytest.raises(StalePathError):
+            covariance_test(bare, IDENTITY, 1)
+
     def test_missing_sigma2(self):
         data = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]))
         path = lars_path(data)
@@ -318,23 +327,71 @@ class TestWarmStartedRestrictedFit:
                     deletions += np.count_nonzero(warm[A]) < len(A)
         assert deletions >= 1, "no restricted segment with a deletion in the corpus"
 
-    def test_segment_solves_per_step(self, monkeypatch):
-        # Re-tracing the restricted path from lambda = inf costs about k
-        # segment solves at step k (about 25 per step here); warm-started,
-        # the full and the restricted fit need one each unless a deletion
-        # falls between lambda_k and lambda_{k+1}.
+    def test_factor_work(self, monkeypatch):
+        # Counted on the one ActiveQR factor: every column appended (also when
+        # a factor is built or refactored) and every column dropped; and the
+        # deletions that restricted traces in lasso_solve take.
+        calls, restricted_leaves = [], []
+
+        def counting(name):
+            original = getattr(ActiveQR, name)
+
+            def wrapper(self, j):
+                calls.append(name)
+                return original(self, j)
+            return wrapper
+
+        def trace(*args, **kwargs):
+            out = original_trace(*args, **kwargs)
+            restricted_leaves.extend(kn for kn in out[0] if kn.action == "leave")
+            return out
+
+        original_trace = lasso_module._trace
+        monkeypatch.setattr(ActiveQR, "add", counting("add"))
+        monkeypatch.setattr(ActiveQR, "drop", counting("drop"))
+
+        # lars_path: one append per entry; a deletion appends again only the
+        # columns after the dropped one. lasso_steps follows the same active
+        # sets and also refactors only after a deletion.
+        for rho in (0.5, 0.8):
+            calls.clear()
+            data = ar1_dataset(0, 100, 50, rho)
+            path = lars_path(data)
+            leaves = [kn for kn in path.knots if kn.action == "leave"]
+            readds = sum(len(kn.active_before) - 1 - kn.active_before.index(kn.entering)
+                         for kn in leaves)
+            assert leaves and calls.count("drop") == len(leaves)
+            assert calls.count("add") <= len(path.entry_knots()) + readds
+            calls.clear()
+            lasso_steps(path, data)
+            assert calls.count("drop") <= len(leaves)
+            assert calls.count("add") <= len(path.entry_knots()) + readds
+
+        # stepwise_path(max_steps=k): at most k appends.
+        for k in (1, 5, 30):
+            calls.clear()
+            stepwise_path(data, max_steps=k)
+            assert calls.count("add") <= k and "drop" not in calls
+
+        # covariance_test reads the full fit, the restricted fit and both
+        # least-squares fits from the path's segments: a step factors nothing
+        # unless the restricted path deletes a variable of A between
+        # lambda_k and lambda_{k+1}.
+        monkeypatch.setattr(lasso_module, "_trace", trace)
         data = ar1_dataset(0, 100, 50, 0.5)
         path = lars_path(data)
-        solves = []
-        original = lasso_module._segment_direction
-        monkeypatch.setattr(lasso_module, "_segment_direction",
-                            lambda *args: solves.append(1) or original(*args))
-        steps = 0
+        steps = deletion_steps = 0
         for k in range(1, len(path.entry_knots())):
+            calls.clear()
+            restricted_leaves.clear()
             try:
                 covariance_test(path, data, k)
             except UnsupportedStepError:
                 continue
             steps += 1
-        assert steps >= 40
-        assert len(solves) / steps <= 3.0
+            if restricted_leaves:
+                deletion_steps += 1
+                assert calls.count("add") <= k * (1 + len(restricted_leaves))
+            else:
+                assert calls == []
+        assert steps - deletion_steps >= 40
