@@ -119,7 +119,7 @@ def _gaussian_test_rows(config: RunConfig):
     if config.selector == "lasso":
         steps = lasso_steps(path, data)
     else:
-        steps = stepwise_path(data, selector="stepwise" if config.selector == "stepwise" else "max_r")
+        steps = stepwise_path(data, selector=config.selector)
     if config.max_steps is not None:
         steps = steps[: config.max_steps]
 
@@ -171,30 +171,25 @@ def _glm_test_rows(config: RunConfig):
     for k in range(1, limit + 1):
         if data.p - len(A) == 0:
             break
-        notes: list[str] = []
         outcome = None
-        if data.p - len(A) >= 3:
-            try:
+        testable = data.p - len(A) >= 3
+        try:
+            if testable:
                 outcome = gumbel_test_glm(config.family, data, A, alpha=config.alpha)
-            except SigtestError as exc:
-                rows.append([k, "", ";".join(str(i) for i in A), "", config.family,
-                             False, "", "", "", "", "", "", "",
-                             f"test-failed:{type(exc).__name__}"])
-                break
+            else:
+                drops, failures = lrt_drops_all(config.family, data, A)
+        except SigtestError as exc:
+            stage = "test-failed" if testable else "base-fit-failed"
+            rows.append([k, "", ";".join(str(i) for i in A), "", config.family,
+                         False, "", "", "", "", "", "", "", f"{stage}:{type(exc).__name__}"])
+            break
+        if testable:
             records.append(outcome)
-            notes.extend(outcome.warnings)
+            notes = list(outcome.warnings)
             j = outcome.j
             best = outcome.statistic + outcome.correction
         else:
-            notes.append("too-few-remaining")
-            try:
-                drops, failures = lrt_drops_all(config.family, data, A)
-            except SigtestError as exc:
-                rows.append([k, "", ";".join(str(i) for i in A), "", config.family,
-                             False, "", "", "", "", "", "", "",
-                             f"base-fit-failed:{type(exc).__name__}"])
-                break
-            notes.extend(failures)
+            notes = ["too-few-remaining"] + failures
             if not drops:
                 break
             j, best = best_candidate(drops)

@@ -23,7 +23,7 @@ from .exceptions import (
     TooFewRemainingError,
     UnreliableMaxError,
 )
-from .linmodel import RANK_TOL, Dataset, least_squares
+from .linmodel import RANK_TOL, Dataset, _check_subset, least_squares
 from .significance import TestOutcome, gumbel_correction, gumbel_sf
 
 MAX_ITER = 100
@@ -116,13 +116,6 @@ class FitResult:
     loglik: float
     converged: bool
     iterations: int
-
-
-def _subset(M: Sequence[int]) -> list[int]:
-    M = [int(m) for m in M]
-    if len(set(M)) != len(M):
-        raise ValueError("subset contains repeated indices")
-    return M
 
 
 def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
@@ -267,7 +260,7 @@ def logistic_fit(data: BinaryDataset, M: Sequence[int]) -> FitResult:
 
     Includes an unpenalized intercept when the dataset requests one.
     """
-    M = _subset(M)
+    M = _check_subset(data, M)
     problem = _logistic_problem(data, M)
     if problem.design.shape[1] == 0:
         # No parameters at all: eta = 0, p = 1/2 for every observation.
@@ -332,9 +325,7 @@ def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
 
     Ties are handled by pooling tied events over the same risk set.
     """
-    M = _subset(M)
-    if data.status.sum() < 1:
-        raise NoEventsError("survival data contains no observed events")
+    M = _check_subset(data, M)
     if not M:
         _order, _event_pos, first = _cox_prepared(data)
         riskset_sizes = data.n - first
@@ -350,11 +341,6 @@ def _gaussian_fit(data: Dataset, M: Sequence[int]) -> FitResult:
     ll = -0.5 * data.n * math.log(2.0 * math.pi * sigma2) - fit.rss / (2.0 * sigma2)
     return FitResult(subset=fit.subset, coefficients=fit.coefficients, loglik=ll,
                      converged=True, iterations=0)
-
-
-def gaussian_loglik(data: Dataset, M: Sequence[int]) -> float:
-    """Gaussian log-likelihood of the least-squares fit on M with known variance."""
-    return _gaussian_fit(data, M).loglik
 
 
 # Family name -> (fit on a subset, the problem its candidate fits are stacked
@@ -378,7 +364,7 @@ def _family(family: str):
 def lrt_drop(family: str, data, A: Sequence[int], m: int) -> float:
     """Likelihood-ratio drop 2*(loglik(A u {m}) - loglik(A)), clamped at 0."""
     fit, _problem = _family(family)
-    A = [int(a) for a in A]
+    A = _check_subset(data, A)
     m = int(m)
     if m in A:
         raise ValueError(f"candidate index {m} already in the subset")
@@ -399,7 +385,7 @@ def lrt_drops_all(family: str, data, A: Sequence[int]) -> tuple[dict[int, float]
     reported as ``"fit failed for candidate m: <error>"``.
     """
     fit, problem = _family(family)
-    A = [int(a) for a in A]
+    A = _check_subset(data, A)
     base = fit(data, A)
     candidates = [m for m in range(data.p) if m not in A]
     if problem is None:
@@ -454,7 +440,7 @@ def gumbel_test_glm(family: str, data, A: Sequence[int],
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    A = [int(a) for a in A]
+    A = _check_subset(data, A)
     m_remaining = data.p - len(A)
     if m_remaining < 3:
         raise TooFewRemainingError(

@@ -20,7 +20,7 @@ from .exceptions import (
     SingularDesignError,
     StalePathError,
 )
-from .linmodel import ActiveQR, Dataset
+from .linmodel import ActiveQR, Dataset, _check_subset
 
 # Penalty comparisons on standardized data use this absolute tolerance.
 LAMBDA_TOL = 1e-10
@@ -80,31 +80,19 @@ class LassoPath:
     def entry_knots(self) -> tuple[Knot, ...]:
         return tuple(kn for kn in self.knots if kn.action == "enter")
 
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(kn.lam for kn in self.knots)
 
-
-@dataclass(frozen=True)
-class KKTCoordinate:
-    index: int
-    active: bool
-    correlation: float
-    slack: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KKTReport:
-    """Per-coordinate stationarity check of a lasso solution."""
+    """Per-coordinate stationarity check of a lasso solution.
+
+    ``slack`` holds each checked coordinate's slack in subset order; a
+    negative slack is a violation, and ``violations`` lists those columns.
+    """
 
     passed: bool
     lam: float
-    coordinates: tuple[KKTCoordinate, ...] = field(repr=False)
+    slack: np.ndarray = field(repr=False)
     violations: tuple[int, ...] = ()
-
-    @property
-    def worst_slack(self) -> float:
-        return min(c.slack for c in self.coordinates) if self.coordinates else 0.0
 
 
 def _check_duplicates(X: np.ndarray, columns: Sequence[int]) -> None:
@@ -118,9 +106,7 @@ def _check_duplicates(X: np.ndarray, columns: Sequence[int]) -> None:
 
 def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
     """Validated column list: all columns when ``columns`` is None."""
-    cols = list(range(data.p)) if columns is None else [int(c) for c in columns]
-    if len(set(cols)) != len(cols):
-        raise ValueError("restricted column set contains repeats")
+    cols = list(range(data.p)) if columns is None else _check_subset(data, columns)
     _check_duplicates(data.X, cols)
     return cols
 
@@ -234,13 +220,11 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
     return knots, warnings_list, segments
 
 
-def lars_path(data: Dataset, max_steps: int | None = None,
-              stop_lambda: float = 0.0) -> LassoPath:
+def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     """Trace the lasso path, recording a knot per entry or deletion event.
 
     ``max_steps`` caps the number of *entry* events; deletions are recorded
-    but do not count toward the cap. ``stop_lambda`` stops tracing once the
-    next event falls below it, and tracing ends at the entry that makes
+    but do not count toward the cap. Tracing ends at the entry that makes
     min(n, p) variables active. The path keeps each knot's segment (see
     :class:`LassoPath`).
 
@@ -251,7 +235,7 @@ def lars_path(data: Dataset, max_steps: int | None = None,
     if max_steps is not None and max_steps > min(data.n, data.p):
         raise ValueError(f"max_steps={max_steps} exceeds min(n, p)")
     knots, warnings_list, segments = _trace(data.X, data.y, cols, [], {}, np.inf, None,
-                                            stop_lambda, min(data.n, data.p), max_steps)
+                                            0.0, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
@@ -279,14 +263,15 @@ def solve_at(path: LassoPath, data: Dataset, lam: float) -> np.ndarray:
     return beta
 
 
-def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
+def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
                path: LassoPath | None = None) -> np.ndarray:
     """Minimize 0.5*||y - X beta||^2 + lam*||beta||_1 over the given coordinates.
 
     Returns a vector in the full coordinate space with support inside
-    ``subset``. Solved by tracing the restricted path down to ``lam`` (unlike
-    :func:`lars_path`, on past the entry that makes all of ``subset``
-    active, up to n active) and evaluating the containing linear segment.
+    ``subset`` (all columns when None). Solved by tracing the restricted
+    path down to ``lam`` (unlike :func:`lars_path`, on past the entry that
+    makes all of ``subset`` active, up to n active) and evaluating the
+    containing linear segment.
 
     A supplied ``path`` from :func:`lars_path` warm-starts the trace from its
     cached segments. Where its active set lies inside ``subset``, its
@@ -302,19 +287,13 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if isinstance(subset, str):
-        if subset != "all":
-            raise ValueError(f"unknown subset spec {subset!r}")
-        columns = None
-    else:
-        columns = [int(c) for c in subset]
-        if not columns:
-            return np.zeros(data.p)
+    cols = _columns(data, subset)
+    if not cols:
+        return np.zeros(data.p)
     if path is None:
         path = LassoPath(knots=(), data_digest=data.digest)
     elif path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
-    cols = _columns(data, columns)
     inside = set(cols)
     state, segment = ((), {}, np.inf, None), None
     for kn, seg in zip(path.knots, path.segments):
@@ -340,35 +319,19 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | str = "all",
 
 
 def kkt_check(data: Dataset, beta: np.ndarray, lam: float,
-              subset: Sequence[int] | str = "all", tol: float = 1e-6) -> KKTReport:
+              subset: Sequence[int] | None = None, tol: float = 1e-6) -> KKTReport:
     """Verify lasso stationarity of ``beta`` at penalty ``lam``.
 
-    Passes iff every coordinate m in the subset satisfies
-    x_m'(y - X beta) = lam * sign(beta_m) within tol when beta_m != 0 and
-    |x_m'(y - X beta)| <= lam + tol when beta_m = 0.
+    Passes iff every coordinate m in the subset (all columns when None)
+    satisfies x_m'(y - X beta) = lam * sign(beta_m) within tol when
+    beta_m != 0 and |x_m'(y - X beta)| <= lam + tol when beta_m = 0.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise ValueError(f"beta must have length p={data.p}")
-    if isinstance(subset, str):
-        if subset != "all":
-            raise ValueError(f"unknown subset spec {subset!r}")
-        cols = list(range(data.p))
-    else:
-        cols = [int(c) for c in subset]
-    resid = data.y - data.X @ beta
-    coords = []
-    violations = []
-    for m in cols:
-        c_m = float(data.X[:, m] @ resid)
-        if beta[m] != 0.0:
-            slack = tol - abs(c_m - lam * np.sign(beta[m]))
-        else:
-            slack = lam + tol - abs(c_m)
-        ok = slack >= 0.0
-        if not ok:
-            violations.append(m)
-        coords.append(KKTCoordinate(index=m, active=beta[m] != 0.0,
-                                    correlation=c_m, slack=float(slack)))
-    return KKTReport(passed=not violations, lam=float(lam),
-                     coordinates=tuple(coords), violations=tuple(violations))
+    cols = np.arange(data.p) if subset is None else np.array(_check_subset(data, subset), dtype=int)
+    corr = data.X[:, cols].T @ (data.y - data.X @ beta)
+    b = beta[cols]
+    slack = np.where(b != 0.0, tol - np.abs(corr - lam * np.sign(b)), lam + tol - np.abs(corr))
+    violations = tuple(cols[slack < 0.0].tolist())
+    return KKTReport(passed=not violations, lam=float(lam), slack=slack, violations=violations)

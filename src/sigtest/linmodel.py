@@ -76,11 +76,6 @@ class Dataset:
         h.update(self.y.tobytes())
         return h.hexdigest()
 
-    def is_standardized(self, tol: float = 1e-8) -> bool:
-        """True if every column of X has squared Euclidean norm 1 within tol."""
-        norms2 = np.einsum("ij,ij->j", self.X, self.X)
-        return bool(np.all(np.abs(norms2 - 1.0) <= tol))
-
     def require_sigma2(self) -> float:
         if self.sigma2 is None:
             raise MissingVarianceError(
@@ -126,7 +121,8 @@ def standardize(X: np.ndarray, center: bool = False) -> np.ndarray:
     return out
 
 
-def _check_subset(data: Dataset, M: Sequence[int]) -> list[int]:
+def _check_subset(data, M: Sequence[int]) -> list[int]:
+    """M as a list of distinct column indices of ``data`` (any dataset with ``p``)."""
     M = [int(m) for m in M]
     if len(set(M)) != len(M):
         raise ValueError(f"subset contains repeated indices: {M}")
@@ -233,27 +229,6 @@ def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:
     qr = ActiveQR(data.X, data.y, M)
     return SubsetFit(subset=tuple(M), coefficients=qr.coef, rss=float(qr.resid @ qr.resid),
                      fitted=data.y - qr.resid)
-
-
-def r_stat(data: Dataset, A: Sequence[int], m: int) -> float:
-    """Scaled RSS drop (RSS_A - RSS_{A u {m}}) / sigma2 from adding column m.
-
-    Computed by two direct subset fits; always nonnegative.
-    """
-    sigma2 = data.require_sigma2()
-    A = _check_subset(data, A)
-    m = int(m)
-    if m in A:
-        raise ValueError(f"candidate index {m} already in the subset")
-    rss_a = least_squares(data, A).rss
-    rss_am = least_squares(data, list(A) + [m]).rss
-    return max((rss_a - rss_am) / sigma2, 0.0)
-
-
-def r_stats_batch(data: Dataset, A: Sequence[int]) -> dict[int, float]:
-    """Scaled RSS drop for every column not in A (see :meth:`ActiveQR.drops`)."""
-    sigma2 = data.require_sigma2()
-    return ActiveQR(data.X, data.y, _check_subset(data, A)).drops(sigma2)
 
 
 def estimate_sigma2(data: Dataset) -> float:

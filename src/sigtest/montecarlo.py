@@ -20,7 +20,7 @@ from .glm import BinaryDataset, SurvivalDataset, best_candidate, gumbel_test_glm
 from .lasso import lars_path
 from .linmodel import Dataset
 from .selection import lasso_steps, stepwise_path
-from .significance import covariance_test, gumbel_test, reference_cdf, reference_quantile
+from .significance import covariance_test, gumbel_test, reference_pair
 
 FAMILIES = ("gaussian", "logistic", "cox")
 DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
@@ -267,8 +267,7 @@ def qq_points(statistics: Sequence[float], reference: str) -> list[tuple[float, 
     if n == 0:
         raise ValueError("statistics must be nonempty")
     probs = (np.arange(1, n + 1) - 0.5) / n
-    return [(reference_quantile(reference, float(pr)), float(x))
-            for pr, x in zip(probs, stats)]
+    return list(zip(reference_pair(reference)[1](probs).tolist(), stats.tolist()))
 
 
 def ks_distance(statistics: Sequence[float], reference: str) -> float:
@@ -279,7 +278,7 @@ def ks_distance(statistics: Sequence[float], reference: str) -> float:
         raise ValueError("statistics must be nonempty")
     if not np.all(np.isfinite(stats)):
         raise ValueError("statistics must be finite")
-    cdf = np.array([reference_cdf(reference, float(x)) for x in stats])
+    cdf = reference_pair(reference)[0](stats)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

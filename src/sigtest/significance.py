@@ -27,41 +27,34 @@ GUMBEL_LOCATION = -math.log(math.pi)
 GUMBEL_SCALE = 2.0
 
 
-@dataclass(frozen=True)
-class GumbelRef:
-    """Type-I extreme-value reference with CDF exp(-exp(-(x + log pi)/2))."""
-
-    location: float = GUMBEL_LOCATION
-    scale: float = GUMBEL_SCALE
-
-    def cdf(self, x: float) -> float:
-        return math.exp(-math.exp(-(x - self.location) / self.scale))
-
-    def sf(self, x: float) -> float:
-        return -math.expm1(-math.exp(-(x - self.location) / self.scale))
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-        return self.location - self.scale * math.log(-math.log(p))
+def _elementwise(values: np.ndarray):
+    """A Python float for a scalar argument, else the array."""
+    return float(values) if values.ndim == 0 else values
 
 
-_REF = GumbelRef()
+def _probabilities(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    bad = ~((p > 0.0) & (p < 1.0))
+    if bad.any():
+        raise ValueError(f"quantile probability must lie in (0, 1), got {p[bad]}")
+    return p
 
 
-def gumbel_cdf(x: float) -> float:
-    """CDF of the Gumbel(-log pi, 2) reference at x."""
-    return _REF.cdf(float(x))
+def gumbel_cdf(x):
+    """CDF of the Gumbel(-log pi, 2) reference, elementwise."""
+    z = (np.asarray(x, dtype=float) - GUMBEL_LOCATION) / GUMBEL_SCALE
+    return _elementwise(np.exp(-np.exp(-z)))
 
 
-def gumbel_sf(x: float) -> float:
-    """Upper-tail probability of the Gumbel(-log pi, 2) reference at x."""
-    return _REF.sf(float(x))
+def gumbel_sf(x):
+    """Upper-tail probability of the Gumbel(-log pi, 2) reference, elementwise."""
+    z = (np.asarray(x, dtype=float) - GUMBEL_LOCATION) / GUMBEL_SCALE
+    return _elementwise(-np.expm1(-np.exp(-z)))
 
 
-def gumbel_quantile(p: float) -> float:
+def gumbel_quantile(p):
     """Inverse CDF of the Gumbel(-log pi, 2) reference: -log pi - 2*log(-log p)."""
-    return _REF.quantile(float(p))
+    return _elementwise(GUMBEL_LOCATION - GUMBEL_SCALE * np.log(-np.log(_probabilities(p))))
 
 
 def gumbel_correction(m_remaining: int) -> float:
@@ -77,35 +70,27 @@ def gumbel_correction(m_remaining: int) -> float:
     return 2.0 * math.log(m) - math.log(math.log(m))
 
 
-def exp1_cdf(x: float) -> float:
-    """CDF of the standard exponential reference."""
-    return -math.expm1(-x) if x > 0 else 0.0
+def exp1_cdf(x):
+    """CDF of the standard exponential reference, elementwise."""
+    x = np.asarray(x, dtype=float)
+    return _elementwise(np.where(x > 0, -np.expm1(-np.maximum(x, 0.0)), 0.0))
 
 
-def exp1_sf(x: float) -> float:
-    return math.exp(-x) if x > 0 else 1.0
+def exp1_quantile(p):
+    """Inverse CDF of the standard exponential reference: -log(1 - p)."""
+    return _elementwise(-np.log1p(-_probabilities(p)))
 
 
-def exp1_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    return -math.log1p(-p)
+# Reference name -> (CDF, quantile function).
+REFERENCES = {"gumbel": (gumbel_cdf, gumbel_quantile), "exp1": (exp1_cdf, exp1_quantile)}
 
 
-def reference_cdf(tag: str, x: float) -> float:
-    if tag == "gumbel":
-        return gumbel_cdf(x)
-    if tag == "exp1":
-        return exp1_cdf(x)
-    raise ValueError(f"unknown reference {tag!r}")
-
-
-def reference_quantile(tag: str, p: float) -> float:
-    if tag == "gumbel":
-        return gumbel_quantile(p)
-    if tag == "exp1":
-        return exp1_quantile(p)
-    raise ValueError(f"unknown reference {tag!r}")
+def reference_pair(name: str):
+    """The (CDF, quantile function) of the named reference distribution."""
+    try:
+        return REFERENCES[name]
+    except KeyError:
+        raise ValueError(f"unknown reference {name!r}") from None
 
 
 @dataclass(frozen=True)

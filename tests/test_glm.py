@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cox_partial_loglik, grid_scan_max, logistic_loglik, quasi_newton_max
+from oracles import (
+    cox_partial_loglik,
+    grid_scan_max,
+    logistic_loglik,
+    normal_equation_drop,
+    quasi_newton_max,
+)
 from sigtest import (
     BinaryDataset,
     ConvergenceError,
@@ -20,12 +26,11 @@ from sigtest import (
     gumbel_test_glm,
     logistic_fit,
     lrt_drop,
-    r_stat,
     standardize,
     stepwise_path,
 )
 from sigtest import glm
-from sigtest.glm import _solve_rows, gaussian_loglik, lrt_drops_all
+from sigtest.glm import _solve_rows, lrt_drops_all
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -192,7 +197,7 @@ class TestLrtDrop:
         data = Dataset(X, y, sigma2=1.7)
         for m in range(1, 5):
             assert lrt_drop("gaussian", data, [0], m) == pytest.approx(
-                r_stat(data, [0], m), abs=1e-6)
+                normal_equation_drop(X, y, [0], m, 1.7), abs=1e-6)
 
     def test_nesting_nonnegative_binary(self):
         data = random_binary(17, 50, 5)
@@ -402,8 +407,11 @@ class TestGaussianLoglik:
         X = standardize(rng.standard_normal((10, 2)))
         y = rng.standard_normal(10)
         data = Dataset(X, y, sigma2=2.0)
-        from sigtest import least_squares
 
-        rss = least_squares(data, [0]).rss
-        expect = -5 * math.log(2 * math.pi * 2.0) - rss / 4.0
-        assert gaussian_loglik(data, [0]) == pytest.approx(expect, abs=1e-10)
+        def rss(cols):
+            r = y - X[:, cols] @ np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
+            return float(r @ r)
+
+        # Twice the log-likelihood gain with known variance: (RSS_A - RSS_{A u m}) / sigma2.
+        expect = (rss([0]) - rss([0, 1])) / 2.0
+        assert lrt_drop("gaussian", data, [0], 1) == pytest.approx(expect, abs=1e-10)

@@ -263,8 +263,8 @@ class TestKKTCheck:
 
     def test_reports_per_coordinate_slack(self):
         report = kkt_check(IDENTITY, np.array([1.0, 0.0, 0.0]), 2.0)
-        assert len(report.coordinates) == 3
-        assert report.worst_slack >= 0.0
+        assert len(report.slack) == 3
+        assert report.slack.min() >= 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import normal_equation_drop
 from sigtest import (
+    BinaryDataset,
     Dataset,
     DegenerateColumnError,
     DegenerateVarianceError,
@@ -12,12 +14,16 @@ from sigtest import (
     PathTruncationWarning,
     SingularDesignError,
     estimate_sigma2,
+    kkt_check,
+    lasso_solve,
     least_squares,
-    r_stat,
-    r_stats_batch,
+    logistic_fit,
+    lrt_drop,
     standardize,
     stepwise_path,
 )
+from sigtest.glm import lrt_drops_all
+from sigtest.linmodel import ActiveQR
 
 
 def random_dataset(seed, n, p, sigma2=1.0):
@@ -25,6 +31,11 @@ def random_dataset(seed, n, p, sigma2=1.0):
     X = standardize(rng.standard_normal((n, p)))
     y = rng.standard_normal(n)
     return Dataset(X, y, sigma2=sigma2)
+
+
+def drops(data, A=()):
+    """Scaled RSS drop of every column outside A, as the selectors compute it."""
+    return ActiveQR(data.X, data.y, A).drops(data.require_sigma2())
 
 
 class TestDataset:
@@ -55,8 +66,11 @@ class TestDataset:
         assert a.digest != c.digest
 
     def test_is_standardized(self):
-        assert Dataset(np.eye(3), np.zeros(3)).is_standardized()
-        assert not Dataset(2 * np.eye(3), np.zeros(3)).is_standardized()
+        # standardize gives unit squared column norms; Dataset keeps X as given.
+        norms2 = lambda data: np.einsum("ij,ij->j", data.X, data.X)
+        np.testing.assert_allclose(norms2(Dataset(standardize(2 * np.eye(3)), np.zeros(3))),
+                                   1.0, atol=1e-8)
+        assert np.all(np.abs(norms2(Dataset(2 * np.eye(3), np.zeros(3))) - 1.0) > 1e-8)
 
 
 class TestStandardize:
@@ -153,16 +167,41 @@ class TestLeastSquares:
             prev = cur
 
 
+_GAUSSIAN = random_dataset(2, 30, 5)
+_BINARY = BinaryDataset(_GAUSSIAN.X, (np.arange(30) % 2).astype(float))
+SUBSET_ENTRY_POINTS = {
+    "logistic_fit": lambda M: logistic_fit(_BINARY, M),
+    "lrt_drops_all": lambda M: lrt_drops_all("logistic", _BINARY, M),
+    "lasso_solve": lambda M: lasso_solve(_GAUSSIAN, 0.1, subset=M),
+    "kkt_check": lambda M: kkt_check(_GAUSSIAN, np.zeros(5), 0.1, subset=M),
+}
+
+
+@pytest.mark.parametrize("subset, error, message", [
+    pytest.param([0, -1], IndexError, r"column index -1 out of range \[0, 5\)", id="minus-one"),
+    pytest.param([0, 5], IndexError, r"column index 5 out of range \[0, 5\)", id="p"),
+    pytest.param([1, 1], ValueError, "repeated indices", id="repeated"),
+])
+@pytest.mark.parametrize("entry", sorted(SUBSET_ENTRY_POINTS))
+def test_subset_validation(entry, subset, error, message):
+    # A negative index must not alias column p - 1.
+    with pytest.raises(error, match=message):
+        SUBSET_ENTRY_POINTS[entry](subset)
+
+
 class TestRStat:
+    # The scaled RSS drop R = (RSS_A - RSS_{A u {m}}) / sigma2 of ActiveQR.drops.
     def test_identity_examples(self):
         data = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
-        assert r_stat(data, [], 0) == pytest.approx(9.0)
-        assert r_stat(data, [], 1) == pytest.approx(1.0)
+        assert drops(data)[0] == pytest.approx(9.0)
+        assert drops(data)[1] == pytest.approx(1.0)
 
     def test_missing_variance_errors(self):
         data = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]))
         with pytest.raises(MissingVarianceError):
-            r_stat(data, [], 0)
+            stepwise_path(data)
+        with pytest.raises(MissingVarianceError):
+            lrt_drop("gaussian", data, [], 0)
 
     def test_matches_gaussian_loglik_gain(self):
         # Twice the Gaussian log-likelihood gain equals the scaled RSS drop.
@@ -172,8 +211,8 @@ class TestRStat:
         rss_am = least_squares(data, A + [m]).rss
         loglik = lambda rss: -0.5 * data.n * np.log(2 * np.pi) - rss / 2.0
         gain = 2 * (loglik(rss_am) - loglik(rss_a))
-        assert r_stat(data, A, m) == pytest.approx(gain, abs=1e-10)
-        assert r_stat(data, A, m) == pytest.approx(rss_a - rss_am, abs=1e-10)
+        assert drops(data, A)[m] == pytest.approx(gain, abs=1e-10)
+        assert drops(data, A)[m] == pytest.approx(rss_a - rss_am, abs=1e-10)
 
     def test_orthonormal_closed_form(self):
         data = random_dataset(3, 10, 4, sigma2=2.0)
@@ -181,25 +220,27 @@ class TestRStat:
         ortho = Dataset(Q, data.y, sigma2=2.0)
         for m in range(4):
             expect = float(Q[:, m] @ ortho.y) ** 2 / 2.0
-            assert r_stat(ortho, [], m) == pytest.approx(expect, abs=1e-10)
+            assert drops(ortho)[m] == pytest.approx(expect, abs=1e-10)
 
     def test_candidate_already_in_subset(self):
         data = random_dataset(5, 10, 3)
+        assert set(drops(data, [0])) == {1, 2}
         with pytest.raises(ValueError):
-            r_stat(data, [0], 0)
+            lrt_drop("gaussian", data, [0], 0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_batch_agrees_with_single(self, seed):
         data = random_dataset(seed, 15, 6, sigma2=1.3)
-        drops = r_stats_batch(data, [1, 4])
-        assert set(drops) == {0, 2, 3, 5}
-        for m, val in drops.items():
-            assert val == pytest.approx(r_stat(data, [1, 4], m), abs=1e-8)
+        batch = drops(data, [1, 4])
+        assert set(batch) == {0, 2, 3, 5}
+        for m, val in batch.items():
+            assert val == pytest.approx(
+                normal_equation_drop(data.X, data.y, [1, 4], m, 1.3), abs=1e-8)
 
     def test_nonnegative(self):
         data = random_dataset(11, 25, 8)
-        for m, val in r_stats_batch(data, [0, 5]).items():
+        for m, val in drops(data, [0, 5]).items():
             assert val >= 0.0
 
 
@@ -213,8 +254,8 @@ class TestNearCollinearPair:
         Z = rng.standard_normal((20, 4))
         X = standardize(np.column_stack([Z[:, 0], Z[:, 0] + eps * Z[:, 1], Z[:, 2:]]))
         data = Dataset(X, 3.0 * X[:, 0] + 0.1 * rng.standard_normal(20), sigma2=1.0)
-        assert r_stats_batch(data, [0])[1] == 0.0
-        assert r_stats_batch(data, [0, 2])[1] == 0.0
+        assert drops(data, [0])[1] == 0.0
+        assert drops(data, [0, 2])[1] == 0.0
         with pytest.warns(PathTruncationWarning):
             steps = stepwise_path(data)
         js = [s.j for s in steps]
@@ -223,11 +264,11 @@ class TestNearCollinearPair:
             with pytest.raises(SingularDesignError):
                 least_squares(data, [0, 1])
             with pytest.raises(SingularDesignError):
-                r_stats_batch(data, [2, 0, 1])
+                drops(data, [2, 0, 1])
         else:
             fit = least_squares(data, [0, 1])
             assert fit.rss <= least_squares(data, [0]).rss
-            assert set(r_stats_batch(data, [0, 1])) == {2, 3}
+            assert set(drops(data, [0, 1])) == {2, 3}
 
 
 class TestEstimateSigma2:

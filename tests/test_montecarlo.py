@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gumbel_cdf_direct
 from sigtest import (
     InfeasibleDesignError,
     Scenario,
@@ -181,6 +182,38 @@ class TestKsDistance:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([np.nan], "gumbel")
+
+
+# Reference CDFs evaluated one statistic at a time, independently of the library.
+ORACLE_CDF = {"gumbel": gumbel_cdf_direct,
+              "exp1": lambda x: 1.0 - math.exp(-x) if x > 0 else 0.0}
+
+
+class TestVectorisedReferences:
+    # Gumbel draws cover both branches of the Exp(1) CDF (negative and positive).
+    STATS = np.sort(rng_for(21).gumbel(-math.log(math.pi), 2.0, size=10_000))
+
+    @pytest.mark.parametrize("reference", ["gumbel", "exp1"])
+    def test_ks_distance_matches_per_element(self, reference):
+        n = self.STATS.size
+        cdf = np.array([ORACLE_CDF[reference](float(x)) for x in self.STATS])
+        expect = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert ks_distance(self.STATS[::-1], reference) == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("reference", ["gumbel", "exp1"])
+    def test_qq_points_match_per_element(self, reference):
+        pairs = qq_points(self.STATS[::-1], reference)
+        n = self.STATS.size
+        assert all(type(t) is float and type(e) is float for t, e in pairs)
+        assert [e for _, e in pairs] == self.STATS.tolist()
+        back = [ORACLE_CDF[reference](t) for t, _ in pairs]
+        np.testing.assert_allclose(back, (np.arange(1, n + 1) - 0.5) / n, rtol=0, atol=1e-15)
+
+    def test_unknown_reference(self):
+        with pytest.raises(ValueError, match="unknown reference"):
+            ks_distance([1.0], "normal")
+        with pytest.raises(ValueError, match="unknown reference"):
+            qq_points([1.0], "normal")
 
 
 class TestScenarioValidation:

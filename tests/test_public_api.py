@@ -1,0 +1,45 @@
+"""``sigtest.__all__`` lists exactly the public names ``__init__.py`` imports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import sigtest
+
+
+def imported_public_names() -> set[str]:
+    tree = ast.parse(Path(sigtest.__file__).read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names if not (alias.asname or alias.name).startswith("_")}
+
+
+def test_every_name_resolves():
+    for name in sigtest.__all__:
+        assert getattr(sigtest, name) is not None, name
+
+
+def test_all_equals_imported_names():
+    assert len(sigtest.__all__) == len(set(sigtest.__all__))
+    assert set(sigtest.__all__) == imported_public_names()
+
+
+@pytest.mark.parametrize("module, name", [
+    ("sigtest", "r_stat"),
+    ("sigtest", "r_stats_batch"),
+    ("sigtest", "GumbelRef"),
+    ("sigtest.linmodel", "r_stat"),
+    ("sigtest.linmodel", "r_stats_batch"),
+    ("sigtest.significance", "GumbelRef"),
+    ("sigtest.significance", "exp1_sf"),
+    ("sigtest.significance", "reference_cdf"),
+    ("sigtest.significance", "reference_quantile"),
+    ("sigtest.glm", "gaussian_loglik"),
+    ("sigtest.lasso", "KKTCoordinate"),
+])
+def test_removed_name_is_gone(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    assert not hasattr(importlib.import_module(module), name)

@@ -9,7 +9,6 @@ import sigtest.lasso as lasso_module
 from oracles import cd_lasso, gumbel_cdf_direct
 from sigtest import (
     Dataset,
-    GumbelRef,
     LassoPath,
     PathTooShortError,
     TooFewRemainingError,
@@ -27,6 +26,7 @@ from sigtest import (
 )
 from sigtest.exceptions import StalePathError, UnsupportedStepError
 from sigtest.lasso import solve_at
+from sigtest.significance import exp1_cdf, exp1_quantile, reference_pair
 from sigtest.linmodel import ActiveQR
 from sigtest.selection import SelectionStep
 
@@ -87,11 +87,6 @@ class TestGumbelQuantile:
         with pytest.raises(ValueError):
             gumbel_quantile(p)
 
-    def test_custom_reference_round_trip(self):
-        ref = GumbelRef(location=1.0, scale=0.5)
-        for p in (0.1, 0.5, 0.9):
-            assert ref.cdf(ref.quantile(p)) == pytest.approx(p, abs=1e-12)
-
 
 class TestGumbelCorrection:
     @pytest.mark.parametrize("m,expect", [(50, 6.45999), (47, 6.35222), (3, 2.10318)])
@@ -107,6 +102,34 @@ class TestGumbelCorrection:
     def test_too_few_remaining(self, m):
         with pytest.raises(TooFewRemainingError):
             gumbel_correction(m)
+
+
+class TestReferenceFunctions:
+    @pytest.mark.parametrize("fn", [gumbel_cdf, gumbel_sf, gumbel_quantile, exp1_cdf,
+                                    exp1_quantile])
+    def test_scalar_in_float_out(self, fn):
+        for arg in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(fn(arg)) is float
+        grid = np.linspace(0.05, 0.95, 7)
+        out = fn(grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        np.testing.assert_array_equal(out, [fn(float(x)) for x in grid])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, float("nan")])
+    @pytest.mark.parametrize("fn", [gumbel_quantile, exp1_quantile])
+    def test_array_domain_errors(self, fn, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            fn(np.array([0.2, bad, 0.7]))
+
+    def test_exp1_cdf_zero_below_origin(self):
+        np.testing.assert_array_equal(exp1_cdf(np.array([-800.0, -1.0, 0.0])), 0.0)
+        assert exp1_cdf(2.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
+
+    def test_table_and_unknown_name(self):
+        assert reference_pair("gumbel") == (gumbel_cdf, gumbel_quantile)
+        assert reference_pair("exp1") == (exp1_cdf, exp1_quantile)
+        with pytest.raises(ValueError, match="unknown reference"):
+            reference_pair("normal")
 
 
 class TestGumbelTest:
