@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 from .dataio import (
     CsvFormatError,
@@ -44,32 +44,6 @@ EXIT_NUMERICAL = 3
 EXIT_VARIANCE = 4
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    verb: str
-    input: str | None = None
-    scenario: str | None = None
-    inline: str | None = None
-    alpha: float = 0.05
-    sigma2: float | None = None
-    selector: str = "max_r"
-    family: str = "gaussian"
-    seed: int | None = None
-    output: str | None = None
-    out_dir: str = "."
-    fmt: str = "csv"
-    reference: str = "gumbel"
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.sigma2 is not None and self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -84,44 +58,49 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(config.output, text)
+        _atomic_write(args.output, text)
 
 
-def cmd_path(config: RunConfig) -> int:
+def cmd_path(args: argparse.Namespace) -> int:
     """Write the knot table of the lasso path for a Gaussian CSV dataset."""
-    data, _names = load_dataset(config.input, sigma2=config.sigma2)
-    path = lars_path(data, max_steps=config.max_steps)
+    data, _names = load_dataset(args.input)
+    path = lars_path(data, max_steps=args.max_steps)
     rows = [[kn.k, float(kn.lam), kn.entering, kn.action,
              ";".join(str(i) for i in kn.active_after)]
             for kn in path.knots]
-    if config.fmt == "json":
+    if args.fmt == "json":
         records = [{"k": kn.k, "lambda": float(kn.lam), "entering": kn.entering,
                     "action": kn.action, "active_set": list(kn.active_after)}
                    for kn in path.knots]
-        _emit(config, json.dumps(records, indent=2) + "\n")
+        _emit(args, json.dumps(records, indent=2) + "\n")
     else:
-        _emit(config, format_csv(["k", "lambda", "entering", "action", "active_set"], rows))
+        _emit(args, format_csv(["k", "lambda", "entering", "action", "active_set"], rows))
     return EXIT_OK
 
 
-def _gaussian_test_rows(config: RunConfig):
-    data, _names = load_dataset(config.input, sigma2=config.sigma2)
+def _cells(outcome, *names: str) -> list:
+    """The named fields of a test outcome as table cells; blanks without one."""
+    return [getattr(outcome, name) if outcome else "" for name in names]
+
+
+def _gaussian_test_rows(args: argparse.Namespace):
+    data, _names = load_dataset(args.input, sigma2=args.sigma2)
     plug_in = False
     if data.sigma2 is None:
         sigma2 = estimate_sigma2(data)  # raises NotEstimableError when n <= p
         data = replace(data, sigma2=sigma2)
         plug_in = True
     path = lars_path(data)
-    if config.selector == "lasso":
+    if args.selector == "lasso":
         steps = lasso_steps(path, data)
     else:
-        steps = stepwise_path(data, selector=config.selector)
-    if config.max_steps is not None:
-        steps = steps[: config.max_steps]
+        steps = stepwise_path(data, selector=args.selector)
+    if args.max_steps is not None:
+        steps = steps[: args.max_steps]
 
     rows, records = [], []
     for step in steps:
@@ -130,14 +109,14 @@ def _gaussian_test_rows(config: RunConfig):
             notes.append("plug-in-sigma2")
         tilde = cov = None
         if step.m_remaining >= 3:
-            tilde = gumbel_test(step, alpha=config.alpha)
+            tilde = gumbel_test(step, alpha=args.alpha)
             if plug_in:
                 tilde = replace(tilde, warnings=tilde.warnings + ("plug-in-sigma2",))
             records.append(tilde)
         else:
             notes.append("too-few-remaining")
         try:
-            cov = covariance_test(path, data, step.k, alpha=config.alpha)
+            cov = covariance_test(path, data, step.k, alpha=args.alpha)
             if plug_in:
                 cov = replace(cov, warnings=cov.warnings + ("plug-in-sigma2",))
             records.append(cov)
@@ -148,26 +127,21 @@ def _gaussian_test_rows(config: RunConfig):
         rows.append([
             step.k, step.j, ";".join(str(i) for i in step.A), float(step.r_j),
             step.selector, step.conservative,
-            float(tilde.statistic) if tilde else "",
-            float(tilde.correction) if tilde else "",
-            float(tilde.p_value) if tilde else "",
-            tilde.reject if tilde else "",
-            float(cov.statistic) if cov else "",
-            float(cov.p_value) if cov else "",
-            cov.reject if cov else "",
+            *_cells(tilde, "statistic", "correction", "p_value", "reject"),
+            *_cells(cov, "statistic", "p_value", "reject"),
             ";".join(notes),
         ])
     return rows, records
 
 
-def _glm_test_rows(config: RunConfig):
-    if config.family == "logistic":
-        data, _names = load_binary(config.input)
+def _glm_test_rows(args: argparse.Namespace):
+    if args.family == "logistic":
+        data, _names = load_binary(args.input)
     else:
-        data, _names = load_survival(config.input)
+        data, _names = load_survival(args.input)
     rows, records = [], []
     A: list[int] = []
-    limit = config.max_steps if config.max_steps is not None else data.p
+    limit = args.max_steps if args.max_steps is not None else data.p
     for k in range(1, limit + 1):
         if data.p - len(A) == 0:
             break
@@ -175,12 +149,12 @@ def _glm_test_rows(config: RunConfig):
         testable = data.p - len(A) >= 3
         try:
             if testable:
-                outcome = gumbel_test_glm(config.family, data, A, alpha=config.alpha)
+                outcome = gumbel_test_glm(args.family, data, A, alpha=args.alpha)
             else:
-                drops, failures = lrt_drops_all(config.family, data, A)
+                drops, failures = lrt_drops_all(args.family, data, A)
         except SigtestError as exc:
             stage = "test-failed" if testable else "base-fit-failed"
-            rows.append([k, "", ";".join(str(i) for i in A), "", config.family,
+            rows.append([k, "", ";".join(str(i) for i in A), "", args.family,
                          False, "", "", "", "", "", "", "", f"{stage}:{type(exc).__name__}"])
             break
         if testable:
@@ -194,11 +168,8 @@ def _glm_test_rows(config: RunConfig):
                 break
             j, best = best_candidate(drops)
         rows.append([
-            k, j, ";".join(str(i) for i in A), float(best), config.family, False,
-            float(outcome.statistic) if outcome else "",
-            float(outcome.correction) if outcome else "",
-            float(outcome.p_value) if outcome else "",
-            outcome.reject if outcome else "",
+            k, j, ";".join(str(i) for i in A), float(best), args.family, False,
+            *_cells(outcome, "statistic", "correction", "p_value", "reject"),
             "", "", "",
             ";".join(notes),
         ])
@@ -206,19 +177,25 @@ def _glm_test_rows(config: RunConfig):
     return rows, records
 
 
-def cmd_test(config: RunConfig) -> int:
+def cmd_test(args: argparse.Namespace) -> int:
     """Run the significance tests step by step over a CSV dataset."""
-    if config.family == "gaussian":
-        rows, records = _gaussian_test_rows(config)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if args.sigma2 is not None and args.sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise ValueError(f"max_steps={args.max_steps} must be nonnegative")
+    if args.family == "gaussian":
+        rows, records = _gaussian_test_rows(args)
     else:
-        rows, records = _glm_test_rows(config)
-    if config.fmt == "json":
-        _emit(config, json.dumps([r.to_json_dict() for r in records], indent=2) + "\n")
+        rows, records = _glm_test_rows(args)
+    if args.fmt == "json":
+        _emit(args, json.dumps([r.to_json_dict() for r in records], indent=2) + "\n")
     else:
         header = ["k", "j", "A", "r_j", "selector", "conservative",
                   "gumbel_statistic", "correction", "gumbel_p", "gumbel_reject",
                   "cov_statistic", "cov_p", "cov_reject", "note"]
-        _emit(config, format_csv(header, rows))
+        _emit(args, format_csv(header, rows))
     return EXIT_OK
 
 
@@ -243,21 +220,21 @@ def _parse_inline_scenario(text: str) -> Scenario:
     return Scenario(**{**{"name": "inline"}, **raw})
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a scenario and write statistics.csv, qq.csv, and summary.json."""
-    if config.inline is not None:
-        scenario = _parse_inline_scenario(config.inline)
-        if config.seed is not None:
-            scenario = replace(scenario, seed=config.seed)
+    if args.inline is not None:
+        scenario = _parse_inline_scenario(args.inline)
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
     else:
         try:
-            scenario = preset(config.scenario, seed=config.seed)
+            scenario = preset(args.scenario, seed=args.seed)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
     scenario.validate()
     summary = run_scenario(scenario)
 
-    out = config.out_dir
+    out = args.out_dir
     os.makedirs(out, exist_ok=True)
     stats_text = "".join(repr(float(x)) + "\n" for x in summary.statistics)
     _atomic_write(os.path.join(out, "statistics.csv"), stats_text)
@@ -268,12 +245,12 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qq(config: RunConfig) -> int:
+def cmd_qq(args: argparse.Namespace) -> int:
     """Emit reference-quantile / order-statistic pairs for a statistics file."""
-    stats = load_statistics(config.input)
-    pairs = qq_points(stats, config.reference)
+    stats = load_statistics(args.input)
+    pairs = qq_points(stats, args.reference)
     rows = [[float(t), float(e)] for t, e in pairs]
-    _emit(config, format_csv(["theoretical", "empirical"], rows))
+    _emit(args, format_csv(["theoretical", "empirical"], rows))
     return EXIT_OK
 
 
@@ -319,11 +296,9 @@ _COMMANDS = {"path": cmd_path, "test": cmd_test, "simulate": cmd_simulate, "qq":
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
+    args = parser.parse_args(argv)
     try:
-        config = RunConfig(**kwargs)
-        return _COMMANDS[config.verb](config)
+        return _COMMANDS[args.verb](args)
     except (CsvFormatError, ValueError, KeyError, NoEventsError) as exc:
         print(f"sigtest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

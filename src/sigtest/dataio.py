@@ -71,20 +71,19 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def load_dataset(path: str, sigma2: float | None = None,
-                 unit_norm: bool = True) -> tuple[Dataset, list[str]]:
+def load_dataset(path: str, sigma2: float | None = None) -> tuple[Dataset, list[str]]:
     """Load a Gaussian regression CSV; covariate columns are rescaled to
-    unit norm unless ``unit_norm`` is disabled."""
+    unit norm."""
     names, X, special = _read_table(path, reserved=("y",))
-    if unit_norm:
-        X = standardize(X, center=False)
+    X = standardize(X, center=False)
     return Dataset(X, special["y"], sigma2=sigma2), names
 
 
-def load_binary(path: str, include_intercept: bool = True) -> tuple[BinaryDataset, list[str]]:
-    """Load a logistic regression CSV; the response column y must be 0/1."""
+def load_binary(path: str) -> tuple[BinaryDataset, list[str]]:
+    """Load a logistic regression CSV, fitted with an intercept; the response
+    column y must be 0/1."""
     names, X, special = _read_table(path, reserved=("y",))
-    return BinaryDataset(X, special["y"], include_intercept=include_intercept), names
+    return BinaryDataset(X, special["y"]), names
 
 
 def load_survival(path: str) -> tuple[SurvivalDataset, list[str]]:

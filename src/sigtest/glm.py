@@ -20,7 +20,6 @@ from .exceptions import (
     SeparationError,
     SigtestError,
     SingularDesignError,
-    TooFewRemainingError,
     UnreliableMaxError,
 )
 from .linmodel import RANK_TOL, Dataset, _check_subset, least_squares
@@ -442,16 +441,13 @@ def gumbel_test_glm(family: str, data, A: Sequence[int],
         raise ValueError("alpha must lie in (0, 1)")
     A = _check_subset(data, A)
     m_remaining = data.p - len(A)
-    if m_remaining < 3:
-        raise TooFewRemainingError(
-            f"need at least 3 remaining candidates, got {m_remaining}")
+    corr = gumbel_correction(m_remaining)  # raises before the fits when m < 3
     drops, failures = lrt_drops_all(family, data, A)
     if len(failures) > 0.10 * m_remaining or not drops:
         raise UnreliableMaxError(
             f"{len(failures)} of {m_remaining} candidate fits failed; "
             "maximum statistic unreliable")
     j, best = best_candidate(drops)
-    corr = gumbel_correction(m_remaining)
     stat = best - corr
     p_value = gumbel_sf(stat)
     return TestOutcome(kind="gumbel_glm", k=len(A) + 1, statistic=float(stat),

@@ -232,35 +232,12 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     the path's warnings.
     """
     cols = _columns(data, None)
-    if max_steps is not None and max_steps > min(data.n, data.p):
-        raise ValueError(f"max_steps={max_steps} exceeds min(n, p)")
+    if max_steps is not None and not 0 <= max_steps <= min(data.n, data.p):
+        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)]")
     knots, warnings_list, segments = _trace(data.X, data.y, cols, [], {}, np.inf, None,
                                             0.0, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
-
-
-def solve_at(path: LassoPath, data: Dataset, lam: float) -> np.ndarray:
-    """Exact solution at penalty ``lam`` from a path of :func:`lars_path`.
-
-    Above the last knot it is read from the cached segment containing
-    ``lam``. Below it by more than 1e-10 the path may lack later events, so
-    the result (as for a path without segments) is
-    ``lasso_solve(data, lam, path=path)``, which traces on from that knot.
-    """
-    if path.data_digest != data.digest:
-        raise StalePathError("path was computed from different data")
-    i = 0
-    while i < len(path.knots) and path.knots[i].lam > lam + LAMBDA_TOL:
-        i += 1
-    if i and i >= len(path.segments):
-        return lasso_solve(data, lam, path=path)
-    beta = np.zeros(data.p)
-    if i == 0:
-        return beta
-    b0, b1 = path.segments[i - 1]
-    beta[list(path.knots[i - 1].active_after)] = b0 - lam * b1
-    return beta
 
 
 def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,

@@ -205,7 +205,6 @@ class _RepOutcome:
 def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
     rng = replication_rng(scenario.seed, rep)
     X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
-    support = scenario.support()
     try:
         if scenario.family == "gaussian":
             y = gen_response(scenario, X, rng)
@@ -218,36 +217,29 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
                                           selector=scenario.selector)
                 if len(steps) < scenario.k:
                     return _RepOutcome(None, None, failure="selection path truncated")
-                step = steps[scenario.k - 1]
-                outcome = gumbel_test(step, alpha=scenario.alpha)
-                missed = bool(support) and not support <= set(step.A)
-                return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
-            path = lars_path(data, max_steps=scenario.k + 1)
-            outcome = covariance_test(path, data, scenario.k, alpha=scenario.alpha)
-            missed = bool(support) and not support <= set(outcome.A)
-            return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
-
-        if scenario.family == "logistic":
-            y = gen_response(scenario, X, rng)
-            gdata = BinaryDataset(X, y)
+                outcome = gumbel_test(steps[scenario.k - 1], alpha=scenario.alpha)
+            else:
+                path = lars_path(data, max_steps=scenario.k + 1)
+                outcome = covariance_test(path, data, scenario.k, alpha=scenario.alpha)
         else:
-            time, status = gen_response(scenario, X, rng)
-            gdata = SurvivalDataset(X, time, status)
-        A: list[int] = []
-        for _ in range(scenario.k - 1):
-            drops, _failures = lrt_drops_all(scenario.family, gdata, A)
-            if not drops:
-                return _RepOutcome(None, None, failure="greedy selection exhausted")
-            A.append(best_candidate(drops)[0])
-        outcome = gumbel_test_glm(scenario.family, gdata, A, alpha=scenario.alpha)
-        missed = bool(support) and not support <= set(A)
-        return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
+            if scenario.family == "logistic":
+                y = gen_response(scenario, X, rng)
+                gdata = BinaryDataset(X, y)
+            else:
+                time, status = gen_response(scenario, X, rng)
+                gdata = SurvivalDataset(X, time, status)
+            A: list[int] = []
+            for _ in range(scenario.k - 1):
+                drops, _failures = lrt_drops_all(scenario.family, gdata, A)
+                if not drops:
+                    return _RepOutcome(None, None, failure="greedy selection exhausted")
+                A.append(best_candidate(drops)[0])
+            outcome = gumbel_test_glm(scenario.family, gdata, A, alpha=scenario.alpha)
     except SigtestError as exc:
         return _RepOutcome(None, None, failure=type(exc).__name__)
-
-
-def _replicate_args(args: tuple[Scenario, int]) -> _RepOutcome:
-    return _replicate(*args)
+    support = scenario.support()
+    missed = bool(support) and not support <= set(outcome.A)
+    return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -293,13 +285,13 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
     """
     scenario.validate()
     workers = resolve_threads(threads)
-    args = [(scenario, r) for r in range(scenario.reps)]
     if workers == 1 or scenario.reps == 1:
         outcomes = [_replicate(scenario, r) for r in range(scenario.reps)]
     else:
         chunk = max(1, scenario.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_args, args, chunksize=chunk))
+            outcomes = list(pool.map(_replicate, [scenario] * scenario.reps,
+                                     range(scenario.reps), chunksize=chunk))
 
     stats = [o.statistic for o in outcomes if o.failure is None]
     reasons: dict[str, int] = {}

@@ -12,8 +12,6 @@ import warnings as _warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
 from .linmodel import ActiveQR, Dataset
@@ -66,8 +64,8 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     limit = min(data.n, data.p)
     if max_steps is None:
         max_steps = limit
-    elif max_steps > limit:
-        raise ValueError(f"max_steps={max_steps} exceeds min(n, p)={limit}")
+    elif not 0 <= max_steps <= limit:
+        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)={limit}]")
     sigma2 = data.require_sigma2()
 
     steps: list[SelectionStep] = []

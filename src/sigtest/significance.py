@@ -16,10 +16,11 @@ import numpy as np
 
 from .exceptions import (
     PathTooShortError,
+    StalePathError,
     TooFewRemainingError,
     UnsupportedStepError,
 )
-from .lasso import LassoPath, lasso_solve, solve_at
+from .lasso import LassoPath, lasso_solve
 from .linmodel import Dataset
 from .selection import SelectionStep
 
@@ -163,8 +164,6 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
         raise ValueError("alpha must lie in (0, 1)")
     sigma2 = data.require_sigma2()
     if path.data_digest != data.digest or len(path.segments) != len(path.knots):
-        from .exceptions import StalePathError
-
         raise StalePathError("path was not traced by lars_path from this data")
 
     entries = [i for i, kn in enumerate(path.knots) if kn.action == "enter"]
@@ -181,7 +180,10 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     j = knot_k.entering
     lam_next = knot_k1.lam
 
-    beta_full = solve_at(path, data, lam_next)
+    # The full lasso at lam_next lies on the segment below the kth entry.
+    b_aj, b1_aj = path.segments[pos_k]
+    beta_full = np.zeros(data.p)
+    beta_full[list(knot_k.active_after)] = b_aj - lam_next * b1_aj
     beta_restricted = lasso_solve(data, lam_next, subset=A, path=path)
     y = data.y
     primary = (float(y @ (data.X @ beta_full))
@@ -192,7 +194,6 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     # coefficients b_A and b_Aj from the segments above and below that knot.
     signs_aj = np.asarray(knot_k.signs_after, dtype=float)
     b_a = path.segments[pos_k - 1][0] if pos_k else np.zeros(0)
-    b_aj = path.segments[pos_k][0]
     r_a = y - data.X[:, list(A)] @ b_a
     r_aj = y - data.X[:, list(A) + [j]] @ b_aj
     drop = max(float(r_a @ r_a - r_aj @ r_aj) / sigma2, 0.0)

@@ -170,6 +170,54 @@ class TestTestVerb:
         assert len(rows) == 2
 
 
+@pytest.fixture
+def family_csvs(tmp_path):
+    """(30, 8) Gaussian, logistic and survival CSVs, keyed by family."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((30, 8))
+    columns = {
+        "gaussian": (["y"], [X[:, 0] + rng.standard_normal(30)]),
+        "logistic": (["y"], [(rng.random(30) < 0.5).astype(float)]),
+        "cox": (["time", "status"], [rng.exponential(1.0, 30), np.ones(30)]),
+    }
+    paths = {}
+    for family, (names, cols) in columns.items():
+        table = np.column_stack([X] + cols)
+        lines = [",".join([f"x{i}" for i in range(8)] + names)]
+        lines += [",".join(repr(float(v)) for v in row) for row in table]
+        path = tmp_path / f"{family}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        paths[family] = str(path)
+    return paths
+
+
+class TestOptionChecks:
+    """An invalid option value exits 2 with one error line and no table."""
+
+    @pytest.mark.parametrize("verb, family, options", [
+        ("path", "gaussian", ["--max-steps", "-2"]),
+        ("test", "gaussian", ["--sigma2", "1", "--max-steps", "-1"]),
+        ("test", "logistic", ["--family", "logistic", "--max-steps", "-1"]),
+        ("test", "cox", ["--family", "cox", "--max-steps", "-1"]),
+        ("test", "gaussian", ["--alpha", "0"]),
+        ("test", "gaussian", ["--alpha", "1.5"]),
+        ("test", "gaussian", ["--sigma2", "0"]),
+        ("test", "gaussian", ["--sigma2", "-1"]),
+    ])
+    def test_exit_2(self, family_csvs, capsys, verb, family, options):
+        assert run([verb, "--input", family_csvs[family], *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sigtest: error:")
+        assert "Traceback" not in captured.err
+
+    def test_zero_max_steps_prints_header_only(self, family_csvs, capsys):
+        for family in ("gaussian", "logistic", "cox"):
+            assert run(["test", "--input", family_csvs[family], "--family", family,
+                        "--sigma2", "1", "--max-steps", "0"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 class TestSimulateVerb:
     def test_artifacts_and_determinism(self, tmp_path):
         inline = json.dumps({"family": "gaussian", "design": "orthogonal",

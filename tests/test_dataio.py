@@ -20,10 +20,10 @@ def write(tmp_path, name, text):
 class TestLoadDataset:
     def test_response_column_anywhere(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,y,b\n1,10,4\n2,20,5\n3,30,6\n")
-        data, names = load_dataset(path, sigma2=2.0, unit_norm=False)
+        data, names = load_dataset(path, sigma2=2.0)
         assert names == ["a", "b"]
         np.testing.assert_array_equal(data.y, [10, 20, 30])
-        np.testing.assert_array_equal(data.X[:, 0], [1, 2, 3])
+        np.testing.assert_allclose(data.X[:, 0], np.array([1, 2, 3]) / np.sqrt(14.0))
         assert data.sigma2 == 2.0
 
     def test_unit_norm_applied(self, tmp_path):

@@ -21,7 +21,6 @@ from sigtest import (
     least_squares,
     standardize,
 )
-from sigtest.lasso import solve_at
 
 IDENTITY = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
 
@@ -84,6 +83,11 @@ class TestLarsPath:
         path = lars_path(data, max_steps=3)
         assert len(path.entry_knots()) == 3
 
+    @pytest.mark.parametrize("max_steps", [-1, -2, 9])
+    def test_max_steps_outside_range_rejected(self, max_steps):
+        with pytest.raises(ValueError, match=r"must lie in \[0, min\(n, p\)\]"):
+            lars_path(random_dataset(1, 30, 8), max_steps=max_steps)
+
     def test_knot_lambdas_weakly_decreasing(self):
         for seed in range(8):
             data = random_dataset(seed, 25, 7, rho=0.6)
@@ -96,7 +100,7 @@ class TestLarsPath:
         data = random_dataset(3, 30, 8, rho=0.5)
         path = lars_path(data)
         for kn in path.knots:
-            beta = solve_at(path, data, kn.lam)
+            beta = lasso_solve(data, kn.lam, path=path)
             corr = data.X.T @ (data.y - data.X @ beta)
             active = list(kn.active_before)
             for m in active:
@@ -121,7 +125,7 @@ class TestLarsPath:
         other = random_dataset(5, 20, 5)
         path = lars_path(data)
         with pytest.raises(StalePathError):
-            solve_at(path, other, 0.1)
+            lasso_solve(other, 0.1, path=path)
 
     def test_entry_tie_breaks_low_and_warns(self):
         data = Dataset(np.eye(3), np.array([2.0, 2.0, 1.0]), sigma2=1.0)
@@ -159,7 +163,7 @@ class TestSegments:
         assert path == lars_path(data)
         assert "segments" not in repr(path)
 
-    def test_solve_at_below_last_knot_traces_on(self):
+    def test_lasso_solve_below_last_knot_traces_on(self):
         # lars_path stops at min(n, p) active variables, so below its last
         # knot a deletion (and later events) may be missing from the path;
         # extrapolating the last segment then fails the KKT check.
@@ -169,9 +173,9 @@ class TestSegments:
                     data = random_dataset(seed, n, p, rho=rho)
                     path = lars_path(data)
                     lam = 0.5 * path.knots[-1].lam
-                    beta = solve_at(path, data, lam)
+                    beta = lasso_solve(data, lam, path=path)
                     assert kkt_check(data, beta, lam, tol=1e-8).passed
-                    np.testing.assert_array_equal(beta, lasso_solve(data, lam, path=path))
+                    np.testing.assert_allclose(beta, lasso_solve(data, lam), rtol=0, atol=1e-10)
 
 
 class TestLassoSolve:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,8 +39,19 @@ def test_all_equals_imported_names():
     ("sigtest.significance", "reference_quantile"),
     ("sigtest.glm", "gaussian_loglik"),
     ("sigtest.lasso", "KKTCoordinate"),
+    ("sigtest.lasso", "solve_at"),
+    ("sigtest.cli", "RunConfig"),
 ])
 def test_removed_name_is_gone(module, name):
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}", {})
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("function, parameter", [
+    ("load_dataset", "unit_norm"),
+    ("load_binary", "include_intercept"),
+])
+def test_removed_parameter_is_gone(function, parameter):
+    fn = getattr(importlib.import_module("sigtest.dataio"), function)
+    assert parameter not in inspect.signature(fn).parameters

@@ -70,6 +70,11 @@ class TestStepwisePath:
         with pytest.raises(ValueError):
             stepwise_path(IDENTITY, max_steps=10)
 
+    @pytest.mark.parametrize("max_steps", [-1, -3])
+    def test_negative_max_steps_rejected(self, max_steps):
+        with pytest.raises(ValueError, match=r"must lie in \[0, min\(n, p\)=3\]"):
+            stepwise_path(IDENTITY, max_steps=max_steps)
+
     def test_max_r_selector_tag(self):
         steps = stepwise_path(IDENTITY, selector="max_r")
         assert all(s.selector == "max_r" for s in steps)
