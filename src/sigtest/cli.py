@@ -1,8 +1,9 @@
 """Command-line front end: path, test, simulate, and qq verbs.
 
 Emits CSV/JSON artifacts suitable for external plotting. Exit codes are a
-stable contract: 0 success, 2 input or validation problem, 3 numerical or
-rank problem, 4 missing noise variance.
+stable contract: 0 success, 2 input or validation problem (also an input
+file that cannot be read), 3 numerical or rank problem, 4 missing noise
+variance.
 """
 
 from __future__ import annotations
@@ -87,8 +88,15 @@ def _cells(outcome, *names: str) -> list:
     return [getattr(outcome, name) if outcome else "" for name in names]
 
 
+def _check_max_steps(args: argparse.Namespace, limit: int, name: str) -> None:
+    """``--max-steps`` must lie in [0, limit]; ``name`` says what limit is."""
+    if args.max_steps is not None and not 0 <= args.max_steps <= limit:
+        raise ValueError(f"max_steps={args.max_steps} must lie in [0, {name}={limit}]")
+
+
 def _gaussian_test_rows(args: argparse.Namespace):
     data, _names = load_dataset(args.input, sigma2=args.sigma2)
+    _check_max_steps(args, min(data.n, data.p), "min(n, p)")
     plug_in = False
     if data.sigma2 is None:
         sigma2 = estimate_sigma2(data)  # raises NotEstimableError when n <= p
@@ -139,6 +147,7 @@ def _glm_test_rows(args: argparse.Namespace):
         data, _names = load_binary(args.input)
     else:
         data, _names = load_survival(args.input)
+    _check_max_steps(args, data.p, "p")
     rows, records = [], []
     A: list[int] = []
     limit = args.max_steps if args.max_steps is not None else data.p
@@ -183,8 +192,6 @@ def cmd_test(args: argparse.Namespace) -> int:
         raise ValueError("alpha must lie in (0, 1)")
     if args.sigma2 is not None and args.sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if args.max_steps is not None and args.max_steps < 0:
-        raise ValueError(f"max_steps={args.max_steps} must be nonnegative")
     if args.family == "gaussian":
         rows, records = _gaussian_test_rows(args)
     else:
@@ -299,7 +306,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (CsvFormatError, ValueError, KeyError, NoEventsError) as exc:
+    except (CsvFormatError, ValueError, KeyError, NoEventsError, OSError) as exc:
         print(f"sigtest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MissingVarianceError, NotEstimableError, DegenerateVarianceError) as exc:

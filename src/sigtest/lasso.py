@@ -7,8 +7,10 @@ penalty values, on the full variable set or a restricted one.
 
 from __future__ import annotations
 
+import bisect
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +38,9 @@ class Knot:
 
     ``entering`` holds the leaving variable when ``action == "leave"``.
     ``active_before`` is the active set just above the knot, in entry order;
-    ``signs_after`` aligns with the active set just below the knot
-    (``active_before + [entering]`` for entries, the remaining variables in
-    order for deletions).
+    ``active_after``, derived once at construction, is the active set just
+    below it (``active_before + (entering,)`` for entries, the remaining
+    variables in order for deletions), and ``signs_after`` aligns with it.
     """
 
     k: int
@@ -47,18 +49,16 @@ class Knot:
     active_before: tuple[int, ...]
     signs_after: tuple[int, ...]
     action: str = "enter"
+    active_after: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.action not in ("enter", "leave"):
             raise ValueError(f"unknown knot action {self.action!r}")
         if self.action == "enter" and self.entering in self.active_before:
             raise ValueError("entering variable already active")
-
-    @property
-    def active_after(self) -> tuple[int, ...]:
-        if self.action == "enter":
-            return self.active_before + (self.entering,)
-        return tuple(i for i in self.active_before if i != self.entering)
+        after = (self.active_before + (self.entering,) if self.action == "enter"
+                 else tuple(i for i in self.active_before if i != self.entering))
+        object.__setattr__(self, "active_after", after)
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ class LassoPath:
     also below the last knot of a capped path (None if rank deficient): the
     solution there is b0 - lam * b1 on ``knots[i].active_after``, with b0 the
     least-squares coefficients and b1 = (X_A' X_A)^{-1} s for the signs s.
+    ``entry_positions`` indexes the entry knots in ``knots``; it is built on
+    first use and kept.
     """
 
     knots: tuple[Knot, ...]
@@ -77,8 +79,12 @@ class LassoPath:
     segments: tuple[tuple[np.ndarray, np.ndarray] | None, ...] = field(
         default=(), repr=False, compare=False)
 
+    @cached_property
+    def entry_positions(self) -> tuple[int, ...]:
+        return tuple(i for i, kn in enumerate(self.knots) if kn.action == "enter")
+
     def entry_knots(self) -> tuple[Knot, ...]:
-        return tuple(kn for kn in self.knots if kn.action == "enter")
+        return tuple(self.knots[i] for i in self.entry_positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +101,20 @@ class KKTReport:
     violations: tuple[int, ...] = ()
 
 
-def _check_duplicates(X: np.ndarray, columns: Sequence[int]) -> None:
-    seen: dict[bytes, int] = {}
-    for j in columns:
-        key = X[:, j].tobytes()
-        if key in seen:
-            raise DuplicateColumnError(seen[key], j)
-        seen[key] = j
-
-
 def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
-    """Validated column list: all columns when ``columns`` is None."""
+    """Validated column list: all columns when ``columns`` is None.
+
+    :class:`DuplicateColumnError` names the first column of the list that
+    repeats an earlier one, and that earlier one.
+    """
     cols = list(range(data.p)) if columns is None else _check_subset(data, columns)
-    _check_duplicates(data.X, cols)
+    if data.copies:
+        seen: dict[int, int] = {}
+        for j in cols:
+            f = data.copies.get(j, j)
+            if f in seen:
+                raise DuplicateColumnError(seen[f], j)
+            seen[f] = j
     return cols
 
 
@@ -149,13 +156,20 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
             except SingularDesignError:
                 segments.append(None)
                 break
-            segments.append((qr.coef, qr.gram_solve(np.array([signs[i] for i in active], float))))
+            b0, b1, fit_b1 = qr.segment(np.array([signs[i] for i in active], float))
+            segments.append((b0, b1))
         if len(active) >= max_active or (max_steps is not None and entries >= max_steps):
             break
         idx = np.flatnonzero(inactive)
         b0, b1 = segments[-1]
-        XA = X[:, active]
-        a, v = (np.column_stack((y - XA @ b0, XA @ b1)).T @ X)[:, idx]
+        # The residual y - X_A b0 and the direction X_A b1 of the segment come
+        # from the factor; the supplied starting segment has none yet.
+        if qr is not None:
+            resid = qr.resid
+        elif idx.size:
+            XA = X[:, active]
+            resid, fit_b1 = y - XA @ b0, XA @ b1
+        a, v = (np.array((resid, fit_b1)) @ X)[:, idx] if idx.size else np.zeros((2, 0))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Entry candidates: the correlation a + lam*v of inactive m meets the
             # boundary +lam at a/(1-v) and -lam at -a/(1+v). Row m holds both
@@ -254,8 +268,9 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     cached segments. Where its active set lies inside ``subset``, its
     solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
-    knot above ``lam`` (else from the empty state) and covers only the
-    stretch from there down to ``lam``.
+    knot above ``lam`` (else from the empty state), found by bisecting the
+    knot penalties and walking up, and covers only the stretch from there
+    down to ``lam``.
 
     A degenerate equicorrelation set (entry tie) makes the solution
     non-unique; the lowest-index representative is returned with a
@@ -273,13 +288,15 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
         raise StalePathError("path was computed from different data")
     inside = set(cols)
     state, segment = ((), {}, np.inf, None), None
-    for kn, seg in zip(path.knots, path.segments):
-        if kn.lam <= lam + LAMBDA_TOL:
-            break
+    # Knot penalties do not increase, so the knots above lam are a prefix.
+    above = bisect.bisect_left(path.knots, -(lam + LAMBDA_TOL), key=lambda kn: -kn.lam)
+    for pos in range(min(above, len(path.segments)) - 1, -1, -1):
+        kn = path.knots[pos]
         if inside.issuperset(kn.active_after):
             state = (kn.active_after, dict(zip(kn.active_after, kn.signs_after)), kn.lam,
                      kn.entering if kn.action == "leave" else None)
-            segment = seg
+            segment = path.segments[pos]
+            break
     knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
                                             max_active=data.n, segment=segment)
     warnings_list = list(path.warnings) + warnings_list

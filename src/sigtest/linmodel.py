@@ -7,6 +7,7 @@ and the scaled RSS-drop statistics that the significance tests consume.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -76,6 +77,25 @@ class Dataset:
         h.update(self.y.tobytes())
         return h.hexdigest()
 
+    @cached_property
+    def copies(self) -> dict[int, int]:
+        """Each column identical (byte for byte) to an earlier one, mapped to
+        the first column of its kind; empty when all columns differ."""
+        first: dict[bytes, int] = {}
+        copies: dict[int, int] = {}
+        for j in range(self.p):
+            key = self.X[:, j].tobytes()
+            if key in first:
+                copies[j] = first[key]
+            else:
+                first[key] = j
+        return copies
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """X'y, so inner products y'X beta cost O(p)."""
+        return self.X.T @ self.y
+
     def require_sigma2(self) -> float:
         if self.sigma2 is None:
             raise MissingVarianceError(
@@ -135,19 +155,24 @@ def _check_subset(data, M: Sequence[int]) -> list[int]:
 class ActiveQR:
     """Thin QR factor X_A = Q R of an ordered list A of design columns.
 
-    Holds Q' (rows), R^{-1}, Q'y, the residual of y on A and, once
-    :meth:`drops` asks for them, all columns residualised on A. :meth:`add`
-    appends a column by Gram-Schmidt with one reorthogonalisation, in O(nk)
-    plus O(np) while residualised columns are kept; :meth:`drop` refactors
-    only the columns after the dropped one.
+    Holds R, R^{-T}, Q' and Q'y (row i of each belongs to the ith column of
+    A), the residual of y on A and, once :meth:`drops` asks for them, all
+    columns residualised on A. :meth:`add` appends a column by Gram-Schmidt
+    with one reorthogonalisation, in O(nk) plus O(np) while residualised
+    columns are kept. :meth:`drop` is a downdate (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 6.5): Givens rotations restore the triangle
+    of R without the dropped column, in O(nk + k^2) plus O(np) while
+    residualised columns are kept.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, cols: Sequence[int] = ()):
         self.X, self.y = X, y
-        cap = min(X.shape)
-        self._Qt = np.empty((cap, X.shape[0]))
-        self._Rinv = np.zeros((cap, cap))
-        self._qty = np.empty(cap)
+        cap, n = min(X.shape), X.shape[0]
+        # One buffer [R | R^{-T} | Q' | Q'y], so that a rotation of two rows
+        # acts on all four at once.
+        self._rows = np.zeros((cap, 2 * cap + n + 1))
+        self._R, self._Rit = self._rows[:, :cap], self._rows[:, cap:2 * cap]
+        self._Qt, self._qty = self._rows[:, 2 * cap:-1], self._rows[:, -1]
         self.cols: list[int] = []
         self.resid = y.copy()
         self._Z = None
@@ -167,13 +192,14 @@ class ActiveQR:
             v -= Qt.T @ c
             r += c
         rho = float(np.sqrt(v @ v))
-        diag = np.append(1.0 / self._Rinv.diagonal()[:k], rho)
+        diag = np.append(self._R.diagonal()[:k], rho)
         if rho == 0.0 or diag.min() < RANK_TOL * diag.max():
             raise SingularDesignError(f"columns {self.cols + [int(j)]} are linearly dependent")
         q = v / rho
         self._Qt[k] = q
-        self._Rinv[:k, k] = self._Rinv[:k, :k] @ r / -rho
-        self._Rinv[k, k] = 1.0 / rho
+        self._R[:k, k], self._R[k, k] = r, rho
+        self._Rit[k, :k] = self._Rit[:k, :k].T @ r / -rho
+        self._Rit[k, k] = 1.0 / rho
         self._qty[k] = q @ self.resid
         self.resid -= self._qty[k] * q
         if self._Z is not None:
@@ -181,24 +207,45 @@ class ActiveQR:
         self.cols.append(int(j))
 
     def drop(self, j: int) -> None:
-        """Remove column j; the columns after it are appended again in order."""
-        i = self.cols.index(j)
-        later, self.cols = self.cols[i + 1:], self.cols[:i]
-        self.resid = self.y - self._Qt[:i].T @ self._qty[:i]
-        self._Z = None
-        for c in later:
-            self.add(c)
+        """Remove column j by a Givens downdate.
+
+        Deleting column i of R leaves rows i..k-1 upper Hessenberg; rotating
+        rows (m, m+1) for m = i..k-2 restores the triangle, and the same
+        rotations G act on the rows of Q' and Q'y. With P the permutation
+        that moves column i last, G R P is triangular with inverse
+        P' R^{-1} G', so the new R^{-1} is R^{-1} without row i, its columns
+        rotated by G, less its last column: R^{-T} without column i, its rows
+        rotated, less its last row. The last rotated row of Q' has left the
+        span; it returns to the residual and to the residualised columns.
+        """
+        i, k = self.cols.index(j), len(self.cols)
+        R, Rit, rows = self._R, self._Rit, self._rows
+        R[:k, i:k - 1], Rit[:k, i:k - 1] = R[:k, i + 1:k].copy(), Rit[:k, i + 1:k].copy()
+        R[:k, k - 1] = Rit[:k, k - 1] = 0.0
+        for m in range(i, k - 1):
+            a, b = R[m, m], R[m + 1, m]
+            rows[m:m + 2] = np.array([[a, b], [-b, a]]) / math.hypot(a, b) @ rows[m:m + 2]
+            R[m + 1, m] = 0.0
+        q_out = self._Qt[k - 1]
+        self.resid += self._qty[k - 1] * q_out
+        if self._Z is not None:
+            self._Z += np.outer(q_out, q_out @ self.X)
+        rows[k - 1] = 0.0
+        del self.cols[i]
 
     @property
     def coef(self) -> np.ndarray:
         """Least-squares coefficients of y on A, in the order of A."""
         k = len(self.cols)
-        return self._Rinv[:k, :k] @ self._qty[:k]
+        return self._Rit[:k, :k].T @ self._qty[:k]
 
-    def gram_solve(self, s: np.ndarray) -> np.ndarray:
-        """(X_A' X_A)^{-1} s = R^{-1} R^{-T} s."""
-        Rinv = self._Rinv[:len(s), :len(s)]
-        return Rinv @ (Rinv.T @ s)
+    def segment(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lasso segment b0 - lam*b1 on A for the signs s: the least-squares
+        coefficients b0, b1 = (X_A' X_A)^{-1} s = R^{-1} R^{-T} s, and the
+        direction X_A b1 = Q R^{-T} s."""
+        k = len(s)
+        w = self._Rit[:k, :k] @ s
+        return self.coef, self._Rit[:k, :k].T @ w, self._Qt[:k].T @ w
 
     def drops(self, sigma2: float) -> dict[int, float]:
         """Scaled RSS drop from adding each column m outside A.

@@ -101,7 +101,8 @@ def lasso_steps(path: LassoPath, data: Dataset) -> list[SelectionStep]:
     qr = ActiveQR(data.X, data.y)
     for idx, knot in enumerate(path.entry_knots(), start=1):
         A = knot.active_before
-        for i in [c for c in qr.cols if c not in A]:
+        inside = set(A)
+        for i in [c for c in qr.cols if c not in inside]:
             qr.drop(i)
         for i in A[len(qr.cols):]:
             qr.add(i)

@@ -26,6 +26,9 @@ from .selection import SelectionStep
 
 GUMBEL_LOCATION = -math.log(math.pi)
 GUMBEL_SCALE = 2.0
+# A covariance statistic warns as negative only below this fraction of the
+# fitted inner products it is the difference of.
+NEGATIVE_TOL = 1e-12
 
 
 def _elementwise(values: np.ndarray):
@@ -157,8 +160,10 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     RSS-drop decomposition using sign vectors and the least-squares
     coefficients that the segments of ``path`` (from :func:`lars_path`) hold
     above and below the kth entry; ``decomposition`` carries the second
-    value. The p-value is the standard exponential upper tail
-    exp(-statistic), clamped to 1 for negative statistics.
+    value. Both routes take y'X beta from the cached X'y of ``data``. The
+    p-value is the standard exponential upper tail exp(-statistic), clamped
+    to 1 for negative statistics; a statistic more negative than round-off
+    (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -166,7 +171,7 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     if path.data_digest != data.digest or len(path.segments) != len(path.knots):
         raise StalePathError("path was not traced by lars_path from this data")
 
-    entries = [i for i, kn in enumerate(path.knots) if kn.action == "enter"]
+    entries = path.entry_positions
     if len(entries) < k + 1:
         raise PathTooShortError(
             f"need {k + 1} entry events for step {k}, path has {len(entries)}")
@@ -177,26 +182,25 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     knot_k = path.knots[pos_k]
     knot_k1 = path.knots[pos_k1]
     A = knot_k.active_before
+    Aj = knot_k.active_after
     j = knot_k.entering
     lam_next = knot_k1.lam
 
-    # The full lasso at lam_next lies on the segment below the kth entry.
+    # Fitted inner products y'X beta = (X'y)' beta. The full lasso at lam_next
+    # lies on the segment below the kth entry.
+    xty_a, xty_aj = data.xty[list(A)], data.xty[list(Aj)]
     b_aj, b1_aj = path.segments[pos_k]
-    beta_full = np.zeros(data.p)
-    beta_full[list(knot_k.active_after)] = b_aj - lam_next * b1_aj
-    beta_restricted = lasso_solve(data, lam_next, subset=A, path=path)
-    y = data.y
-    primary = (float(y @ (data.X @ beta_full))
-               - float(y @ (data.X @ beta_restricted))) / sigma2
+    fit_full = float(xty_aj @ (b_aj - lam_next * b1_aj))
+    fit_restricted = float(data.xty @ lasso_solve(data, lam_next, subset=A, path=path))
+    primary = (fit_full - fit_restricted) / sigma2
 
     # Decomposition route: R_j - lam_next * (<s_Aj, b_Aj> - <s_A, b_A>) / sigma2
     # with signs from the path segment below the kth entry, and least-squares
     # coefficients b_A and b_Aj from the segments above and below that knot.
+    # The RSS drop is (X_Aj'y)'b_Aj - (X_A'y)'b_A, as RSS_A = y'y - (X_A'y)'b_A.
     signs_aj = np.asarray(knot_k.signs_after, dtype=float)
     b_a = path.segments[pos_k - 1][0] if pos_k else np.zeros(0)
-    r_a = y - data.X[:, list(A)] @ b_a
-    r_aj = y - data.X[:, list(A) + [j]] @ b_aj
-    drop = max(float(r_a @ r_a - r_aj @ r_aj) / sigma2, 0.0)
+    drop = max(float(xty_aj @ b_aj - xty_a @ b_a) / sigma2, 0.0)
     inner_aj = float(signs_aj @ b_aj)
     inner_a = float(signs_aj[:-1] @ b_a)
     decomposition = drop - lam_next * (inner_aj - inner_a) / sigma2
@@ -205,11 +209,11 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     if abs(primary - decomposition) > 1e-6:
         warnings_list.append(
             f"covariance statistic routes disagree: {primary:.3e} vs {decomposition:.3e}")
-    if primary < 0.0:
+    # A statistic that is 0 in exact arithmetic (at entry ties) lands on
+    # either side of 0 by round-off in the two fitted inner products.
+    if primary < -NEGATIVE_TOL * (abs(fit_full) + abs(fit_restricted)) / sigma2:
         warnings_list.append("negative covariance statistic; p-value clamped to 1")
-        p_value = 1.0
-    else:
-        p_value = min(math.exp(-primary), 1.0)
+    p_value = math.exp(-max(primary, 0.0))
     return TestOutcome(kind="covariance", k=k, statistic=float(primary),
                        p_value=float(p_value), alpha=float(alpha),
                        reject=bool(p_value <= alpha), A=A, j=j,

@@ -203,12 +203,41 @@ class TestOptionChecks:
         ("test", "gaussian", ["--alpha", "1.5"]),
         ("test", "gaussian", ["--sigma2", "0"]),
         ("test", "gaussian", ["--sigma2", "-1"]),
+        ("test", "gaussian", ["--sigma2", "1", "--max-steps", "9"]),
+        ("test", "gaussian", ["--sigma2", "1", "--max-steps", "9", "--selector", "lasso"]),
+        ("test", "logistic", ["--family", "logistic", "--max-steps", "9"]),
+        ("test", "cox", ["--family", "cox", "--max-steps", "9"]),
     ])
     def test_exit_2(self, family_csvs, capsys, verb, family, options):
         assert run([verb, "--input", family_csvs[family], *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("sigtest: error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("family, limit", [("gaussian", "min(n, p)=8"), ("logistic", "p=8"),
+                                               ("cox", "p=8")])
+    def test_max_steps_range_message(self, family_csvs, capsys, family, limit):
+        assert run(["test", "--input", family_csvs[family], "--family", family,
+                    "--sigma2", "1", "--max-steps", "99"]) == 2
+        assert capsys.readouterr().err == (
+            f"sigtest: error: max_steps=99 must lie in [0, {limit}]\n")
+        assert run(["test", "--input", family_csvs[family], "--family", family,
+                    "--sigma2", "1", "--max-steps", "8"]) == 0
+
+    @pytest.mark.parametrize("verb, options", [
+        ("path", []),
+        ("test", ["--sigma2", "1"]),
+        ("test", ["--family", "logistic"]),
+        ("test", ["--family", "cox"]),
+        ("qq", ["--reference", "exp1"]),
+    ])
+    def test_missing_input_exit_2(self, tmp_path, capsys, verb, options):
+        missing = str(tmp_path / "does-not-exist.csv")
+        assert run([verb, "--input", missing, *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sigtest: error:") and missing in captured.err
         assert "Traceback" not in captured.err
 
     def test_zero_max_steps_prints_header_only(self, family_csvs, capsys):

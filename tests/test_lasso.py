@@ -78,6 +78,33 @@ class TestLarsPath:
         with pytest.raises(DuplicateColumnError):
             lars_path(Dataset(X, np.ones(3)))
 
+    def test_duplicate_check_is_cached_per_dataset(self):
+        # Columns 1, 4 and 6 are one column; 2 and 5 another.
+        rng = np.random.default_rng(5)
+        Z = standardize(rng.standard_normal((12, 5)))
+        data = Dataset(Z[:, [0, 1, 2, 3, 1, 2, 1]], rng.standard_normal(12))
+        assert data.copies == {4: 1, 5: 2, 6: 1}
+        assert Dataset(Z, np.zeros(12)).copies == {}
+
+        def first_repeat(columns):
+            # The pair that a per-call byte comparison over the list names.
+            seen = {}
+            for j in columns:
+                key = data.X[:, j].tobytes()
+                if key in seen:
+                    return seen[key], j
+                seen[key] = j
+
+        for subset in ([6, 0, 4], [5, 3, 1, 2], [2, 4, 0, 6, 5], [3, 6, 1]):
+            with pytest.raises(DuplicateColumnError) as err:
+                lasso_solve(data, 0.1, subset=subset)
+            assert (err.value.first, err.value.second) == first_repeat(subset)
+        beta = lasso_solve(data, 0.1, subset=[6, 0, 5, 3])
+        assert kkt_check(data, beta, 0.1, subset=[6, 0, 5, 3]).passed
+        with pytest.raises(DuplicateColumnError) as err:
+            lars_path(data)
+        assert (err.value.first, err.value.second) == (1, 4)
+
     def test_max_steps_caps_entries(self):
         data = random_dataset(1, 30, 8)
         path = lars_path(data, max_steps=3)

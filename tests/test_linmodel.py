@@ -271,6 +271,52 @@ class TestNearCollinearPair:
             assert set(drops(data, [0, 1])) == {2, 3}
 
 
+class TestActiveQRDowndate:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(12, 30),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), min_size=1, max_size=30))
+    def test_add_drop_sequences_match_fresh_factor(self, seed, n, ops):
+        # drops() runs between updates, so the residualised columns it keeps
+        # are carried across every later add and drop.
+        p = 8
+        rng = np.random.default_rng(seed)
+        X = standardize(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n)
+        qr = ActiveQR(X, y)
+        for add, pick in ops:
+            outside = [m for m in range(p) if m not in qr.cols]
+            if add and outside:
+                qr.add(outside[pick % len(outside)])
+            elif qr.cols:
+                qr.drop(qr.cols[pick % len(qr.cols)])
+            got = qr.drops(1.0)
+            fresh = ActiveQR(X, y, qr.cols)
+            XA = X[:, qr.cols]
+            coef = np.linalg.lstsq(XA, y, rcond=None)[0]
+            np.testing.assert_allclose(qr.coef, coef, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(qr.coef, fresh.coef, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(qr.resid, y - XA @ coef, rtol=0, atol=1e-10)
+            s = rng.choice([-1.0, 1.0], size=len(qr.cols))
+            b0, b1, fit_b1 = qr.segment(s)
+            np.testing.assert_allclose(b0, coef, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(b1, np.linalg.solve(XA.T @ XA, s), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(fit_b1, XA @ b1, rtol=0, atol=1e-10)
+            want = fresh.drops(1.0)
+            assert got.keys() == want.keys()
+            np.testing.assert_allclose([got[m] for m in want], list(want.values()),
+                                       rtol=0, atol=1e-10)
+
+    def test_drop_then_add_restores_the_factor(self):
+        data = random_dataset(4, 20, 6)
+        qr = ActiveQR(data.X, data.y, [0, 1, 2, 3, 4])
+        qr.drop(1)
+        assert qr.cols == [0, 2, 3, 4]
+        qr.add(1)
+        fresh = ActiveQR(data.X, data.y, [0, 2, 3, 4, 1])
+        np.testing.assert_allclose(qr.coef, fresh.coef, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qr.resid, fresh.resid, rtol=0, atol=1e-12)
+
+
 class TestEstimateSigma2:
     def test_perfect_fit_is_degenerate(self):
         X = standardize(np.array([[1.0], [2.0]]))
