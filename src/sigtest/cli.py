@@ -30,9 +30,10 @@ from .exceptions import (
     NotEstimableError,
     PathTooShortError,
     SigtestError,
+    UnreliableMaxError,
     UnsupportedStepError,
 )
-from .glm import best_candidate, gumbel_test_glm, lrt_drops_all
+from .glm import best_candidate, lrt_path
 from .lasso import lars_path
 from .linmodel import estimate_sigma2
 from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
@@ -149,40 +150,31 @@ def _glm_test_rows(args: argparse.Namespace):
         data, _names = load_survival(args.input)
     _check_max_steps(args, data.p, "p")
     rows, records = [], []
-    A: list[int] = []
-    limit = args.max_steps if args.max_steps is not None else data.p
-    for k in range(1, limit + 1):
-        if data.p - len(A) == 0:
-            break
-        outcome = None
+    A, steps = (), lrt_path(args.family, data)
+    for k in range(1, (data.p if args.max_steps is None else args.max_steps) + 1):
         testable = data.p - len(A) >= 3
+        notes = [] if testable else ["too-few-remaining"]
+        outcome = step = None
         try:
+            step = next(steps)
             if testable:
-                outcome = gumbel_test_glm(args.family, data, A, alpha=args.alpha)
-            else:
-                drops, failures = lrt_drops_all(args.family, data, A)
+                outcome = step.test(args.alpha)
+                records.append(outcome)
+            elif not step.drops:
+                raise UnreliableMaxError("every candidate fit failed")
         except SigtestError as exc:
-            stage = "test-failed" if testable else "base-fit-failed"
-            rows.append([k, "", ";".join(str(i) for i in A), "", args.family,
-                         False, "", "", "", "", "", "", "", f"{stage}:{type(exc).__name__}"])
+            stage = "test-failed" if testable or step is not None else "base-fit-failed"
+            rows.append([k, "", ";".join(str(i) for i in A), "", args.family, False,
+                         *[""] * 7, ";".join(notes + [f"{stage}:{type(exc).__name__}"])])
             break
-        if testable:
-            records.append(outcome)
-            notes = list(outcome.warnings)
-            j = outcome.j
-            best = outcome.statistic + outcome.correction
-        else:
-            notes = ["too-few-remaining"] + failures
-            if not drops:
-                break
-            j, best = best_candidate(drops)
+        j, best = best_candidate(step.drops)
         rows.append([
             k, j, ";".join(str(i) for i in A), float(best), args.family, False,
             *_cells(outcome, "statistic", "correction", "p_value", "reject"),
             "", "", "",
-            ";".join(notes),
+            ";".join(notes + step.failures),
         ])
-        A.append(j)
+        A += (j,)
     return rows, records
 
 

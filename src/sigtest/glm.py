@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .exceptions import (
     SingularDesignError,
     UnreliableMaxError,
 )
-from .linmodel import RANK_TOL, Dataset, _check_subset, least_squares
+from .linmodel import RANK_TOL, Dataset, _Shape, _check_subset, least_squares
 from .significance import TestOutcome, gumbel_correction, gumbel_sf
 
 MAX_ITER = 100
@@ -32,7 +32,7 @@ MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryDataset:
+class BinaryDataset(_Shape):
     """Design matrix and 0/1 response for logistic regression."""
 
     X: np.ndarray
@@ -55,17 +55,9 @@ class BinaryDataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
-class SurvivalDataset:
+class SurvivalDataset(_Shape):
     """Design matrix, follow-up times, and event indicators for Cox regression."""
 
     X: np.ndarray
@@ -93,14 +85,6 @@ class SurvivalDataset:
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", status)
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
@@ -118,11 +102,18 @@ class FitResult:
 
 
 def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
-    """Per-row rank check of a (c, n, d) stack of designs, d >= 1."""
+    """Per-row rank check of a (c, n, d) stack of designs that share their
+    first d - 1 columns: row i's triangular factor has the shared columns'
+    diagonal, from one QR for the stack, then the norm of row i's last
+    column after projecting them out (twice, as in ActiveQR.add)."""
     c, n, d = Z.shape
     if d > n:
         return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
-    diag = np.abs(np.diagonal(np.linalg.qr(Z, mode="r"), axis1=1, axis2=2))
+    Q, R = np.linalg.qr(Z[0, :, :-1])
+    v = Z[:, :, -1].T.copy()
+    for _ in range(2):
+        v -= Q @ (Q.T @ v)
+    diag = np.column_stack([np.tile(np.abs(np.diagonal(R)), (c, 1)), np.linalg.norm(v, axis=0)])
     deficient = diag.min(axis=1) < RANK_TOL * diag.max(axis=1)
     return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
             for bad in deficient]
@@ -148,16 +139,17 @@ def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
     """Damped Newton ascent on a stack of c problems of one shape.
 
-    ``Z`` is the (c, n, d) stack of designs and ``beta0`` the (c, d) starting
-    points. ``objective(Z, beta)`` returns the log-likelihood (c,), gradient
-    (c, d) and information matrix (c, d, d) of the rows it is given; the
-    information matrix is the negated Hessian, so a row's ascent step solves
-    ``info @ step = grad``. Each row keeps the rules of a single fit under its
-    own mask: the rank check, convergence once the gradient norm is below
-    GRAD_TOL, step halving with its own scale (at most MAX_HALVINGS times),
-    SeparationError once the coefficient norm passes DIVERGENCE_NORM, and
-    ConvergenceError on a singular information matrix, a failed line search
-    or MAX_ITER iterations. A failed row stops; the others go on unchanged.
+    ``Z`` is the (c, n, d) stack of designs, which share their first d - 1
+    columns, and ``beta0`` the (c, d) starting points. ``objective(Z, beta)``
+    returns the log-likelihood (c,), gradient (c, d) and information matrix
+    (c, d, d) of the rows it is given; the information matrix is the negated
+    Hessian, so a row's ascent step solves ``info @ step = grad``. Each row
+    keeps the rules of a single fit under its own mask: the rank check,
+    convergence once the gradient norm is below GRAD_TOL, step halving with
+    its own scale (at most MAX_HALVINGS times), SeparationError once the
+    coefficient norm passes DIVERGENCE_NORM, and ConvergenceError on a
+    singular information matrix, a failed line search or MAX_ITER
+    iterations. A failed row stops; the others go on unchanged.
 
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
     exception a fit of row i alone raises, or None when the row converged.
@@ -218,16 +210,20 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
 
 
 class _Problem(NamedTuple):
-    """A family's model on a subset M, with rows in the order its objective needs."""
+    """A family's model, with rows in the order its objective needs."""
 
-    design: np.ndarray  # (n, d): the model's columns, intercept first if any
-    columns: np.ndarray  # (n, p): every column of X, rows in the same order
+    lead: np.ndarray  # (n, 0) or (n, 1): the columns every model has (the intercept)
+    columns: np.ndarray  # (n, p): every column of X
     objective: Callable  # (Z (c, n, d), beta (c, d)) -> loglik, gradient, information
+    empty_loglik: float  # log-likelihood of a model with no parameters
     what: str
 
+    def design(self, M: list[int]) -> np.ndarray:
+        """The (n, d) design of the model on M, lead columns first."""
+        return np.hstack([self.lead, self.columns[:, M]])
 
-def _logistic_problem(data: BinaryDataset, M: list[int]) -> _Problem:
-    intercept = [np.ones((data.n, 1))] if data.include_intercept else []
+
+def _logistic_problem(data: BinaryDataset) -> _Problem:
     y = data.y
 
     def objective(Z, beta):
@@ -240,12 +236,17 @@ def _logistic_problem(data: BinaryDataset, M: list[int]) -> _Problem:
         info = Zt @ (w[:, :, None] * Z)
         return ll, grad, info
 
-    return _Problem(np.hstack(intercept + [data.X[:, M]]), data.X, objective, "logistic fit")
+    # With no parameters at all, eta = 0 and p = 1/2 for every observation.
+    return _Problem(np.ones((data.n, int(data.include_intercept))), data.X, objective,
+                    -data.n * math.log(2.0), "logistic fit")
 
 
-def _fit_one(problem: _Problem, M: list[int]) -> FitResult:
-    """Fit the problem's own design, from zero, as a stack of one."""
-    design = problem.design
+def _fit(problem: _Problem, M: list[int]) -> FitResult:
+    """Fit the model on M from zero, as a stack of one."""
+    design = problem.design(M)
+    if design.shape[1] == 0:
+        return FitResult(subset=(), coefficients=np.zeros(0), loglik=problem.empty_loglik,
+                         converged=True, iterations=0)
     beta, ll, iterations, errors = _newton_stack(
         problem.objective, design[None], np.zeros((1, design.shape[1])), problem.what)
     if errors[0] is not None:
@@ -259,29 +260,16 @@ def logistic_fit(data: BinaryDataset, M: Sequence[int]) -> FitResult:
 
     Includes an unpenalized intercept when the dataset requests one.
     """
-    M = _check_subset(data, M)
-    problem = _logistic_problem(data, M)
-    if problem.design.shape[1] == 0:
-        # No parameters at all: eta = 0, p = 1/2 for every observation.
-        return FitResult(subset=(), coefficients=np.zeros(0),
-                         loglik=-data.n * math.log(2.0), converged=True, iterations=0)
-    return _fit_one(problem, M)
+    return _fit(_logistic_problem(data), _check_subset(data, M))
 
 
-def _cox_prepared(data: SurvivalDataset):
-    """Sort by follow-up time and group tied event times for suffix sums."""
+def _cox_problem(data: SurvivalDataset) -> _Problem:
+    # Rows sorted by follow-up time. The risk set of an event at position i
+    # is positions first(i)..n-1, first(i) the first index sharing its time.
     order = np.argsort(data.time, kind="stable")
     time = data.time[order]
-    status = data.status[order]
-    event_pos = np.flatnonzero(status == 1.0)
-    # Risk set of an event at position i is positions first(i)..n-1, where
-    # first(i) is the first index sharing the event's time.
+    event_pos = np.flatnonzero(data.status[order] == 1.0)
     first = np.searchsorted(time, time[event_pos], side="left")
-    return order, event_pos, first
-
-
-def _cox_problem(data: SurvivalDataset, M: list[int]) -> _Problem:
-    order, event_pos, first = _cox_prepared(data)
     # Number of events whose risk set starts at or before each position.
     starts = np.searchsorted(first, np.arange(data.n), side="right")
 
@@ -315,8 +303,8 @@ def _cox_problem(data: SurvivalDataset, M: list[int]) -> _Problem:
                 - mean.transpose(0, 2, 1) @ mean
         return ll, grad, info
 
-    columns = data.X[order]
-    return _Problem(columns[:, M], columns, objective, "cox fit")
+    return _Problem(np.empty((data.n, 0)), data.X[order], objective,
+                    -float(np.log(data.n - first).sum()), "cox fit")
 
 
 def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
@@ -324,14 +312,7 @@ def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
 
     Ties are handled by pooling tied events over the same risk set.
     """
-    M = _check_subset(data, M)
-    if not M:
-        _order, _event_pos, first = _cox_prepared(data)
-        riskset_sizes = data.n - first
-        ll = -float(np.log(riskset_sizes).sum())
-        return FitResult(subset=(), coefficients=np.zeros(0), loglik=ll,
-                         converged=True, iterations=0)
-    return _fit_one(_cox_problem(data, M), M)
+    return _fit(_cox_problem(data), _check_subset(data, M))
 
 
 def _gaussian_fit(data: Dataset, M: Sequence[int]) -> FitResult:
@@ -345,7 +326,7 @@ def _gaussian_fit(data: Dataset, M: Sequence[int]) -> FitResult:
 # Family name -> (fit on a subset, the problem its candidate fits are stacked
 # from, or None to refit each candidate by least squares). The logistic and
 # Cox fits are looked up by name when called, so a wrapped or replaced
-# `logistic_fit` or `cox_fit` serves the base fits too.
+# `logistic_fit` or `cox_fit` serves the base fits of `lrt_drops_all` too.
 _FAMILIES = {
     "gaussian": (_gaussian_fit, None),
     "logistic": (lambda data, M: logistic_fit(data, M), _logistic_problem),
@@ -395,28 +376,35 @@ def lrt_drops_all(family: str, data, A: Sequence[int]) -> tuple[dict[int, float]
             except SingularDesignError as exc:
                 logliks.append(exc)
     else:
-        logliks = _candidate_logliks(problem(data, A), base, candidates)
+        logliks = _candidate_fits(problem(data), A, base.coefficients, candidates)[1]
+    return _drops(candidates, logliks, base.loglik)
+
+
+def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray, candidates: list[int]):
+    """Coefficients of the model on A plus each candidate column, each fit
+    started from the base coefficients and 0, and per candidate its
+    log-likelihood or its error."""
+    design = problem.design(A)
+    n, d = design.shape
+    Z = np.empty((len(candidates), n, d + 1))
+    Z[:, :, :d] = design
+    Z[:, :, d] = problem.columns[:, candidates].T
+    beta0 = np.zeros((len(candidates), d + 1))
+    beta0[:, :d] = base
+    beta, ll, _iterations, errors = _newton_stack(problem.objective, Z, beta0, problem.what)
+    return beta, [float(v) if e is None else e for v, e in zip(ll, errors)]
+
+
+def _drops(candidates, logliks, base_ll: float) -> tuple[dict[int, float], list[str]]:
+    """Drops of the candidates whose fit converged, and failure notes for the rest."""
     drops: dict[int, float] = {}
     failures: list[str] = []
     for m, ll in zip(candidates, logliks):
         if isinstance(ll, SigtestError):
             failures.append(f"fit failed for candidate {m}: {ll}")
         else:
-            drops[m] = max(2.0 * (ll - base.loglik), 0.0)
+            drops[m] = max(2.0 * (ll - base_ll), 0.0)
     return drops, failures
-
-
-def _candidate_logliks(problem: _Problem, base: FitResult,
-                       candidates: list[int]) -> list[float | SigtestError]:
-    """Log-likelihood of the problem's design plus each candidate column, or its error."""
-    n, d = problem.design.shape
-    Z = np.empty((len(candidates), n, d + 1))
-    Z[:, :, :d] = problem.design
-    Z[:, :, d] = problem.columns[:, candidates].T
-    beta0 = np.zeros((len(candidates), d + 1))
-    beta0[:, :d] = base.coefficients
-    _beta, ll, _iterations, errors = _newton_stack(problem.objective, Z, beta0, problem.what)
-    return [float(v) if e is None else e for v, e in zip(ll, errors)]
 
 
 def best_candidate(drops: dict[int, float]) -> tuple[int, float]:
@@ -428,30 +416,72 @@ def best_candidate(drops: dict[int, float]) -> tuple[int, float]:
     return min(m for m, d in drops.items() if d >= best - 1e-12), best
 
 
+class LrtStep(NamedTuple):
+    """One step of a greedy likelihood path: the model A and, as
+    ``lrt_drops_all`` reports them, the drops and failed fits of the
+    candidates outside it."""
+
+    A: tuple[int, ...]
+    drops: dict[int, float]
+    failures: list[str]
+
+    def test(self, alpha: float = 0.05) -> TestOutcome:
+        """The maximal drop minus the centering for the m remaining candidates,
+        against the Gumbel reference. Failed fits are kept as warnings; if more
+        than 10% of them fail the maximum is unreliable and the test aborts."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        m_remaining = len(self.drops) + len(self.failures)
+        corr = gumbel_correction(m_remaining)
+        if len(self.failures) > 0.10 * m_remaining or not self.drops:
+            raise UnreliableMaxError(
+                f"{len(self.failures)} of {m_remaining} candidate fits failed; "
+                "maximum statistic unreliable")
+        j, best = best_candidate(self.drops)
+        stat = best - corr
+        p_value = gumbel_sf(stat)
+        return TestOutcome(kind="gumbel_glm", k=len(self.A) + 1, statistic=float(stat),
+                           p_value=float(p_value), alpha=float(alpha),
+                           reject=bool(p_value <= alpha), A=self.A, j=j,
+                           correction=float(corr), conservative=False,
+                           warnings=tuple(self.failures))
+
+
+def lrt_path(family: str, data) -> Iterator[LrtStep]:
+    """Greedy forward selection by likelihood ratio, for logistic or Cox regression.
+
+    Step k yields the model A of the first k - 1 picks with the drops that
+    ``lrt_drops_all(family, data, A)`` reports; A then gains
+    ``best_candidate(drops)``. The path ends when no candidate is left, or
+    after a step where every candidate fit failed. Only the model on A = []
+    is fitted from zero (its failure raises): each later base is the previous
+    step's winning fit, which a refit finds wherever the maximum is finite.
+    """
+    make = _family(family)[1]
+    if make is None:
+        raise ValueError(f"lrt_path fits logistic or cox models, not {family!r}")
+    problem = make(data)
+    A: list[int] = []
+    base = _fit(problem, A)
+    beta, loglik = base.coefficients, base.loglik
+    while len(A) < data.p:
+        candidates = [m for m in range(data.p) if m not in A]
+        fits, logliks = _candidate_fits(problem, A, beta, candidates)
+        drops, failures = _drops(candidates, logliks, loglik)
+        yield LrtStep(tuple(A), drops, failures)
+        if not drops:
+            return
+        i = candidates.index(best_candidate(drops)[0])
+        A.append(candidates[i])
+        beta, loglik = fits[i], logliks[i]
+
+
 def gumbel_test_glm(family: str, data, A: Sequence[int],
                     alpha: float = 0.05) -> TestOutcome:
-    """Extreme-value test of the best remaining candidate by likelihood ratio.
-
-    The statistic is the maximal drop minus the centering for the number of
-    remaining candidates. Candidates whose fit fails are excluded with a
-    warning; if more than 10% fail the maximum is unreliable and the test
-    aborts.
-    """
+    """Extreme-value test of the best remaining candidate by likelihood ratio:
+    ``LrtStep.test`` on the drops ``lrt_drops_all(family, data, A)`` reports."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     A = _check_subset(data, A)
-    m_remaining = data.p - len(A)
-    corr = gumbel_correction(m_remaining)  # raises before the fits when m < 3
-    drops, failures = lrt_drops_all(family, data, A)
-    if len(failures) > 0.10 * m_remaining or not drops:
-        raise UnreliableMaxError(
-            f"{len(failures)} of {m_remaining} candidate fits failed; "
-            "maximum statistic unreliable")
-    j, best = best_candidate(drops)
-    stat = best - corr
-    p_value = gumbel_sf(stat)
-    return TestOutcome(kind="gumbel_glm", k=len(A) + 1, statistic=float(stat),
-                       p_value=float(p_value), alpha=float(alpha),
-                       reject=bool(p_value <= alpha), A=tuple(A), j=j,
-                       correction=float(corr), conservative=False,
-                       warnings=tuple(failures))
+    gumbel_correction(data.p - len(A))  # raises before the fits when m < 3
+    return LrtStep(tuple(A), *lrt_drops_all(family, data, A)).test(alpha)

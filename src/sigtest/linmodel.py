@@ -27,8 +27,20 @@ from .exceptions import (
 RANK_TOL = 1e-10
 
 
+class _Shape:
+    """``n`` and ``p`` of a dataset's design matrix ``X``."""
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
+
+
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_Shape):
     """Design matrix, response, and noise-variance declaration.
 
     ``sigma2=None`` means the noise variance is unknown; operations that
@@ -59,14 +71,6 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
     @cached_property
     def digest(self) -> str:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import InfeasibleDesignError, SigtestError
-from .glm import BinaryDataset, SurvivalDataset, best_candidate, gumbel_test_glm, lrt_drops_all
+from .glm import BinaryDataset, SurvivalDataset, lrt_path
 from .lasso import lars_path
 from .linmodel import Dataset
 from .selection import lasso_steps, stepwise_path
@@ -228,13 +228,12 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
             else:
                 time, status = gen_response(scenario, X, rng)
                 gdata = SurvivalDataset(X, time, status)
-            A: list[int] = []
-            for _ in range(scenario.k - 1):
-                drops, _failures = lrt_drops_all(scenario.family, gdata, A)
-                if not drops:
-                    return _RepOutcome(None, None, failure="greedy selection exhausted")
-                A.append(best_candidate(drops)[0])
-            outcome = gumbel_test_glm(scenario.family, gdata, A, alpha=scenario.alpha)
+            for step in lrt_path(scenario.family, gdata):
+                if len(step.A) == scenario.k - 1:
+                    outcome = step.test(scenario.alpha)
+                    break
+            else:
+                return _RepOutcome(None, None, failure="greedy selection exhausted")
     except SigtestError as exc:
         return _RepOutcome(None, None, failure=type(exc).__name__)
     support = scenario.support()

@@ -170,6 +170,40 @@ class TestTestVerb:
         assert len(rows) == 2
 
 
+def pairwise_separated_columns(n=24, seed=3):
+    """y = 1 exactly when s > 0, with one pair of labels 2e-5 apart in s.
+    The columns s + u, s - u and s - 2u mix s with noise u, so no column
+    alone separates the labels but every pair of them spans s."""
+    s = np.concatenate([np.linspace(-1, -0.2, n // 2 - 1), [-1e-5, 1e-5],
+                        np.linspace(0.2, 1, n // 2 - 1)])
+    u = np.random.default_rng(seed).standard_normal(n)
+    return np.column_stack([s + u, s - u, s - 2 * u]), (s > 0).astype(float)
+
+
+class TestGlmTableEnd:
+    """A step with fewer than 3 candidates left whose every fit fails still
+    gets a row, with the note a testable step gets for the same condition."""
+
+    @pytest.mark.parametrize("case", ["separated", "copies"])
+    def test_last_row_when_every_fit_fails(self, tmp_path, case):
+        if case == "separated":
+            X, y = pairwise_separated_columns()
+        else:  # after the first pick the other two copies are rank deficient
+            rng = np.random.default_rng(4)
+            X, y = np.repeat(rng.standard_normal((24, 1)), 3, axis=1), np.arange(24) % 2.0
+        lines = ["a,b,c,y"] + [",".join(repr(float(v)) for v in [*X[i], y[i]])
+                               for i in range(len(y))]
+        data = tmp_path / "bin.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "t.csv")
+        assert run(["test", "--input", str(data), "--family", "logistic", "--output", out]) == 0
+        header, first, last = read_csv(out)
+        first, last = dict(zip(header, first)), dict(zip(header, last))
+        assert first["gumbel_statistic"] != "" and first["note"] == ""
+        assert (last["k"], last["j"], last["A"], last["r_j"]) == ("2", "", first["j"], "")
+        assert last["note"] == "too-few-remaining;test-failed:UnreliableMaxError"
+
+
 @pytest.fixture
 def family_csvs(tmp_path):
     """(30, 8) Gaussian, logistic and survival CSVs, keyed by family."""

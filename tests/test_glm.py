@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from sigtest import (
     DegenerateResponseError,
     NoEventsError,
     SeparationError,
+    SigtestError,
     SingularDesignError,
     SurvivalDataset,
     TooFewRemainingError,
@@ -30,7 +32,8 @@ from sigtest import (
     stepwise_path,
 )
 from sigtest import glm
-from sigtest.glm import _solve_rows, lrt_drops_all
+from sigtest.glm import _solve_rows, best_candidate, lrt_drops_all, lrt_path
+from sigtest.linmodel import RANK_TOL
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -296,7 +299,7 @@ class TestLrtDropsAll:
         Z = np.stack([np.column_stack([np.ones(60), np.asarray(data.X)[:, [0, j]]])
                       for j in (1, 2, 3)])
         Z[1, 5, 2] = np.nan
-        objective = glm._logistic_problem(data, [0]).objective
+        objective = glm._logistic_problem(data).objective
         with np.errstate(invalid="ignore"):
             _beta, ll, iterations, errors = glm._newton_stack(
                 objective, Z, np.zeros((3, 3)), "logistic fit")
@@ -399,6 +402,251 @@ class TestGumbelTestGlm:
         data = BinaryDataset(X, y)
         with pytest.raises(UnreliableMaxError):
             gumbel_test_glm("logistic", data, [0, 1, 2])
+
+
+def glm_table(family, seed, n, p, signals=3, size=0.7):
+    """A logistic or Cox table: standard-normal design, ``signals`` coefficients
+    of magnitude ``size``, and for Cox exponential times with about 10% of
+    them censored."""
+    rng = np.random.default_rng([seed, n, p])
+    X = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[rng.choice(p, size=signals, replace=False)] = size * rng.choice((-1.0, 1.0), signals)
+    eta = X @ beta
+    if family == "logistic":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        y[:2] = 0.0, 1.0  # both labels occur
+        return BinaryDataset(X, y)
+    event = rng.exponential(1.0, n) / np.exp(eta)
+    censor = rng.exponential(9.0, n)
+    status = (event <= censor).astype(float)
+    status[0] = 1.0  # at least one event
+    return SurvivalDataset(X, np.where(status == 1.0, event, censor), status)
+
+
+def cold_path(family, data):
+    """The greedy path with each step's base refitted from zero: one stateless
+    ``lrt_drops_all`` per step, as (A, drops, failures), or (A, error name)
+    when the base fit fails."""
+    A, steps = [], []
+    while len(A) < data.p:
+        try:
+            drops, failures = lrt_drops_all(family, data, A)
+        except SigtestError as exc:
+            steps.append((tuple(A), type(exc).__name__))
+            break
+        steps.append((tuple(A), drops, failures))
+        if not drops:
+            break
+        A.append(best_candidate(drops)[0])
+    return steps
+
+
+def same_steps(ours, theirs, tol=1e-9):
+    """Same models, failures and candidates, and drops within ``tol``."""
+    if len(ours) != len(theirs):
+        return False
+    for a, b in zip(ours, theirs):
+        if len(a) != len(b) or a[0] != b[0] or a[2:] != b[2:] or set(a[1]) != set(b[1]):
+            return False
+        if any(abs(a[1][m] - b[1][m]) > tol for m in a[1]):
+            return False
+    return True
+
+
+def recording_newton(monkeypatch):
+    """Record (starting points, coefficients) of every ``_newton_stack`` call."""
+    calls = []
+    newton = glm._newton_stack
+
+    def recording(objective, Z, beta0, what):
+        out = newton(objective, Z, beta0, what)
+        calls.append((beta0.copy(), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(glm, "_newton_stack", recording)
+    return calls
+
+
+PATH_DATA = {
+    **PARITY_DATA,
+    "logistic-150x24": ("logistic", lambda: glm_table("logistic", 7, 150, 24)),
+    "cox-150x24": ("cox", lambda: glm_table("cox", 7, 150, 24)),
+}
+
+
+class TestLrtPath:
+    @pytest.mark.parametrize("case", sorted(PATH_DATA))
+    def test_steps_match_stateless_calls(self, case):
+        family, make = PATH_DATA[case]
+        data = make()
+        steps = list(lrt_path(family, data))
+        assert len(steps) == data.p
+        A = ()
+        for step in steps:
+            assert step.A == A
+            drops, failures = lrt_drops_all(family, data, A)
+            assert step.failures == failures
+            assert sorted(step.drops) == sorted(drops)
+            for m, drop in drops.items():
+                assert step.drops[m] == pytest.approx(drop, abs=1e-9)
+            j = best_candidate(step.drops)[0]
+            assert j == best_candidate(drops)[0]
+            if data.p - len(A) >= 3:
+                ours, theirs = step.test(), gumbel_test_glm(family, data, A)
+                assert (ours.j, ours.k, ours.A, ours.warnings) == (
+                    theirs.j, theirs.k, theirs.A, theirs.warnings)
+                for name in ("statistic", "p_value", "correction"):
+                    assert getattr(ours, name) == pytest.approx(getattr(theirs, name), abs=1e-9)
+            A += (j,)
+
+    @pytest.mark.parametrize("family, make, cold", [
+        ("logistic", lambda: random_binary(101, 50, 12), 1),
+        ("logistic", lambda: random_binary(113, 50, 12, intercept=False), 0),
+        ("cox", lambda: tied_survival(103, 50, 12), 0),
+    ])
+    def test_one_cold_fit_then_carried_bases(self, family, make, cold, monkeypatch):
+        data = make()
+        calls = recording_newton(monkeypatch)
+        steps = list(itertools.islice(lrt_path(family, data), 5))
+        # The model on A = [] is the only fit from zero (a closed form when it
+        # has no parameters); then one stack of candidates per step.
+        assert [len(b0) for b0, _beta in calls] == [1] * cold + [12, 11, 10, 9, 8]
+        if cold:
+            np.testing.assert_array_equal(calls[0][0], 0.0)
+        for k in range(1, 5):
+            before, step = steps[k - 1], steps[k]
+            row = [m for m in range(12) if m not in before.A].index(step.A[-1])
+            start = calls[cold + k][0]
+            # Every candidate starts from the winning fit of the step before, 0 for its column.
+            np.testing.assert_array_equal(start[:, :-1], np.tile(calls[cold + k - 1][1][row],
+                                                                 (len(start), 1)))
+            np.testing.assert_array_equal(start[:, -1], 0.0)
+
+    def test_rank_check_factors_only_the_base(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        data = random_binary(101, 50, 12)
+        steps = list(lrt_path("logistic", data))
+        # One QR of the (n, d) base design per Newton solve: the cold fit and
+        # one per step, never a stack of designs.
+        assert shapes == [(50, 0)] + [(50, 1 + len(step.A)) for step in steps]
+
+    def test_ends_after_a_step_where_every_fit_fails(self):
+        # Three copies of one column: after the first pick the other two are
+        # rank deficient, so the second step has no drop and the path ends.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(30)
+        data = BinaryDataset(np.column_stack([x, x, x]), (rng.random(30) < 0.5) * 1.0)
+        steps = list(lrt_path("logistic", data))
+        assert [s.A for s in steps] == [(), (0,)]
+        assert steps[1].drops == {} and len(steps[1].failures) == 2
+
+    def test_gaussian_family_rejected(self):
+        with pytest.raises(ValueError, match="logistic or cox"):
+            next(lrt_path("gaussian", Dataset(np.eye(3), np.ones(3), sigma2=1.0)))
+
+
+def stacked_rank_errors(Z, what):
+    """The rank check by a QR of every stacked design, which the check from
+    the shared columns' factor replaced."""
+    c, n, d = Z.shape
+    if d > n:
+        return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
+    diag = np.abs(np.diagonal(np.linalg.qr(Z, mode="r"), axis1=1, axis2=2))
+    deficient = diag.min(axis=1) < RANK_TOL * diag.max(axis=1)
+    return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
+            for bad in deficient]
+
+
+def rank_case(name):
+    """(problem, A, candidates, the candidates whose stack is rank deficient)."""
+    rng = np.random.default_rng(127)
+    X = rng.standard_normal((30, 6))
+    y = (rng.random(30) < 0.5).astype(float)
+    y[:2] = 0.0, 1.0
+    if name == "duplicate":
+        X[:, 4] = X[:, 1]
+        return glm._logistic_problem(BinaryDataset(X, y)), [1, 3], [0, 2, 4, 5], [4]
+    if name == "combination":
+        X[:, 5] = 0.3 * X[:, 0] - 1.7 * X[:, 2]
+        return glm._logistic_problem(BinaryDataset(X, y)), [0, 2], [1, 3, 4, 5], [5]
+    if name == "constant-under-intercept":
+        X[:, 3] = 2.5
+        return glm._logistic_problem(BinaryDataset(X, y)), [], list(range(6)), [3]
+    if name == "zero-column-cox":
+        # Alone, a zero column's factor is all zero, which is not below
+        # RANK_TOL times itself: its fit stops at once with a drop of 0.
+        X[:, 2] = 0.0
+        data = SurvivalDataset(X, rng.exponential(1.0, 30), np.ones(30))
+        return glm._cox_problem(data), [], list(range(6)), []
+    # d + 1 > n: an intercept and four columns on five rows, plus a candidate.
+    data = BinaryDataset(X[:5], np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+    return glm._logistic_problem(data), [0, 1, 2, 3], [4, 5], [4, 5]
+
+
+class TestRankCheck:
+    @pytest.mark.parametrize("name", ["duplicate", "combination", "constant-under-intercept",
+                                      "zero-column-cox", "more-columns-than-rows"])
+    def test_matches_qr_of_each_stacked_design(self, name):
+        problem, A, candidates, deficient = rank_case(name)
+        design = problem.design(A)
+        Z = np.stack([np.column_stack([design, problem.columns[:, m]]) for m in candidates])
+        ours = glm._rank_errors(Z, problem.what)
+        theirs = stacked_rank_errors(Z, problem.what)
+        assert [(type(e), str(e)) if e else None for e in ours] == [
+            (type(e), str(e)) if e else None for e in theirs]
+        assert [m for m, e in zip(candidates, ours) if e] == deficient
+        if name == "more-columns-than-rows":
+            assert all("more columns than rows" in str(e) for e in ours)
+
+    def test_rank_deficient_base_is_caught(self):
+        # A base with two equal columns: every stack is deficient.
+        problem, _A, _candidates, _bad = rank_case("duplicate")
+        Z = np.stack([np.column_stack([problem.design([1, 4]), problem.columns[:, m]])
+                      for m in (0, 2)])
+        assert all(isinstance(e, SingularDesignError) for e in glm._rank_errors(Z, "fit"))
+
+
+# A table's carried path may differ from the cold one only where some fit on
+# it runs off towards a diverging ray: until separation is judged from the
+# data, such a fit may stop as converged at a point that depends on its start.
+FENCE_NORM = 10.0
+FENCE_SIZES = ((8, 6), (15, 8), (25, 10), (40, 15), (60, 24))
+
+
+def fence_corpus():
+    for family in ("logistic", "cox"):
+        for n, p in FENCE_SIZES:
+            for seed in range(10):
+                yield f"{family}-{n}x{p}-{seed}", family, glm_table(family, seed, n, p)
+
+
+def fence_report(monkeypatch):
+    """Per table of the corpus: whether the carried path equals the cold one
+    to 1e-9, and the largest coefficient norm of any fit on either."""
+    calls = recording_newton(monkeypatch)
+    report = {}
+    for name, family, data in fence_corpus():
+        calls.clear()
+        carried = [tuple(step) for step in lrt_path(family, data)]
+        same = same_steps(carried, cold_path(family, data))
+        report[name] = same, max(np.linalg.norm(beta, axis=1).max() for _b0, beta in calls)
+    return report
+
+
+def test_carried_path_differs_only_where_a_fit_diverges(monkeypatch):
+    report = fence_report(monkeypatch)
+    assert len(report) == 100
+    assert [name for name, (same, norm) in report.items() if not same and norm <= FENCE_NORM] == []
+    # Not vacuous: every table of the largest size matches.
+    assert all(same for name, (same, _norm) in report.items() if name.split("-")[1] == "60x24")
 
 
 class TestGaussianLoglik:

@@ -328,7 +328,7 @@ class TestRunScenario:
         def broken(*args, **kwargs):
             raise ValueError("broken test")
 
-        monkeypatch.setattr(montecarlo, "gumbel_test_glm", broken)
+        monkeypatch.setattr(montecarlo, "lrt_path", broken)
         s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
                      n=20, p=4, test="gumbel_glm", reps=3, seed=3)
         with pytest.raises(ValueError, match="broken test"):
