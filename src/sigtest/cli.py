@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import fields, replace
 
 from .dataio import (
-    CsvFormatError,
     format_csv,
     load_binary,
     load_dataset,
@@ -33,11 +33,11 @@ from .exceptions import (
     UnreliableMaxError,
     UnsupportedStepError,
 )
-from .glm import best_candidate, lrt_path
+from .glm import lrt_path
 from .lasso import lars_path
 from .linmodel import estimate_sigma2
 from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
-from .selection import lasso_steps, stepwise_path
+from .selection import best_candidate, lasso_steps, stepwise_path
 from .significance import covariance_test, gumbel_test
 
 EXIT_OK = 0
@@ -71,16 +71,14 @@ def cmd_path(args: argparse.Namespace) -> int:
     """Write the knot table of the lasso path for a Gaussian CSV dataset."""
     data, _names = load_dataset(args.input)
     path = lars_path(data, max_steps=args.max_steps)
-    rows = [[kn.k, float(kn.lam), kn.entering, kn.action,
-             ";".join(str(i) for i in kn.active_after)]
+    header = ["k", "lambda", "entering", "action", "active_set"]
+    rows = [[kn.k, float(kn.lam), kn.entering, kn.action, list(kn.active_after)]
             for kn in path.knots]
     if args.fmt == "json":
-        records = [{"k": kn.k, "lambda": float(kn.lam), "entering": kn.entering,
-                    "action": kn.action, "active_set": list(kn.active_after)}
-                   for kn in path.knots]
-        _emit(args, json.dumps(records, indent=2) + "\n")
+        _emit(args, json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
     else:
-        _emit(args, format_csv(["k", "lambda", "entering", "action", "active_set"], rows))
+        _emit(args, format_csv(header, [row[:-1] + [";".join(map(str, row[-1]))]
+                                        for row in rows]))
     return EXIT_OK
 
 
@@ -98,11 +96,9 @@ def _check_max_steps(args: argparse.Namespace, limit: int, name: str) -> None:
 def _gaussian_test_rows(args: argparse.Namespace):
     data, _names = load_dataset(args.input, sigma2=args.sigma2)
     _check_max_steps(args, min(data.n, data.p), "min(n, p)")
-    plug_in = False
-    if data.sigma2 is None:
-        sigma2 = estimate_sigma2(data)  # raises NotEstimableError when n <= p
-        data = replace(data, sigma2=sigma2)
-        plug_in = True
+    plug_in = ("plug-in-sigma2",) if data.sigma2 is None else ()
+    if plug_in:  # estimate_sigma2 raises NotEstimableError when n <= p
+        data = replace(data, sigma2=estimate_sigma2(data))
     path = lars_path(data)
     if args.selector == "lasso":
         steps = lasso_steps(path, data)
@@ -113,21 +109,15 @@ def _gaussian_test_rows(args: argparse.Namespace):
 
     rows, records = [], []
     for step in steps:
-        notes = []
-        if plug_in:
-            notes.append("plug-in-sigma2")
+        notes = list(plug_in)
         tilde = cov = None
         if step.m_remaining >= 3:
             tilde = gumbel_test(step, alpha=args.alpha)
-            if plug_in:
-                tilde = replace(tilde, warnings=tilde.warnings + ("plug-in-sigma2",))
             records.append(tilde)
         else:
             notes.append("too-few-remaining")
         try:
             cov = covariance_test(path, data, step.k, alpha=args.alpha)
-            if plug_in:
-                cov = replace(cov, warnings=cov.warnings + ("plug-in-sigma2",))
             records.append(cov)
         except PathTooShortError:
             notes.append("no-next-knot")
@@ -140,6 +130,8 @@ def _gaussian_test_rows(args: argparse.Namespace):
             *_cells(cov, "statistic", "p_value", "reject"),
             ";".join(notes),
         ])
+    if plug_in:
+        records = [replace(r, warnings=r.warnings + plug_in) for r in records]
     return rows, records
 
 
@@ -150,7 +142,7 @@ def _glm_test_rows(args: argparse.Namespace):
         data, _names = load_survival(args.input)
     _check_max_steps(args, data.p, "p")
     rows, records = [], []
-    A, steps = (), lrt_path(args.family, data)
+    A, steps = (), lrt_path(data)
     for k in range(1, (data.p if args.max_steps is None else args.max_steps) + 1):
         testable = data.p - len(A) >= 3
         notes = [] if testable else ["too-few-remaining"]
@@ -182,8 +174,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     """Run the significance tests step by step over a CSV dataset."""
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if args.sigma2 is not None and args.sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if args.sigma2 is not None and not 0.0 < args.sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and positive")
     if args.family == "gaussian":
         rows, records = _gaussian_test_rows(args)
     else:
@@ -198,7 +190,17 @@ def cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SCENARIO_FIELDS = {f.name for f in fields(Scenario)}
+_SCENARIO_FIELDS = {f.name: f.type for f in fields(Scenario)}  # name -> annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}  # a bool is no number here
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a JSON value fits a scenario field annotated ``kind``, or else beta's pairs."""
+    if kind in _JSON_TYPES:
+        return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    return isinstance(value, list) and all(
+        isinstance(b, list) and len(b) == 2 and _has_type(b[0], "int")
+        and _has_type(b[1], "float") for b in value)
 
 
 def _parse_inline_scenario(text: str) -> Scenario:
@@ -208,14 +210,18 @@ def _parse_inline_scenario(text: str) -> Scenario:
         raise ValueError(f"inline scenario is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("inline scenario must be a JSON object")
-    unknown = set(raw) - _SCENARIO_FIELDS
+    unknown = raw.keys() - _SCENARIO_FIELDS
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    if "beta" in raw:
-        raw["beta"] = tuple((int(i), float(v)) for i, v in raw["beta"])
     for req in ("family", "design", "n", "p", "test"):
         if req not in raw:
             raise ValueError(f"inline scenario missing required field {req!r}")
+    for name, value in raw.items():
+        if not _has_type(value, _SCENARIO_FIELDS[name]):
+            raise ValueError(f"inline scenario field {name!r} must be "
+                             f"{_SCENARIO_FIELDS[name]}, got {value!r}")
+    if "beta" in raw:
+        raw["beta"] = tuple((int(i), float(v)) for i, v in raw["beta"])
     return Scenario(**{**{"name": "inline"}, **raw})
 
 
@@ -298,7 +304,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (CsvFormatError, ValueError, KeyError, NoEventsError, OSError) as exc:
+    except (ValueError, KeyError, NoEventsError, OSError) as exc:  # CsvFormatError too
         print(f"sigtest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MissingVarianceError, NotEstimableError, DegenerateVarianceError) as exc:

@@ -75,7 +75,7 @@ def load_dataset(path: str, sigma2: float | None = None) -> tuple[Dataset, list[
     """Load a Gaussian regression CSV; covariate columns are rescaled to
     unit norm."""
     names, X, special = _read_table(path, reserved=("y",))
-    X = standardize(X, center=False)
+    X = standardize(X)
     return Dataset(X, special["y"], sigma2=sigma2), names
 
 

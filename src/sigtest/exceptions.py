@@ -6,11 +6,11 @@ class SigtestError(Exception):
 
 
 class DegenerateColumnError(SigtestError):
-    """A design column is constant (or zero) and cannot be standardized."""
+    """A design column is zero and cannot be standardized."""
 
     def __init__(self, index: int, message: str | None = None):
         self.index = index
-        super().__init__(message or f"column {index} is degenerate (zero norm or variance)")
+        super().__init__(message or f"column {index} is degenerate (zero norm)")
 
 
 class DuplicateColumnError(SigtestError):

@@ -22,8 +22,9 @@ from .exceptions import (
     SingularDesignError,
     UnreliableMaxError,
 )
-from .linmodel import RANK_TOL, Dataset, _Shape, _check_subset, least_squares
-from .significance import TestOutcome, gumbel_correction, gumbel_sf
+from .linmodel import RANK_TOL, _Shape, _check_subset
+from .selection import best_candidate
+from .significance import TestOutcome, _gumbel_outcome
 
 MAX_ITER = 100
 GRAD_TOL = 1e-8
@@ -38,10 +39,9 @@ class BinaryDataset(_Shape):
     X: np.ndarray
     y: np.ndarray
     include_intercept: bool = True
+    _arrays = ("X", "y")
 
-    def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float)).ravel()
+    def _check(self, X, y):
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be n x p with y of length n")
         if not np.all(np.isfinite(X)):
@@ -50,10 +50,6 @@ class BinaryDataset(_Shape):
             raise ValueError("y must contain only 0 and 1")
         if y.min() == y.max():
             raise DegenerateResponseError("y must contain at least one 0 and one 1")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +59,9 @@ class SurvivalDataset(_Shape):
     X: np.ndarray
     time: np.ndarray
     status: np.ndarray
+    _arrays = ("X", "time", "status")
 
-    def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
-        time = np.ascontiguousarray(np.asarray(self.time, dtype=float)).ravel()
-        status = np.ascontiguousarray(np.asarray(self.status, dtype=float)).ravel()
+    def _check(self, X, time, status):
         if X.ndim != 2 or X.shape[0] != time.shape[0] or time.shape != status.shape:
             raise ValueError("X must be n x p with time and status of length n")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(time)):
@@ -78,12 +72,6 @@ class SurvivalDataset(_Shape):
             raise ValueError("status must contain only 0 and 1")
         if status.sum() < 1:
             raise NoEventsError("survival data contains no observed events")
-        X.setflags(write=False)
-        time.setflags(write=False)
-        status.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "status", status)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,68 +303,34 @@ def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
     return _fit(_cox_problem(data), _check_subset(data, M))
 
 
-def _gaussian_fit(data: Dataset, M: Sequence[int]) -> FitResult:
-    sigma2 = data.require_sigma2()
-    fit = least_squares(data, M)
-    ll = -0.5 * data.n * math.log(2.0 * math.pi * sigma2) - fit.rss / (2.0 * sigma2)
-    return FitResult(subset=fit.subset, coefficients=fit.coefficients, loglik=ll,
-                     converged=True, iterations=0)
+def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
+    """The logistic or Cox problem of a dataset, by its type."""
+    if isinstance(data, BinaryDataset):
+        return _logistic_problem(data)
+    if isinstance(data, SurvivalDataset):
+        return _cox_problem(data)
+    raise ValueError(f"likelihood-ratio drops need logistic or cox data, not {type(data).__name__}")
 
 
-# Family name -> (fit on a subset, the problem its candidate fits are stacked
-# from, or None to refit each candidate by least squares). The logistic and
-# Cox fits are looked up by name when called, so a wrapped or replaced
-# `logistic_fit` or `cox_fit` serves the base fits of `lrt_drops_all` too.
-_FAMILIES = {
-    "gaussian": (_gaussian_fit, None),
-    "logistic": (lambda data, M: logistic_fit(data, M), _logistic_problem),
-    "cox": (lambda data, M: cox_fit(data, M), _cox_problem),
-}
-
-
-def _family(family: str):
-    try:
-        return _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-
-
-def lrt_drop(family: str, data, A: Sequence[int], m: int) -> float:
-    """Likelihood-ratio drop 2*(loglik(A u {m}) - loglik(A)), clamped at 0."""
-    fit, _problem = _family(family)
-    A = _check_subset(data, A)
-    m = int(m)
-    if m in A:
-        raise ValueError(f"candidate index {m} already in the subset")
-    return max(2.0 * (fit(data, A + [m]).loglik - fit(data, A).loglik), 0.0)
-
-
-def lrt_drops_all(family: str, data, A: Sequence[int]) -> tuple[dict[int, float], list[str]]:
+def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
+                  A: Sequence[int]) -> tuple[dict[int, float], list[str]]:
     """Drop of every candidate outside A; failed fits are reported, not raised.
 
-    The model on A is fitted once; its log-likelihood is the base of every
-    drop, and a failure there raises. For logistic and Cox regression all
-    candidates m are then fitted in one batched Newton solve over the stack
-    of designs A u {m} (``[1, X_A, x_m]``, or ``[X_A, x_m]`` in time order),
-    each started from the base coefficients with 0 for x_m: at that start
-    every candidate fit has the base fit's likelihood, so it only climbs
-    from there. Gaussian candidates are refitted one by one by least
-    squares. A candidate whose fit fails is left out of the drops and
-    reported as ``"fit failed for candidate m: <error>"``.
+    Logistic or Cox regression, by the type of ``data``. The model on A is
+    fitted once, from zero; its log-likelihood is the base of every drop, and
+    a failure there raises. All candidates m are then fitted in one batched
+    Newton solve over the stack of designs A u {m} (``[1, X_A, x_m]``, or
+    ``[X_A, x_m]`` in time order), each started from the base coefficients
+    with 0 for x_m: at that start every candidate fit has the base fit's
+    likelihood, so it only climbs from there. A candidate whose fit fails is
+    left out of the drops and reported as ``"fit failed for candidate m:
+    <error>"``.
     """
-    fit, problem = _family(family)
+    problem = _problem(data)
     A = _check_subset(data, A)
-    base = fit(data, A)
+    base = _fit(problem, A)
     candidates = [m for m in range(data.p) if m not in A]
-    if problem is None:
-        logliks = []
-        for m in candidates:
-            try:
-                logliks.append(fit(data, A + [m]).loglik)
-            except SingularDesignError as exc:
-                logliks.append(exc)
-    else:
-        logliks = _candidate_fits(problem(data), A, base.coefficients, candidates)[1]
+    logliks = _candidate_fits(problem, A, base.coefficients, candidates)[1]
     return _drops(candidates, logliks, base.loglik)
 
 
@@ -407,15 +361,6 @@ def _drops(candidates, logliks, base_ll: float) -> tuple[dict[int, float], list[
     return drops, failures
 
 
-def best_candidate(drops: dict[int, float]) -> tuple[int, float]:
-    """Candidate with the largest drop, and that drop.
-
-    Drops within 1e-12 of the largest count as tied; the lowest index wins.
-    """
-    best = max(drops.values())
-    return min(m for m, d in drops.items() if d >= best - 1e-12), best
-
-
 class LrtStep(NamedTuple):
     """One step of a greedy likelihood path: the model A and, as
     ``lrt_drops_all`` reports them, the drops and failed fits of the
@@ -429,38 +374,31 @@ class LrtStep(NamedTuple):
         """The maximal drop minus the centering for the m remaining candidates,
         against the Gumbel reference. Failed fits are kept as warnings; if more
         than 10% of them fail the maximum is unreliable and the test aborts."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         m_remaining = len(self.drops) + len(self.failures)
-        corr = gumbel_correction(m_remaining)
-        if len(self.failures) > 0.10 * m_remaining or not self.drops:
-            raise UnreliableMaxError(
-                f"{len(self.failures)} of {m_remaining} candidate fits failed; "
-                "maximum statistic unreliable")
-        j, best = best_candidate(self.drops)
-        stat = best - corr
-        p_value = gumbel_sf(stat)
-        return TestOutcome(kind="gumbel_glm", k=len(self.A) + 1, statistic=float(stat),
-                           p_value=float(p_value), alpha=float(alpha),
-                           reject=bool(p_value <= alpha), A=self.A, j=j,
-                           correction=float(corr), conservative=False,
-                           warnings=tuple(self.failures))
+
+        def pick():
+            if len(self.failures) > 0.10 * m_remaining or not self.drops:
+                raise UnreliableMaxError(
+                    f"{len(self.failures)} of {m_remaining} candidate fits failed; "
+                    "maximum statistic unreliable")
+            return best_candidate(self.drops)
+
+        return _gumbel_outcome("gumbel_glm", alpha, m_remaining, pick, k=len(self.A) + 1,
+                               A=self.A, warnings=tuple(self.failures))
 
 
-def lrt_path(family: str, data) -> Iterator[LrtStep]:
-    """Greedy forward selection by likelihood ratio, for logistic or Cox regression.
+def lrt_path(data: BinaryDataset | SurvivalDataset) -> Iterator[LrtStep]:
+    """Greedy forward selection by likelihood ratio, for logistic or Cox
+    regression by the type of ``data``.
 
     Step k yields the model A of the first k - 1 picks with the drops that
-    ``lrt_drops_all(family, data, A)`` reports; A then gains
+    ``lrt_drops_all(data, A)`` reports; A then gains
     ``best_candidate(drops)``. The path ends when no candidate is left, or
     after a step where every candidate fit failed. Only the model on A = []
     is fitted from zero (its failure raises): each later base is the previous
     step's winning fit, which a refit finds wherever the maximum is finite.
     """
-    make = _family(family)[1]
-    if make is None:
-        raise ValueError(f"lrt_path fits logistic or cox models, not {family!r}")
-    problem = make(data)
+    problem = _problem(data)
     A: list[int] = []
     base = _fit(problem, A)
     beta, loglik = base.coefficients, base.loglik
@@ -475,13 +413,3 @@ def lrt_path(family: str, data) -> Iterator[LrtStep]:
         A.append(candidates[i])
         beta, loglik = fits[i], logliks[i]
 
-
-def gumbel_test_glm(family: str, data, A: Sequence[int],
-                    alpha: float = 0.05) -> TestOutcome:
-    """Extreme-value test of the best remaining candidate by likelihood ratio:
-    ``LrtStep.test`` on the drops ``lrt_drops_all(family, data, A)`` reports."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    A = _check_subset(data, A)
-    gumbel_correction(data.p - len(A))  # raises before the fits when m < 3
-    return LrtStep(tuple(A), *lrt_drops_all(family, data, A)).test(alpha)

@@ -277,8 +277,8 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     :class:`NonUniqueSolutionWarning`, which also passes on the tie warnings
     of a supplied path.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not lam >= 0:  # NaN too
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
     cols = _columns(data, subset)
     if not cols:
         return np.zeros(data.p)
@@ -320,6 +320,8 @@ def kkt_check(data: Dataset, beta: np.ndarray, lam: float,
     satisfies x_m'(y - X beta) = lam * sign(beta_m) within tol when
     beta_m != 0 and |x_m'(y - X beta)| <= lam + tol when beta_m = 0.
     """
+    if np.isnan(lam):
+        raise ValueError("lambda must not be NaN")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise ValueError(f"beta must have length p={data.p}")

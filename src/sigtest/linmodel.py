@@ -28,7 +28,18 @@ RANK_TOL = 1e-10
 
 
 class _Shape:
-    """``n`` and ``p`` of a dataset's design matrix ``X``."""
+    """``n`` and ``p`` of a dataset's design matrix ``X``, and how its arrays are kept."""
+
+    def __post_init__(self):
+        """The fields named in ``_arrays`` (X first) as contiguous float arrays,
+        all but X flattened; once ``_check`` passes on them they are read-only."""
+        arrays = [np.ascontiguousarray(np.asarray(getattr(self, k), dtype=float))
+                  for k in self._arrays]
+        arrays[1:] = [a.ravel() for a in arrays[1:]]
+        self._check(*arrays)
+        for name, a in zip(self._arrays, arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -50,10 +61,9 @@ class Dataset(_Shape):
     X: np.ndarray
     y: np.ndarray
     sigma2: float | None = None
+    _arrays = ("X", "y")
 
-    def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float)).ravel()
+    def _check(self, X, y):
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         n, p = X.shape
@@ -65,12 +75,8 @@ class Dataset(_Shape):
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        if self.sigma2 is not None and not (self.sigma2 > 0):
-            raise ValueError("sigma2 must be positive when supplied")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        if self.sigma2 is not None and not 0.0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and positive when supplied")
 
     @cached_property
     def digest(self) -> str:
@@ -118,12 +124,11 @@ class SubsetFit:
     fitted: np.ndarray = field(repr=False)
 
 
-def standardize(X: np.ndarray, center: bool = False) -> np.ndarray:
+def standardize(X: np.ndarray) -> np.ndarray:
     """Rescale each column to unit squared Euclidean norm.
 
-    With ``center=True`` the column mean is removed first. Unit *norm* (not
-    unit variance) is used throughout so that path knots coincide with
-    absolute residual correlations.
+    Unit *norm* (not unit variance) is used throughout so that path knots
+    coincide with absolute residual correlations.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -132,16 +137,9 @@ def standardize(X: np.ndarray, center: bool = False) -> np.ndarray:
     for j in range(out.shape[1]):
         col = out[:, j]
         scale2 = float(col @ col)
-        if center:
-            col = col - col.mean()
-            c2 = float(col @ col)
-            if c2 == 0.0 or c2 <= 1e-24 * max(scale2, 1.0):
-                raise DegenerateColumnError(j, f"column {j} is constant; cannot center and scale")
-            out[:, j] = col / np.sqrt(c2)
-        else:
-            if scale2 == 0.0:
-                raise DegenerateColumnError(j, f"column {j} has zero norm")
-            out[:, j] = col / np.sqrt(scale2)
+        if scale2 == 0.0:
+            raise DegenerateColumnError(j, f"column {j} has zero norm")
+        out[:, j] = col / np.sqrt(scale2)
     return out
 
 

@@ -9,6 +9,7 @@ distribution, and a rejection rate at the 5% level.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -222,13 +223,10 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
                 path = lars_path(data, max_steps=scenario.k + 1)
                 outcome = covariance_test(path, data, scenario.k, alpha=scenario.alpha)
         else:
-            if scenario.family == "logistic":
-                y = gen_response(scenario, X, rng)
-                gdata = BinaryDataset(X, y)
-            else:
-                time, status = gen_response(scenario, X, rng)
-                gdata = SurvivalDataset(X, time, status)
-            for step in lrt_path(scenario.family, gdata):
+            response = gen_response(scenario, X, rng)
+            gdata = (BinaryDataset(X, response) if scenario.family == "logistic"
+                     else SurvivalDataset(X, *response))
+            for step in lrt_path(gdata):
                 if len(step.A) == scenario.k - 1:
                     outcome = step.test(scenario.alpha)
                     break
@@ -293,10 +291,7 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
                                      range(scenario.reps), chunksize=chunk))
 
     stats = [o.statistic for o in outcomes if o.failure is None]
-    reasons: dict[str, int] = {}
-    for o in outcomes:
-        if o.failure is not None:
-            reasons[o.failure] = reasons.get(o.failure, 0) + 1
+    reasons = dict(Counter(o.failure for o in outcomes if o.failure is not None))
     failures = sum(reasons.values())
     signal_missed = sum(1 for o in outcomes if o.signal_missed)
     if not stats:

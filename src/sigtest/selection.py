@@ -51,6 +51,15 @@ class SelectionStep:
         return self.p - len(self.A)
 
 
+def best_candidate(drops: Mapping[int, float]) -> tuple[int, float]:
+    """Candidate with the largest drop, and that drop.
+
+    Drops within 1e-12 of the largest count as tied; the lowest index wins.
+    """
+    best = max(drops.values())
+    return min(m for m, d in drops.items() if d >= best - 1e-12), best
+
+
 def stepwise_path(data: Dataset, max_steps: int | None = None,
                   selector: str = "stepwise") -> list[SelectionStep]:
     """Greedy forward selection: each step adds the candidate with the
@@ -76,13 +85,12 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
         drops = qr.drops(sigma2)
         if not drops:
             break
-        best = max(drops.values())
+        j, best = best_candidate(drops)
         if best <= ZERO_DROP_TOL:
             _warnings.warn(
                 f"selection stopped at step {k}: residual orthogonal to all candidates",
                 PathTruncationWarning)
             break
-        j = min(m for m, d in drops.items() if d >= best - 1e-12)
         steps.append(SelectionStep(k=k, A=tuple(qr.cols), j=j, r_j=drops[j], p=data.p,
                                    selector=selector, r_all=drops))
     return steps

@@ -132,22 +132,28 @@ class TestOutcome:
         }
 
 
-def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
-    """Extreme-value test of the variable added at ``step``.
+def _gumbel_outcome(kind: str, alpha: float, m: int, pick, **fields) -> TestOutcome:
+    """Gumbel(-log pi, 2) test of a drop minus the centering for m candidates.
 
-    The statistic is the step's scaled RSS drop minus the centering for the
-    number of remaining candidates; its reference is Gumbel(-log pi, 2).
+    Checks alpha and centers (raising for m < 3) before it calls ``pick()``
+    for the candidate j and its drop, so a caller's checks there come last.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    m = step.m_remaining
     corr = gumbel_correction(m)
-    stat = step.r_j - corr
+    j, drop = pick()
+    stat = drop - corr
     p_value = gumbel_sf(stat)
-    return TestOutcome(kind="gumbel", k=step.k, statistic=float(stat),
-                       p_value=float(p_value), alpha=float(alpha),
-                       reject=bool(p_value <= alpha), A=step.A, j=step.j,
-                       correction=float(corr), conservative=step.conservative)
+    return TestOutcome(kind=kind, statistic=float(stat), p_value=float(p_value),
+                       alpha=float(alpha), reject=bool(p_value <= alpha), j=j,
+                       correction=float(corr), **fields)
+
+
+def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
+    """Extreme-value test of the variable added at ``step``: its scaled RSS
+    drop against the centering for the number of remaining candidates."""
+    return _gumbel_outcome("gumbel", alpha, step.m_remaining, lambda: (step.j, step.r_j),
+                           k=step.k, A=step.A, conservative=step.conservative)
 
 
 def covariance_test(path: LassoPath, data: Dataset, k: int,
@@ -167,6 +173,8 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if k < 1:
+        raise ValueError(f"step index k must be at least 1, got {k}")
     sigma2 = data.require_sigma2()
     if path.data_digest != data.digest or len(path.segments) != len(path.knots):
         raise StalePathError("path was not traced by lars_path from this data")

@@ -123,6 +123,23 @@ class TestTestVerb:
         rows = read_csv(out)
         assert "plug-in-sigma2" in dict(zip(rows[0], rows[1]))["note"]
 
+    @pytest.mark.parametrize("selector", ["max_r", "lasso"])
+    def test_plug_in_note_on_every_json_record(self, tmp_path, capsys, selector):
+        rng = np.random.default_rng(5)
+        table = np.column_stack([rng.standard_normal((30, 4)), rng.standard_normal(30)])
+        data = tmp_path / "plug.csv"
+        data.write_text("a,b,c,d,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                for row in table.tolist()))
+        base = ["test", "--input", str(data), "--selector", selector, "--format", "json"]
+        assert run(base) == 0
+        estimated = json.loads(capsys.readouterr().out)
+        assert {r["kind"] for r in estimated} == {"gumbel", "covariance"}
+        assert all(r["warnings"][-1] == "plug-in-sigma2" for r in estimated)
+        assert run(base + ["--sigma2", "1"]) == 0
+        known = json.loads(capsys.readouterr().out)
+        assert len(known) == len(estimated)
+        assert not any("plug-in-sigma2" in r["warnings"] for r in known)
+
     def test_lasso_selector(self, identity_csv, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run(["test", "--input", identity_csv, "--sigma2", "1",
@@ -241,6 +258,9 @@ class TestOptionChecks:
         ("test", "gaussian", ["--sigma2", "1", "--max-steps", "9", "--selector", "lasso"]),
         ("test", "logistic", ["--family", "logistic", "--max-steps", "9"]),
         ("test", "cox", ["--family", "cox", "--max-steps", "9"]),
+        ("test", "gaussian", ["--sigma2", "inf"]),
+        ("test", "gaussian", ["--sigma2", "nan"]),
+        ("test", "logistic", ["--family", "logistic", "--sigma2", "inf"]),
     ])
     def test_exit_2(self, family_csvs, capsys, verb, family, options):
         assert run([verb, "--input", family_csvs[family], *options]) == 2
@@ -321,6 +341,34 @@ class TestSimulateVerb:
         inline = json.dumps({"family": "gaussian", "design": "orthogonal",
                              "n": 40, "p": 10, "test": "gumbel", "bogus": 1})
         assert run(["simulate", "--inline", inline]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "100"),
+        ("n", 100.5),
+        ("n", True),
+        ("reps", 2.0),
+        ("rho", "0.2"),
+        ("design", 3),
+        ("beta", 5),
+        ("beta", [[0, 6.0, 1.0]]),
+        ("beta", [[0.5, 6.0]]),
+        ("beta", [["0", 6.0]]),
+    ])
+    def test_inline_mistyped_field_exit_2(self, tmp_path, capsys, field, value):
+        scenario = {"family": "gaussian", "design": "orthogonal", "n": 40, "p": 10,
+                    "test": "gumbel", "reps": 2}
+        inline = json.dumps({**scenario, field: value})
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sigtest: error: inline scenario field {field!r} must be ")
+        assert err.endswith(f", got {value!r}\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_inline_int_for_float_field_accepted(self, tmp_path):
+        inline = json.dumps({"family": "gaussian", "design": "ar1", "rho": 0, "sigma": 2,
+                             "n": 40, "p": 10, "test": "gumbel", "k": 2, "reps": 3,
+                             "beta": [[0, 6]]})
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 0
 
     def test_inline_beta_pairs(self, tmp_path):
         inline = json.dumps({"family": "gaussian", "design": "orthogonal",

@@ -25,15 +25,14 @@ from sigtest import (
     UnreliableMaxError,
     cox_fit,
     gumbel_correction,
-    gumbel_test_glm,
     logistic_fit,
-    lrt_drop,
     standardize,
     stepwise_path,
 )
 from sigtest import glm
-from sigtest.glm import _solve_rows, best_candidate, lrt_drops_all, lrt_path
-from sigtest.linmodel import RANK_TOL
+from sigtest.glm import LrtStep, _solve_rows, lrt_drops_all, lrt_path
+from sigtest.linmodel import RANK_TOL, ActiveQR
+from sigtest.selection import best_candidate
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -76,6 +75,23 @@ class TestSurvivalDataset:
     def test_all_censored_is_no_events(self):
         with pytest.raises(NoEventsError):
             SurvivalDataset(np.eye(2), np.array([1.0, 2.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("make, vectors", [
+    (lambda X, v: Dataset(X, v), ("y",)),
+    (lambda X, v: BinaryDataset(X, v), ("y",)),
+    (lambda X, v: SurvivalDataset(X, v + 1.0, v), ("time", "status")),
+], ids=["gaussian", "binary", "survival"])
+def test_dataset_arrays_are_contiguous_read_only_floats(make, vectors):
+    # Integer entries in Fortran order, and the response as an (n, 1) column.
+    X = np.asfortranarray(np.arange(6).reshape(3, 2))
+    data = make(X, np.array([[0], [1], [1]]))
+    for name, shape in [("X", (3, 2))] + [(v, (3,)) for v in vectors]:
+        a = getattr(data, name)
+        assert a.dtype == float and a.shape == shape, name
+        assert a.flags.c_contiguous and not a.flags.writeable, name
+    np.testing.assert_array_equal(data.X, X)
+    assert (data.n, data.p) == (3, 2)
 
 
 class TestLogisticFit:
@@ -185,41 +201,50 @@ class TestCoxFit:
             cox_fit(data, [0])
 
 
+def single_drop(data, A, m):
+    """Likelihood-ratio drop 2*(loglik(A u {m}) - loglik(A)) from two single fits."""
+    fit = logistic_fit if isinstance(data, BinaryDataset) else cox_fit
+    return 2.0 * (fit(data, A + [m]).loglik - fit(data, A).loglik)
+
+
 class TestLrtDrop:
+    # With known variance, twice the Gaussian log-likelihood gain of a
+    # candidate is its scaled RSS drop, which ActiveQR.drops computes.
     def test_zero_information_column_gives_zero(self):
         # A candidate orthogonal to the response adds no likelihood.
         X = np.eye(4)[:, :3]
         y = np.array([0.0, 0.0, 0.0, 1.0])
-        data = Dataset(X, y, sigma2=1.0)
-        assert lrt_drop("gaussian", data, [], 0) == pytest.approx(0.0, abs=1e-12)
+        assert ActiveQR(X, y).drops(1.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_equals_r_stat(self):
         rng = np.random.default_rng(31)
         X = standardize(rng.standard_normal((25, 5)))
         y = rng.standard_normal(25)
-        data = Dataset(X, y, sigma2=1.7)
+        drops = ActiveQR(X, y, [0]).drops(1.7)
         for m in range(1, 5):
-            assert lrt_drop("gaussian", data, [0], m) == pytest.approx(
-                normal_equation_drop(X, y, [0], m, 1.7), abs=1e-6)
+            assert drops[m] == pytest.approx(normal_equation_drop(X, y, [0], m, 1.7), abs=1e-6)
 
     def test_nesting_nonnegative_binary(self):
         data = random_binary(17, 50, 5)
         for m in range(5):
             A = [i for i in range(5) if i != m][:2]
-            assert lrt_drop("logistic", data, A, m) >= 0.0
+            assert single_drop(data, A, m) >= 0.0
 
     def test_affine_invariance(self):
         data = random_binary(23, 60, 2)
         X2 = np.asarray(data.X).copy()
         X2[:, 1] *= 7.5
         scaled = BinaryDataset(X2, np.asarray(data.y))
-        d1 = lrt_drop("logistic", data, [0], 1)
-        d2 = lrt_drop("logistic", scaled, [0], 1)
+        d1 = single_drop(data, [0], 1)
+        d2 = single_drop(scaled, [0], 1)
         assert d1 == pytest.approx(d2, abs=1e-6)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            lrt_drop("poisson", None, [], 0)
+        # The family is the dataset's type; any other dataset is rejected.
+        with pytest.raises(ValueError, match="logistic or cox data, not NoneType"):
+            lrt_drops_all(None, [])
+        with pytest.raises(ValueError, match="logistic or cox data, not Dataset"):
+            lrt_drops_all(Dataset(np.eye(3), np.ones(3), sigma2=1.0), [])
 
 
 def tied_survival(seed, n, p):
@@ -259,12 +284,12 @@ class TestLrtDropsAll:
         if family == "cox":
             assert len(np.unique(data.time[data.status == 1.0])) < data.status.sum()
         A = [6, 1, 3, 0, 4][:size]
-        drops, failures = lrt_drops_all(family, data, A)
+        drops, failures = lrt_drops_all(data, A)
         assert failures == []
         assert sorted(drops) == [m for m in range(data.p) if m not in A]
         base = oracle_loglik(family, data, A)
         for m, drop in drops.items():
-            assert drop == pytest.approx(lrt_drop(family, data, A, m), abs=1e-9)
+            assert drop == pytest.approx(single_drop(data, A, m), abs=1e-9)
             expect = max(2.0 * (oracle_loglik(family, data, A + [m]) - base), 0.0)
             assert drop == pytest.approx(expect, abs=1e-6)
 
@@ -281,7 +306,7 @@ class TestLrtDropsAll:
         X[:, 7] = X[:, 0]
         data = BinaryDataset(X, y)
         A = [0, 2]
-        drops, failures = lrt_drops_all("logistic", data, A)
+        drops, failures = lrt_drops_all(data, A)
         expected = []
         for m, error in ((4, SeparationError), (7, SingularDesignError)):
             with pytest.raises(error) as info:
@@ -290,7 +315,7 @@ class TestLrtDropsAll:
         assert failures == expected
         assert sorted(drops) == [1, 3, 5, 6, 8, 9]
         for m, drop in drops.items():
-            assert drop == pytest.approx(lrt_drop("logistic", data, A, m), abs=1e-9)
+            assert drop == pytest.approx(single_drop(data, A, m), abs=1e-9)
 
     def test_first_step_failure_leaves_other_rows_running(self):
         # A NaN in row 1's design makes its first Newton step fail, while
@@ -321,7 +346,7 @@ class TestLrtDropsAll:
 
         monkeypatch.setattr(glm, "_newton_stack", counting)
         data = random_binary(101, 50, 12) if family == "logistic" else tied_survival(103, 50, 12)
-        drops, _failures = lrt_drops_all(family, data, [3, 5])
+        drops, _failures = lrt_drops_all(data, [3, 5])
         assert len(drops) == 10
         # The base fit, then all ten candidates at once, each started from
         # the base coefficients and 0 for its own column.
@@ -341,10 +366,15 @@ class TestLrtDropsAll:
             np.testing.assert_array_equal(step[i], np.linalg.solve(info[i], grad[i]))
 
 
+def lrt_test(data, A, alpha=0.05):
+    """The Gumbel test of the drops ``lrt_drops_all`` reports at A."""
+    return LrtStep(tuple(A), *lrt_drops_all(data, A)).test(alpha)
+
+
 class TestGumbelTestGlm:
     def test_correction_matches_linear_case(self):
         data = random_binary(41, 100, 50)
-        out = gumbel_test_glm("logistic", data, [])
+        out = lrt_test(data, [])
         assert out.correction == pytest.approx(gumbel_correction(50), abs=1e-12)
         assert out.kind == "gumbel_glm"
         assert out.k == 1
@@ -352,10 +382,10 @@ class TestGumbelTestGlm:
     def test_all_zero_drops_degenerate_input(self):
         # Orthonormal design with a response orthogonal to every column:
         # every drop is exactly zero.
+        # The Gaussian drops are ActiveQR's scaled RSS drops.
         X = np.eye(100)[:, :50]
         y = np.eye(100)[:, 60]
-        data = Dataset(X, y, sigma2=1.0)
-        out = gumbel_test_glm("gaussian", data, [])
+        out = LrtStep((), ActiveQR(X, y).drops(1.0), []).test()
         assert out.statistic == pytest.approx(-6.45999, abs=1e-4)
         assert out.p_value == pytest.approx(1.0, abs=1e-4)
         assert not out.reject
@@ -369,14 +399,14 @@ class TestGumbelTestGlm:
 
         step = stepwise_path(data, max_steps=1)[0]
         linear = gumbel_test(step)
-        glm = gumbel_test_glm("gaussian", data, [])
+        glm = LrtStep((), ActiveQR(data.X, data.y).drops(1.0), []).test()
         assert glm.statistic == pytest.approx(linear.statistic, abs=1e-6)
         assert glm.j == linear.j
 
     def test_too_few_remaining(self):
         data = random_binary(53, 30, 4)
         with pytest.raises(TooFewRemainingError):
-            gumbel_test_glm("logistic", data, [0, 1])
+            lrt_test(data, [0, 1])
 
     def test_failed_candidates_are_warned_or_abort(self):
         # Insert a duplicate of column 0 so that candidate's fit is singular.
@@ -387,8 +417,21 @@ class TestGumbelTestGlm:
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
         data = BinaryDataset(X, y)
-        out = gumbel_test_glm("logistic", data, [0])
+        out = lrt_test(data, [0])
         assert any("candidate 12" in w for w in out.warnings)
+
+    @pytest.mark.parametrize("drops, failures, alpha, error", [
+        # Alpha is checked first, then the centering, then the failed fits.
+        ({}, ["failed"] * 2, 0.0, ValueError),
+        ({0: 1.0}, ["failed"] * 3, 1.5, ValueError),
+        ({}, ["failed"] * 2, 0.05, TooFewRemainingError),
+        ({0: 9.0}, ["failed"], 0.05, TooFewRemainingError),
+        ({0: 1.0}, ["failed"] * 3, 0.05, UnreliableMaxError),
+        ({}, ["failed"] * 5, 0.05, UnreliableMaxError),
+    ])
+    def test_error_order(self, drops, failures, alpha, error):
+        with pytest.raises(error):
+            LrtStep((), drops, failures).test(alpha)
 
     def test_unreliable_when_many_fits_fail(self):
         # Duplicating every column makes half the candidate fits singular
@@ -401,7 +444,7 @@ class TestGumbelTestGlm:
             y[0] = 1.0 - y[0]
         data = BinaryDataset(X, y)
         with pytest.raises(UnreliableMaxError):
-            gumbel_test_glm("logistic", data, [0, 1, 2])
+            lrt_test(data, [0, 1, 2])
 
 
 def glm_table(family, seed, n, p, signals=3, size=0.7):
@@ -424,14 +467,14 @@ def glm_table(family, seed, n, p, signals=3, size=0.7):
     return SurvivalDataset(X, np.where(status == 1.0, event, censor), status)
 
 
-def cold_path(family, data):
+def cold_path(data):
     """The greedy path with each step's base refitted from zero: one stateless
     ``lrt_drops_all`` per step, as (A, drops, failures), or (A, error name)
     when the base fit fails."""
     A, steps = [], []
     while len(A) < data.p:
         try:
-            drops, failures = lrt_drops_all(family, data, A)
+            drops, failures = lrt_drops_all(data, A)
         except SigtestError as exc:
             steps.append((tuple(A), type(exc).__name__))
             break
@@ -478,14 +521,14 @@ PATH_DATA = {
 class TestLrtPath:
     @pytest.mark.parametrize("case", sorted(PATH_DATA))
     def test_steps_match_stateless_calls(self, case):
-        family, make = PATH_DATA[case]
+        _family, make = PATH_DATA[case]
         data = make()
-        steps = list(lrt_path(family, data))
+        steps = list(lrt_path(data))
         assert len(steps) == data.p
         A = ()
         for step in steps:
             assert step.A == A
-            drops, failures = lrt_drops_all(family, data, A)
+            drops, failures = lrt_drops_all(data, A)
             assert step.failures == failures
             assert sorted(step.drops) == sorted(drops)
             for m, drop in drops.items():
@@ -493,7 +536,7 @@ class TestLrtPath:
             j = best_candidate(step.drops)[0]
             assert j == best_candidate(drops)[0]
             if data.p - len(A) >= 3:
-                ours, theirs = step.test(), gumbel_test_glm(family, data, A)
+                ours, theirs = step.test(), lrt_test(data, A)
                 assert (ours.j, ours.k, ours.A, ours.warnings) == (
                     theirs.j, theirs.k, theirs.A, theirs.warnings)
                 for name in ("statistic", "p_value", "correction"):
@@ -508,7 +551,7 @@ class TestLrtPath:
     def test_one_cold_fit_then_carried_bases(self, family, make, cold, monkeypatch):
         data = make()
         calls = recording_newton(monkeypatch)
-        steps = list(itertools.islice(lrt_path(family, data), 5))
+        steps = list(itertools.islice(lrt_path(data), 5))
         # The model on A = [] is the only fit from zero (a closed form when it
         # has no parameters); then one stack of candidates per step.
         assert [len(b0) for b0, _beta in calls] == [1] * cold + [12, 11, 10, 9, 8]
@@ -533,7 +576,7 @@ class TestLrtPath:
 
         monkeypatch.setattr(np.linalg, "qr", recording)
         data = random_binary(101, 50, 12)
-        steps = list(lrt_path("logistic", data))
+        steps = list(lrt_path(data))
         # One QR of the (n, d) base design per Newton solve: the cold fit and
         # one per step, never a stack of designs.
         assert shapes == [(50, 0)] + [(50, 1 + len(step.A)) for step in steps]
@@ -544,13 +587,13 @@ class TestLrtPath:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(30)
         data = BinaryDataset(np.column_stack([x, x, x]), (rng.random(30) < 0.5) * 1.0)
-        steps = list(lrt_path("logistic", data))
+        steps = list(lrt_path(data))
         assert [s.A for s in steps] == [(), (0,)]
         assert steps[1].drops == {} and len(steps[1].failures) == 2
 
     def test_gaussian_family_rejected(self):
         with pytest.raises(ValueError, match="logistic or cox"):
-            next(lrt_path("gaussian", Dataset(np.eye(3), np.ones(3), sigma2=1.0)))
+            next(lrt_path(Dataset(np.eye(3), np.ones(3), sigma2=1.0)))
 
 
 def stacked_rank_errors(Z, what):
@@ -633,10 +676,10 @@ def fence_report(monkeypatch):
     to 1e-9, and the largest coefficient norm of any fit on either."""
     calls = recording_newton(monkeypatch)
     report = {}
-    for name, family, data in fence_corpus():
+    for name, _family, data in fence_corpus():
         calls.clear()
-        carried = [tuple(step) for step in lrt_path(family, data)]
-        same = same_steps(carried, cold_path(family, data))
+        carried = [tuple(step) for step in lrt_path(data)]
+        same = same_steps(carried, cold_path(data))
         report[name] = same, max(np.linalg.norm(beta, axis=1).max() for _b0, beta in calls)
     return report
 
@@ -650,6 +693,7 @@ def test_carried_path_differs_only_where_a_fit_diverges(monkeypatch):
 
 
 class TestGaussianLoglik:
+    # The Gaussian likelihood-ratio drop is ActiveQR's scaled RSS drop.
     def test_known_variance_formula(self):
         rng = np.random.default_rng(67)
         X = standardize(rng.standard_normal((10, 2)))
@@ -662,4 +706,4 @@ class TestGaussianLoglik:
 
         # Twice the log-likelihood gain with known variance: (RSS_A - RSS_{A u m}) / sigma2.
         expect = (rss([0]) - rss([0, 1])) / 2.0
-        assert lrt_drop("gaussian", data, [0], 1) == pytest.approx(expect, abs=1e-10)
+        assert ActiveQR(X, y, [0]).drops(data.sigma2)[1] == pytest.approx(expect, abs=1e-10)

@@ -253,6 +253,17 @@ class TestLassoSolve:
         with pytest.raises(ValueError):
             lasso_solve(IDENTITY, -1.0)
 
+    def test_nan_penalty_rejected(self):
+        with pytest.raises(ValueError, match="lambda must be nonnegative, got nan"):
+            lasso_solve(IDENTITY, np.nan)
+        with pytest.raises(ValueError, match="got nan"):
+            lasso_solve(IDENTITY, float("nan"), subset=[0], path=lars_path(IDENTITY))
+
+    def test_infinite_penalty_gives_zero_solution(self):
+        np.testing.assert_array_equal(lasso_solve(IDENTITY, np.inf), 0.0)
+        np.testing.assert_array_equal(
+            lasso_solve(IDENTITY, np.inf, subset=[1, 2], path=lars_path(IDENTITY)), 0.0)
+
     def test_non_unique_solution_warns(self):
         from sigtest.exceptions import NonUniqueSolutionWarning
 
@@ -300,6 +311,12 @@ class TestKKTCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kkt_check(IDENTITY, np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("beta", [np.zeros(3), np.array([1.0, 0.0, 0.0]), np.full(3, 9.0)])
+    def test_nan_penalty_rejected(self, beta):
+        # With NaN every slack comparison is False, so any beta would pass.
+        with pytest.raises(ValueError, match="lambda must not be NaN"):
+            kkt_check(IDENTITY, beta, np.nan)
 
 
 class TestRestrictionConsistency:

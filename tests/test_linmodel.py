@@ -16,9 +16,10 @@ from sigtest import (
     estimate_sigma2,
     kkt_check,
     lasso_solve,
+    lars_path,
+    lasso_steps,
     least_squares,
     logistic_fit,
-    lrt_drop,
     standardize,
     stepwise_path,
 )
@@ -53,6 +54,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.ones(2), sigma2=0.0)
 
+    @pytest.mark.parametrize("sigma2", [-1.0, np.inf, np.nan])
+    def test_sigma2_must_be_finite_and_positive(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            Dataset(np.eye(2), np.ones(2), sigma2=sigma2)
+
+    def test_failed_check_leaves_caller_arrays_writable(self):
+        X, y = np.eye(3), np.array([0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            Dataset(X, y)
+        assert X.flags.writeable and y.flags.writeable
+
     def test_arrays_are_frozen(self):
         data = Dataset(np.eye(3), np.arange(3.0))
         with pytest.raises(ValueError):
@@ -75,27 +87,21 @@ class TestDataset:
 
 class TestStandardize:
     def test_unit_norm_scaling(self):
-        out = standardize(np.array([[3.0], [4.0]]), center=False)
+        out = standardize(np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(out[:, 0], [0.6, 0.8])
 
-    def test_constant_column_with_center_errors(self):
-        with pytest.raises(DegenerateColumnError) as err:
-            standardize(np.array([[1.0], [1.0]]), center=True)
-        assert err.value.index == 0
-
     def test_centered_column_already_centered(self):
-        out = standardize(np.array([[1.0], [-1.0]]), center=True)
+        out = standardize(np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(out[:, 0], [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
     def test_zero_column_errors(self):
-        with pytest.raises(DegenerateColumnError):
-            standardize(np.zeros((3, 1)), center=False)
+        with pytest.raises(DegenerateColumnError) as err:
+            standardize(np.zeros((3, 1)))
+        assert err.value.index == 0
 
-    def test_center_produces_zero_mean_unit_norm(self):
-        rng = np.random.default_rng(0)
-        out = standardize(rng.standard_normal((20, 4)) + 3.0, center=True)
-        np.testing.assert_allclose(out.sum(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(np.einsum("ij,ij->j", out, out), 1.0, atol=1e-12)
+    def test_constant_column_is_only_rescaled(self):
+        out = standardize(np.full((4, 1), 3.0))
+        np.testing.assert_allclose(out[:, 0], 0.5)
 
 
 class TestLeastSquares:
@@ -171,7 +177,7 @@ _GAUSSIAN = random_dataset(2, 30, 5)
 _BINARY = BinaryDataset(_GAUSSIAN.X, (np.arange(30) % 2).astype(float))
 SUBSET_ENTRY_POINTS = {
     "logistic_fit": lambda M: logistic_fit(_BINARY, M),
-    "lrt_drops_all": lambda M: lrt_drops_all("logistic", _BINARY, M),
+    "lrt_drops_all": lambda M: lrt_drops_all(_BINARY, M),
     "lasso_solve": lambda M: lasso_solve(_GAUSSIAN, 0.1, subset=M),
     "kkt_check": lambda M: kkt_check(_GAUSSIAN, np.zeros(5), 0.1, subset=M),
 }
@@ -201,7 +207,7 @@ class TestRStat:
         with pytest.raises(MissingVarianceError):
             stepwise_path(data)
         with pytest.raises(MissingVarianceError):
-            lrt_drop("gaussian", data, [], 0)
+            lasso_steps(lars_path(data), data)
 
     def test_matches_gaussian_loglik_gain(self):
         # Twice the Gaussian log-likelihood gain equals the scaled RSS drop.
@@ -225,8 +231,9 @@ class TestRStat:
     def test_candidate_already_in_subset(self):
         data = random_dataset(5, 10, 3)
         assert set(drops(data, [0])) == {1, 2}
-        with pytest.raises(ValueError):
-            lrt_drop("gaussian", data, [0], 0)
+        # The model on A plus a candidate already in A repeats an index.
+        with pytest.raises(ValueError, match="repeated indices"):
+            least_squares(data, [0] + [0])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -41,6 +41,13 @@ def test_all_equals_imported_names():
     ("sigtest.lasso", "KKTCoordinate"),
     ("sigtest.lasso", "solve_at"),
     ("sigtest.cli", "RunConfig"),
+    ("sigtest", "lrt_drop"),
+    ("sigtest", "gumbel_test_glm"),
+    ("sigtest.glm", "lrt_drop"),
+    ("sigtest.glm", "gumbel_test_glm"),
+    ("sigtest.glm", "_gaussian_fit"),
+    ("sigtest.glm", "_FAMILIES"),
+    ("sigtest.glm", "_family"),
 ])
 def test_removed_name_is_gone(module, name):
     with pytest.raises(ImportError):
@@ -54,4 +61,14 @@ def test_removed_name_is_gone(module, name):
 ])
 def test_removed_parameter_is_gone(function, parameter):
     fn = getattr(importlib.import_module("sigtest.dataio"), function)
+    assert parameter not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("module, function, parameter", [
+    ("sigtest.glm", "lrt_path", "family"),
+    ("sigtest.glm", "lrt_drops_all", "family"),
+    ("sigtest.linmodel", "standardize", "center"),
+])
+def test_removed_argument_is_gone(module, function, parameter):
+    fn = getattr(importlib.import_module(module), function)
     assert parameter not in inspect.signature(fn).parameters

@@ -11,6 +11,7 @@ from sigtest import (
     standardize,
     stepwise_path,
 )
+from sigtest.selection import best_candidate
 
 IDENTITY = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
 
@@ -140,6 +141,19 @@ class TestLassoSteps:
                     assert step.conservative
                     found = True
         assert found, "no conservative lasso step found in the seed sweep"
+
+
+class TestBestCandidate:
+    def test_ties_within_tolerance_go_to_lowest_index(self):
+        assert best_candidate({3: 1.0, 1: 1.0 - 5e-13, 2: 0.5}) == (1, 1.0)
+        assert best_candidate({3: 1.0, 1: 1.0 - 5e-12, 2: 0.5}) == (3, 1.0)
+
+    def test_stepwise_path_uses_the_tie_rule(self):
+        # Columns 0 and 2 have drops 4 and 4 + 4e-14: a tie, which column 0 wins.
+        data = Dataset(np.eye(3), np.array([2.0, 1.0, 2.0 + 1e-14]), sigma2=1.0)
+        step = stepwise_path(data, max_steps=1)[0]
+        assert step.r_all[2] > step.r_all[0]
+        assert step.j == 0
 
 
 class TestDropsAgainstRefits:

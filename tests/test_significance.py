@@ -228,6 +228,13 @@ class TestCovarianceTest:
         with pytest.raises(PathTooShortError):
             covariance_test(path, IDENTITY, 3)
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_step_index_below_one_rejected(self, k):
+        # A k < 1 must not index the entry events from the end.
+        path = lars_path(IDENTITY)
+        with pytest.raises(ValueError, match=f"step index k must be at least 1, got {k}"):
+            covariance_test(path, IDENTITY, k)
+
     def test_two_routes_agree_on_random_instances(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
