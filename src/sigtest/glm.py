@@ -198,12 +198,13 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
 
 
 class _Problem(NamedTuple):
-    """A family's model, with rows in the order its objective needs."""
+    """A family's model, with rows in the order its objective needs, and the
+    fit of the model on A = [] (the lead columns alone) in closed form."""
 
     lead: np.ndarray  # (n, 0) or (n, 1): the columns every model has (the intercept)
     columns: np.ndarray  # (n, p): every column of X
     objective: Callable  # (Z (c, n, d), beta (c, d)) -> loglik, gradient, information
-    empty_loglik: float  # log-likelihood of a model with no parameters
+    empty: tuple[np.ndarray, float]  # coefficients and log-likelihood of the model on A = []
     what: str
 
     def design(self, M: list[int]) -> np.ndarray:
@@ -216,25 +217,34 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
 
     def objective(Z, beta):
         eta = (Z @ beta[:, :, None])[:, :, 0]
-        ll = eta @ y - np.logaddexp(0.0, eta).sum(axis=1)
-        prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -500.0, 500.0)))
+        # log(1 + e^eta) and the fitted probabilities from e^-|eta|, which cannot overflow.
+        e = np.exp(-np.abs(eta))
+        ll = eta @ y - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=1)
+        prob = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
         Zt = Z.transpose(0, 2, 1)
         grad = (Zt @ (y - prob)[:, :, None])[:, :, 0]
         w = prob * (1.0 - prob)
         info = Zt @ (w[:, :, None] * Z)
         return ll, grad, info
 
-    # With no parameters at all, eta = 0 and p = 1/2 for every observation.
-    return _Problem(np.ones((data.n, int(data.include_intercept))), data.X, objective,
-                    -data.n * math.log(2.0), "logistic fit")
+    # With an intercept the maximum fits p = k/n to every observation, for
+    # k ones (0 < k < n in a BinaryDataset); with no parameters, p = 1/2.
+    n, k = data.n, float(y.sum())
+    empty = ((np.array([math.log(k / (n - k))]),
+              k * math.log(k / n) + (n - k) * math.log((n - k) / n))
+             if data.include_intercept else (np.zeros(0), -n * math.log(2.0)))
+    return _Problem(np.ones((n, int(data.include_intercept))), data.X, objective, empty,
+                    "logistic fit")
 
 
 def _fit(problem: _Problem, M: list[int]) -> FitResult:
-    """Fit the model on M from zero, as a stack of one."""
-    design = problem.design(M)
-    if design.shape[1] == 0:
-        return FitResult(subset=(), coefficients=np.zeros(0), loglik=problem.empty_loglik,
+    """Fit the model on M from zero, as a stack of one; the model on
+    M = [] is the problem's closed-form fit, with no Newton solve."""
+    if not M:
+        coefficients, loglik = problem.empty
+        return FitResult(subset=(), coefficients=coefficients, loglik=loglik,
                          converged=True, iterations=0)
+    design = problem.design(M)
     beta, ll, iterations, errors = _newton_stack(
         problem.objective, design[None], np.zeros((1, design.shape[1])), problem.what)
     if errors[0] is not None:
@@ -292,7 +302,7 @@ def _cox_problem(data: SurvivalDataset) -> _Problem:
         return ll, grad, info
 
     return _Problem(np.empty((data.n, 0)), data.X[order], objective,
-                    -float(np.log(data.n - first).sum()), "cox fit")
+                    (np.zeros(0), -float(np.log(data.n - first).sum())), "cox fit")
 
 
 def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
@@ -317,11 +327,11 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     """Drop of every candidate outside A; failed fits are reported, not raised.
 
     Logistic or Cox regression, by the type of ``data``. The model on A is
-    fitted once, from zero; its log-likelihood is the base of every drop, and
-    a failure there raises. All candidates m are then fitted in one batched
-    Newton solve over the stack of designs A u {m} (``[1, X_A, x_m]``, or
-    ``[X_A, x_m]`` in time order), each started from the base coefficients
-    with 0 for x_m: at that start every candidate fit has the base fit's
+    fitted once, from zero (in closed form for A = []); its log-likelihood is
+    the base of every drop, and a failure there raises. All candidates m are
+    then fitted in one batched Newton solve over the stack of designs A u {m}
+    (``[1, X_A, x_m]``, or ``[X_A, x_m]`` in time order), each started from
+    the base coefficients with 0 for x_m: at that start every candidate fit has the base fit's
     likelihood, so it only climbs from there. A candidate whose fit fails is
     left out of the drops and reported as ``"fit failed for candidate m:
     <error>"``.
@@ -394,9 +404,10 @@ def lrt_path(data: BinaryDataset | SurvivalDataset) -> Iterator[LrtStep]:
     Step k yields the model A of the first k - 1 picks with the drops that
     ``lrt_drops_all(data, A)`` reports; A then gains
     ``best_candidate(drops)``. The path ends when no candidate is left, or
-    after a step where every candidate fit failed. Only the model on A = []
-    is fitted from zero (its failure raises): each later base is the previous
-    step's winning fit, which a refit finds wherever the maximum is finite.
+    after a step where every candidate fit failed. No model is fitted from
+    zero: the base on A = [] is the problem's closed-form fit, and each later
+    base is the previous step's winning fit, which a refit finds wherever the
+    maximum is finite.
     """
     problem = _problem(data)
     A: list[int] = []

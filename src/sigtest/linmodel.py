@@ -31,10 +31,10 @@ class _Shape:
     """``n`` and ``p`` of a dataset's design matrix ``X``, and how its arrays are kept."""
 
     def __post_init__(self):
-        """The fields named in ``_arrays`` (X first) as contiguous float arrays,
-        all but X flattened; once ``_check`` passes on them they are read-only."""
-        arrays = [np.ascontiguousarray(np.asarray(getattr(self, k), dtype=float))
-                  for k in self._arrays]
+        """The fields named in ``_arrays`` (X first) as contiguous float copies,
+        all but X flattened; once ``_check`` passes on them they are read-only.
+        The caller's own arrays are never frozen."""
+        arrays = [np.array(getattr(self, k), dtype=float, order="C") for k in self._arrays]
         arrays[1:] = [a.ravel() for a in arrays[1:]]
         self._check(*arrays)
         for name, a in zip(self._arrays, arrays):

@@ -146,8 +146,10 @@ def gen_design(kind: str, n: int, p: int, rng: np.random.Generator,
 
     orthogonal: exactly orthonormal columns (QR of a Gaussian matrix).
     ar1: rows i.i.d. mean-zero Gaussian with coordinate covariance
-    rho^|i-j| (built by the stationary AR recursion), columns rescaled to
-    unit norm. iid_gaussian is the rho = 0 case of the same construction.
+    rho^|i-j| (built by the stationary AR recursion, in place on the normal
+    draw), columns rescaled to unit norm. iid_gaussian is the rho = 0 case of
+    the same construction, where the recursion leaves the draw as it is and
+    is skipped.
     """
     if kind == "orthogonal":
         if n < p:
@@ -158,12 +160,11 @@ def gen_design(kind: str, n: int, p: int, rng: np.random.Generator,
     if kind in ("ar1", "iid_gaussian"):
         if kind == "iid_gaussian":
             rho = 0.0
-        z = rng.standard_normal((n, p))
-        X = np.empty((n, p))
-        X[:, 0] = z[:, 0]
-        scale = np.sqrt(1.0 - rho * rho)
-        for j in range(1, p):
-            X[:, j] = rho * X[:, j - 1] + scale * z[:, j]
+        X = rng.standard_normal((n, p))
+        if rho != 0.0:
+            scale = np.sqrt(1.0 - rho * rho)
+            for j in range(1, p):  # column j still holds its own draw z_j
+                X[:, j] = rho * X[:, j - 1] + scale * X[:, j]
         norms = np.sqrt(np.einsum("ij,ij->j", X, X))
         return X / norms
     raise ValueError(f"unknown design kind {kind!r}")

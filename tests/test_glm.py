@@ -83,15 +83,20 @@ class TestSurvivalDataset:
     (lambda X, v: SurvivalDataset(X, v + 1.0, v), ("time", "status")),
 ], ids=["gaussian", "binary", "survival"])
 def test_dataset_arrays_are_contiguous_read_only_floats(make, vectors):
-    # Integer entries in Fortran order, and the response as an (n, 1) column.
-    X = np.asfortranarray(np.arange(6).reshape(3, 2))
-    data = make(X, np.array([[0], [1], [1]]))
-    for name, shape in [("X", (3, 2))] + [(v, (3,)) for v in vectors]:
-        a = getattr(data, name)
-        assert a.dtype == float and a.shape == shape, name
-        assert a.flags.c_contiguous and not a.flags.writeable, name
-    np.testing.assert_array_equal(data.X, X)
-    assert (data.n, data.p) == (3, 2)
+    # Integer entries in Fortran order with the response as an (n, 1) column;
+    # then arrays that are already C-contiguous float64, which are copied too.
+    for X, v in [(np.asfortranarray(np.arange(6).reshape(3, 2)), np.array([[0], [1], [1]])),
+                 (np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 1.0]))]:
+        data = make(X, v)
+        for name, shape in [("X", (3, 2))] + [(name, (3,)) for name in vectors]:
+            a = getattr(data, name)
+            assert a.dtype == float and a.shape == shape, name
+            assert a.flags.c_contiguous and not a.flags.writeable, name
+        np.testing.assert_array_equal(data.X, X)
+        assert (data.n, data.p) == (3, 2)
+        # The caller's own arrays stay writable, and writing to them leaves the dataset as it was.
+        X[0, 0], v[0] = 5, 1
+        assert data.X[0, 0] == 0.0 and getattr(data, vectors[-1])[0] == 0.0
 
 
 class TestLogisticFit:
@@ -141,6 +146,45 @@ class TestLogisticFit:
         fit = logistic_fit(data, [])
         assert fit.loglik == pytest.approx(-30 * math.log(2), abs=1e-12)
         assert fit.iterations == 0
+
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    @pytest.mark.parametrize("ones", ["one", "half", "all-but-one"])
+    def test_intercept_only_closed_form_matches_newton(self, n, ones):
+        k = {"one": 1, "half": n // 2, "all-but-one": n - 1}[ones]
+        rng = np.random.default_rng(1000 * n + k)
+        y = np.zeros(n)
+        y[rng.permutation(n)[:k]] = 1.0
+        data = BinaryDataset(rng.standard_normal((n, 1)), y)
+        fit = logistic_fit(data, [])
+        beta, ll, _iterations, errors = glm._newton_stack(
+            glm._logistic_problem(data).objective, np.ones((1, n, 1)), np.zeros((1, 1)),
+            "logistic fit")
+        assert errors == [None]
+        assert (fit.subset, fit.iterations, fit.converged) == ((), 0, True)
+        np.testing.assert_allclose(fit.coefficients, beta[0], rtol=0, atol=1e-9)
+        assert fit.loglik == pytest.approx(ll[0], rel=0, abs=1e-12)
+
+    def test_objective_at_extreme_predictors(self):
+        # With the identity design beta is eta itself, and the gradient is y - p.
+        # |eta| runs past 709.8, where e^|eta| overflows, up to 1e3.
+        eta = np.array([0.0, 1e-3, 1.0, 30.0, 499.0, 501.0, 709.0, 711.0, 1e3])
+        eta = np.concatenate([eta, -eta])
+        n = len(eta)
+        y = np.tile([1.0, 0.0], n // 2)
+        data = BinaryDataset(np.eye(n), y, include_intercept=False)
+        objective = glm._logistic_problem(data).objective
+        betas = np.stack([eta, -eta])
+        ll, grad, info = objective(np.tile(np.eye(n), (2, 1, 1)), betas)
+        assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad)) and np.all(np.isfinite(info))
+        prob = y - grad
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        h = 1e-4
+        for row, beta in enumerate(betas):
+            assert ll[row] == pytest.approx(logistic_loglik(np.eye(n), y, beta), rel=1e-12)
+            central = [(logistic_loglik(np.eye(n), y, beta + h * e)
+                        - logistic_loglik(np.eye(n), y, beta - h * e)) / (2 * h)
+                       for e in np.eye(n)]
+            np.testing.assert_allclose(grad[row], central, rtol=0, atol=1e-6)
 
 
 class TestCoxFit:
@@ -543,26 +587,27 @@ class TestLrtPath:
                     assert getattr(ours, name) == pytest.approx(getattr(theirs, name), abs=1e-9)
             A += (j,)
 
-    @pytest.mark.parametrize("family, make, cold", [
-        ("logistic", lambda: random_binary(101, 50, 12), 1),
-        ("logistic", lambda: random_binary(113, 50, 12, intercept=False), 0),
-        ("cox", lambda: tied_survival(103, 50, 12), 0),
-    ])
-    def test_one_cold_fit_then_carried_bases(self, family, make, cold, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: random_binary(101, 50, 12),
+        lambda: random_binary(113, 50, 12, intercept=False),
+        lambda: tied_survival(103, 50, 12),
+    ], ids=["logistic", "logistic-no-intercept", "cox"])
+    def test_closed_form_empty_model_then_carried_bases(self, make, monkeypatch):
         data = make()
         calls = recording_newton(monkeypatch)
         steps = list(itertools.islice(lrt_path(data), 5))
-        # The model on A = [] is the only fit from zero (a closed form when it
-        # has no parameters); then one stack of candidates per step.
-        assert [len(b0) for b0, _beta in calls] == [1] * cold + [12, 11, 10, 9, 8]
-        if cold:
-            np.testing.assert_array_equal(calls[0][0], 0.0)
+        # The model on A = [] is a closed form, never a fit from zero; then
+        # one stack of candidates per step.
+        assert [len(b0) for b0, _beta in calls] == [12, 11, 10, 9, 8]
+        # The first stack starts from the closed-form base, 0 for each candidate's column.
+        base = glm._fit(glm._problem(data), []).coefficients
+        np.testing.assert_array_equal(calls[0][0], np.tile(np.append(base, 0.0), (12, 1)))
         for k in range(1, 5):
             before, step = steps[k - 1], steps[k]
             row = [m for m in range(12) if m not in before.A].index(step.A[-1])
-            start = calls[cold + k][0]
+            start = calls[k][0]
             # Every candidate starts from the winning fit of the step before, 0 for its column.
-            np.testing.assert_array_equal(start[:, :-1], np.tile(calls[cold + k - 1][1][row],
+            np.testing.assert_array_equal(start[:, :-1], np.tile(calls[k - 1][1][row],
                                                                  (len(start), 1)))
             np.testing.assert_array_equal(start[:, -1], 0.0)
 
@@ -577,9 +622,9 @@ class TestLrtPath:
         monkeypatch.setattr(np.linalg, "qr", recording)
         data = random_binary(101, 50, 12)
         steps = list(lrt_path(data))
-        # One QR of the (n, d) base design per Newton solve: the cold fit and
-        # one per step, never a stack of designs.
-        assert shapes == [(50, 0)] + [(50, 1 + len(step.A)) for step in steps]
+        # One QR of the (n, d) base design per Newton solve, one solve per
+        # step, never a stack of designs; the model on A = [] needs none.
+        assert shapes == [(50, 1 + len(step.A)) for step in steps]
 
     def test_ends_after_a_step_where_every_fit_fails(self):
         # Three copies of one column: after the first pick the other two are
