@@ -37,7 +37,7 @@ from .glm import lrt_path
 from .lasso import lars_path
 from .linmodel import estimate_sigma2
 from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
-from .selection import best_candidate, lasso_steps, stepwise_path
+from .selection import lasso_steps, stepwise_path
 from .significance import covariance_test, gumbel_test
 
 EXIT_OK = 0
@@ -87,86 +87,62 @@ def _cells(outcome, *names: str) -> list:
     return [getattr(outcome, name) if outcome else "" for name in names]
 
 
-def _check_max_steps(args: argparse.Namespace, limit: int, name: str) -> None:
-    """``--max-steps`` must lie in [0, limit]; ``name`` says what limit is."""
-    if args.max_steps is not None and not 0 <= args.max_steps <= limit:
-        raise ValueError(f"max_steps={args.max_steps} must lie in [0, {name}={limit}]")
-
-
-def _gaussian_test_rows(args: argparse.Namespace):
-    data, _names = load_dataset(args.input, sigma2=args.sigma2)
-    _check_max_steps(args, min(data.n, data.p), "min(n, p)")
-    plug_in = ("plug-in-sigma2",) if data.sigma2 is None else ()
-    if plug_in:  # estimate_sigma2 raises NotEstimableError when n <= p
-        data = replace(data, sigma2=estimate_sigma2(data))
-    path = lars_path(data)
-    if args.selector == "lasso":
-        steps = lasso_steps(path, data)
+def _test_rows(args: argparse.Namespace):
+    """One table row per selection step, and the test outcomes for JSON. The
+    Gaussian family adds the covariance test's cells and, when it estimates
+    sigma2, the plug-in note."""
+    plug_in, path = (), None
+    if args.family == "gaussian":
+        data, _names = load_dataset(args.input, sigma2=args.sigma2)
+        limit = min(data.n, data.p)
+        if args.max_steps is not None and not 0 <= args.max_steps <= limit:
+            raise ValueError(f"max_steps={args.max_steps} must lie in [0, min(n, p)={limit}]")
+        if data.sigma2 is None:  # estimate_sigma2 raises NotEstimableError when n <= p
+            plug_in = ("plug-in-sigma2",)
+            data = replace(data, sigma2=estimate_sigma2(data))
+        path = lars_path(data)  # uncapped: the covariance test needs the next knot
+        if args.selector == "lasso":
+            steps = lasso_steps(path, data)[: args.max_steps]
+        else:
+            steps = stepwise_path(data, max_steps=args.max_steps, selector=args.selector or "max_r")
     else:
-        steps = stepwise_path(data, selector=args.selector)
-    if args.max_steps is not None:
-        steps = steps[: args.max_steps]
+        if args.selector is not None or args.sigma2 is not None:
+            raise ValueError("--selector and --sigma2 apply only to the gaussian family")
+        load = load_binary if args.family == "logistic" else load_survival
+        steps = lrt_path(load(args.input)[0], args.max_steps)
 
     rows, records = [], []
     for step in steps:
-        notes = list(plug_in)
+        testable = step.m_remaining >= 3
+        notes = list(plug_in) if testable else [*plug_in, "too-few-remaining"]
         tilde = cov = None
-        if step.m_remaining >= 3:
-            tilde = gumbel_test(step, alpha=args.alpha)
-            records.append(tilde)
-        else:
-            notes.append("too-few-remaining")
         try:
-            cov = covariance_test(path, data, step.k, alpha=args.alpha)
-            records.append(cov)
-        except PathTooShortError:
-            notes.append("no-next-knot")
-        except UnsupportedStepError:
-            notes.append("deletion-between-entries")
+            if testable:
+                tilde = gumbel_test(step, alpha=args.alpha)
+                records.append(tilde)
+            elif step.j is None:
+                raise UnreliableMaxError("every candidate fit failed")
+        except UnreliableMaxError as exc:
+            rows.append([step.k, "", ";".join(str(i) for i in step.A), "", step.selector, False,
+                         *[""] * 7, ";".join(notes + [f"test-failed:{type(exc).__name__}"])])
+            break
+        if path is not None:
+            try:
+                cov = covariance_test(path, data, step.k, alpha=args.alpha)
+                records.append(cov)
+            except PathTooShortError:
+                notes.append("no-next-knot")
+            except UnsupportedStepError:
+                notes.append("deletion-between-entries")
         rows.append([
             step.k, step.j, ";".join(str(i) for i in step.A), float(step.r_j),
             step.selector, step.conservative,
             *_cells(tilde, "statistic", "correction", "p_value", "reject"),
             *_cells(cov, "statistic", "p_value", "reject"),
-            ";".join(notes),
+            ";".join(notes + list(step.failures)),
         ])
     if plug_in:
         records = [replace(r, warnings=r.warnings + plug_in) for r in records]
-    return rows, records
-
-
-def _glm_test_rows(args: argparse.Namespace):
-    if args.family == "logistic":
-        data, _names = load_binary(args.input)
-    else:
-        data, _names = load_survival(args.input)
-    _check_max_steps(args, data.p, "p")
-    rows, records = [], []
-    A, steps = (), lrt_path(data)
-    for k in range(1, (data.p if args.max_steps is None else args.max_steps) + 1):
-        testable = data.p - len(A) >= 3
-        notes = [] if testable else ["too-few-remaining"]
-        outcome = step = None
-        try:
-            step = next(steps)
-            if testable:
-                outcome = step.test(args.alpha)
-                records.append(outcome)
-            elif not step.drops:
-                raise UnreliableMaxError("every candidate fit failed")
-        except SigtestError as exc:
-            stage = "test-failed" if testable or step is not None else "base-fit-failed"
-            rows.append([k, "", ";".join(str(i) for i in A), "", args.family, False,
-                         *[""] * 7, ";".join(notes + [f"{stage}:{type(exc).__name__}"])])
-            break
-        j, best = best_candidate(step.drops)
-        rows.append([
-            k, j, ";".join(str(i) for i in A), float(best), args.family, False,
-            *_cells(outcome, "statistic", "correction", "p_value", "reject"),
-            "", "", "",
-            ";".join(notes + step.failures),
-        ])
-        A += (j,)
     return rows, records
 
 
@@ -176,10 +152,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         raise ValueError("alpha must lie in (0, 1)")
     if args.sigma2 is not None and not 0.0 < args.sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and positive")
-    if args.family == "gaussian":
-        rows, records = _gaussian_test_rows(args)
-    else:
-        rows, records = _glm_test_rows(args)
+    rows, records = _test_rows(args)
     if args.fmt == "json":
         _emit(args, json.dumps([r.to_json_dict() for r in records], indent=2) + "\n")
     else:
@@ -275,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--sigma2", type=float, default=None)
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--selector", choices=("max_r", "stepwise", "lasso"), default="max_r")
+    p_test.add_argument("--selector", choices=("max_r", "stepwise", "lasso"), default=None)
     p_test.add_argument("--family", choices=("gaussian", "logistic", "cox"), default="gaussian")
     p_test.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p_test.add_argument("--output", default=None)

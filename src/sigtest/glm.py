@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .exceptions import (
     SeparationError,
     SigtestError,
     SingularDesignError,
-    UnreliableMaxError,
 )
 from .linmodel import RANK_TOL, _Shape, _check_subset
-from .selection import best_candidate
-from .significance import TestOutcome, _gumbel_outcome
+from .selection import SelectionStep, best_candidate
 
 MAX_ITER = 100
 GRAD_TOL = 1e-8
@@ -205,7 +203,12 @@ class _Problem(NamedTuple):
     columns: np.ndarray  # (n, p): every column of X
     objective: Callable  # (Z (c, n, d), beta (c, d)) -> loglik, gradient, information
     empty: tuple[np.ndarray, float]  # coefficients and log-likelihood of the model on A = []
-    what: str
+    family: str  # "logistic" or "cox"
+
+    @property
+    def what(self) -> str:
+        """What a fit of this problem is called in its error messages."""
+        return f"{self.family} fit"
 
     def design(self, M: list[int]) -> np.ndarray:
         """The (n, d) design of the model on M, lead columns first."""
@@ -234,7 +237,7 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
               k * math.log(k / n) + (n - k) * math.log((n - k) / n))
              if data.include_intercept else (np.zeros(0), -n * math.log(2.0)))
     return _Problem(np.ones((n, int(data.include_intercept))), data.X, objective, empty,
-                    "logistic fit")
+                    "logistic")
 
 
 def _fit(problem: _Problem, M: list[int]) -> FitResult:
@@ -302,7 +305,7 @@ def _cox_problem(data: SurvivalDataset) -> _Problem:
         return ll, grad, info
 
     return _Problem(np.empty((data.n, 0)), data.X[order], objective,
-                    (np.zeros(0), -float(np.log(data.n - first).sum())), "cox fit")
+                    (np.zeros(0), -float(np.log(data.n - first).sum())), "cox")
 
 
 def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
@@ -371,56 +374,38 @@ def _drops(candidates, logliks, base_ll: float) -> tuple[dict[int, float], list[
     return drops, failures
 
 
-class LrtStep(NamedTuple):
-    """One step of a greedy likelihood path: the model A and, as
-    ``lrt_drops_all`` reports them, the drops and failed fits of the
-    candidates outside it."""
-
-    A: tuple[int, ...]
-    drops: dict[int, float]
-    failures: list[str]
-
-    def test(self, alpha: float = 0.05) -> TestOutcome:
-        """The maximal drop minus the centering for the m remaining candidates,
-        against the Gumbel reference. Failed fits are kept as warnings; if more
-        than 10% of them fail the maximum is unreliable and the test aborts."""
-        m_remaining = len(self.drops) + len(self.failures)
-
-        def pick():
-            if len(self.failures) > 0.10 * m_remaining or not self.drops:
-                raise UnreliableMaxError(
-                    f"{len(self.failures)} of {m_remaining} candidate fits failed; "
-                    "maximum statistic unreliable")
-            return best_candidate(self.drops)
-
-        return _gumbel_outcome("gumbel_glm", alpha, m_remaining, pick, k=len(self.A) + 1,
-                               A=self.A, warnings=tuple(self.failures))
-
-
-def lrt_path(data: BinaryDataset | SurvivalDataset) -> Iterator[LrtStep]:
+def lrt_path(data: BinaryDataset | SurvivalDataset,
+             max_steps: int | None = None) -> list[SelectionStep]:
     """Greedy forward selection by likelihood ratio, for logistic or Cox
     regression by the type of ``data``.
 
-    Step k yields the model A of the first k - 1 picks with the drops that
-    ``lrt_drops_all(data, A)`` reports; A then gains
-    ``best_candidate(drops)``. The path ends when no candidate is left, or
-    after a step where every candidate fit failed. No model is fitted from
-    zero: the base on A = [] is the problem's closed-form fit, and each later
-    base is the previous step's winning fit, which a refit finds wherever the
-    maximum is finite.
+    Step k holds the model A of the first k - 1 picks with the drops and
+    failed fits that ``lrt_drops_all(data, A)`` reports, and selects
+    ``best_candidate(drops)``, which A then gains. The path ends after
+    ``max_steps`` steps (default p), or after a step where every candidate
+    fit failed, whose j is None. No model is fitted from zero: the base on
+    A = [] is the problem's closed-form fit, and each later base is the
+    previous step's winning fit, which a refit finds wherever the maximum is
+    finite.
     """
     problem = _problem(data)
+    if max_steps is None:
+        max_steps = data.p
+    elif not 0 <= max_steps <= data.p:
+        raise ValueError(f"max_steps={max_steps} must lie in [0, p={data.p}]")
     A: list[int] = []
-    base = _fit(problem, A)
-    beta, loglik = base.coefficients, base.loglik
-    while len(A) < data.p:
+    beta, loglik = problem.empty
+    steps: list[SelectionStep] = []
+    while len(steps) < max_steps:
         candidates = [m for m in range(data.p) if m not in A]
         fits, logliks = _candidate_fits(problem, A, beta, candidates)
         drops, failures = _drops(candidates, logliks, loglik)
-        yield LrtStep(tuple(A), drops, failures)
-        if not drops:
-            return
-        i = candidates.index(best_candidate(drops)[0])
-        A.append(candidates[i])
+        j = best_candidate(drops)[0] if drops else None
+        steps.append(SelectionStep(k=len(steps) + 1, A=tuple(A), j=j, drops=drops,
+                                   selector=problem.family, failures=failures))
+        if j is None:
+            break
+        i = candidates.index(j)
+        A.append(j)
         beta, loglik = fits[i], logliks[i]
-
+    return steps

@@ -208,31 +208,24 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
     rng = replication_rng(scenario.seed, rep)
     X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
     try:
-        if scenario.family == "gaussian":
-            y = gen_response(scenario, X, rng)
-            data = Dataset(X, y, sigma2=scenario.sigma ** 2)
-            if scenario.test == "gumbel":
-                if scenario.selector == "lasso":
-                    steps = lasso_steps(lars_path(data, max_steps=scenario.k), data)
-                else:
-                    steps = stepwise_path(data, max_steps=scenario.k,
-                                          selector=scenario.selector)
-                if len(steps) < scenario.k:
-                    return _RepOutcome(None, None, failure="selection path truncated")
-                outcome = gumbel_test(steps[scenario.k - 1], alpha=scenario.alpha)
-            else:
+        response = gen_response(scenario, X, rng)
+        if scenario.family == "logistic":
+            steps = lrt_path(BinaryDataset(X, response), max_steps=scenario.k)
+        elif scenario.family == "cox":
+            steps = lrt_path(SurvivalDataset(X, *response), max_steps=scenario.k)
+        else:
+            data = Dataset(X, response, sigma2=scenario.sigma ** 2)
+            if scenario.test == "covariance":
                 path = lars_path(data, max_steps=scenario.k + 1)
                 outcome = covariance_test(path, data, scenario.k, alpha=scenario.alpha)
-        else:
-            response = gen_response(scenario, X, rng)
-            gdata = (BinaryDataset(X, response) if scenario.family == "logistic"
-                     else SurvivalDataset(X, *response))
-            for step in lrt_path(gdata):
-                if len(step.A) == scenario.k - 1:
-                    outcome = step.test(scenario.alpha)
-                    break
+            elif scenario.selector == "lasso":
+                steps = lasso_steps(lars_path(data, max_steps=scenario.k), data)
             else:
-                return _RepOutcome(None, None, failure="greedy selection exhausted")
+                steps = stepwise_path(data, max_steps=scenario.k, selector=scenario.selector)
+        if scenario.test != "covariance":
+            if len(steps) < scenario.k:
+                return _RepOutcome(None, None, failure="selection path truncated")
+            outcome = gumbel_test(steps[scenario.k - 1], alpha=scenario.alpha)
     except SigtestError as exc:
         return _RepOutcome(None, None, failure=type(exc).__name__)
     support = scenario.support()

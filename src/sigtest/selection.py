@@ -1,16 +1,17 @@
 """Selector-agnostic sequence of selection steps consumed by the tests.
 
-A step records the model A before the step, the variable j added at the
-step, and the scaled RSS drop for j (plus, optionally, the drops of every
-remaining candidate). Both forward stepwise regression and the lasso entry
-order produce the same record type.
+A step records the model A before the step, the drop of every remaining
+candidate and the variable j added at the step. Forward stepwise regression
+and the lasso entry order (scaled RSS drops) and the greedy logistic and Cox
+paths of :mod:`sigtest.glm` (likelihood-ratio drops) produce the same record
+type.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
@@ -24,31 +25,37 @@ ZERO_DROP_TOL = 1e-12
 class SelectionStep:
     """One step of a selection path.
 
-    ``r_all`` maps every candidate m not in A to its scaled RSS drop; it is
-    kept so the maximum can be checked exactly. ``conservative`` marks steps
-    where the selected j does not attain that maximum (possible for the
-    lasso ordering on correlated designs).
+    ``drops`` maps every candidate m not in A to its drop, so the maximum
+    can be checked exactly; ``failures`` notes the candidates of a GLM step
+    whose fit failed, which have no drop. ``j`` is None only for a GLM step
+    where no fit converged. ``conservative`` marks steps where the selected
+    j does not attain the maximum (possible for the lasso ordering on
+    correlated designs).
     """
 
     k: int
     A: tuple[int, ...]
-    j: int
-    r_j: float
-    p: int
+    j: int | None
+    drops: Mapping[int, float]
     selector: str
-    r_all: Mapping[int, float] | None = None
+    failures: Sequence[str] = ()
     conservative: bool = False
 
     def __post_init__(self):
         if self.j in self.A:
             raise ValueError("selected variable already in the model")
-        if self.selector not in ("stepwise", "lasso", "max_r"):
+        if self.selector not in ("stepwise", "lasso", "max_r", "logistic", "cox"):
             raise ValueError(f"unknown selector {self.selector!r}")
+
+    @property
+    def r_j(self) -> float:
+        """Drop of the selected variable j."""
+        return self.drops[self.j]
 
     @property
     def m_remaining(self) -> int:
         """Number of candidate variables outside A (including j)."""
-        return self.p - len(self.A)
+        return len(self.drops) + len(self.failures)
 
 
 def best_candidate(drops: Mapping[int, float]) -> tuple[int, float]:
@@ -91,8 +98,8 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
                 f"selection stopped at step {k}: residual orthogonal to all candidates",
                 PathTruncationWarning)
             break
-        steps.append(SelectionStep(k=k, A=tuple(qr.cols), j=j, r_j=drops[j], p=data.p,
-                                   selector=selector, r_all=drops))
+        steps.append(SelectionStep(k=k, A=tuple(qr.cols), j=j, drops=drops,
+                                   selector=selector))
     return steps
 
 
@@ -115,9 +122,7 @@ def lasso_steps(path: LassoPath, data: Dataset) -> list[SelectionStep]:
         for i in A[len(qr.cols):]:
             qr.add(i)
         drops = qr.drops(sigma2)
-        r_j = drops[knot.entering]
-        best = max(drops.values())
         steps.append(SelectionStep(
-            k=idx, A=A, j=knot.entering, r_j=r_j, p=data.p, selector="lasso",
-            r_all=drops, conservative=bool(r_j < best - 1e-10)))
+            k=idx, A=A, j=knot.entering, drops=drops, selector="lasso",
+            conservative=bool(drops[knot.entering] < max(drops.values()) - 1e-10)))
     return steps

@@ -18,6 +18,7 @@ from .exceptions import (
     PathTooShortError,
     StalePathError,
     TooFewRemainingError,
+    UnreliableMaxError,
     UnsupportedStepError,
 )
 from .lasso import LassoPath, lasso_solve
@@ -132,28 +133,30 @@ class TestOutcome:
         }
 
 
-def _gumbel_outcome(kind: str, alpha: float, m: int, pick, **fields) -> TestOutcome:
-    """Gumbel(-log pi, 2) test of a drop minus the centering for m candidates.
+def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
+    """Extreme-value test of the variable added at ``step``: its drop minus
+    the centering for the m remaining candidates, against the Gumbel
+    reference.
 
-    Checks alpha and centers (raising for m < 3) before it calls ``pick()``
-    for the candidate j and its drop, so a caller's checks there come last.
+    Logistic and Cox steps are tested alike (kind ``gumbel_glm``); their
+    failed fits are kept as warnings, and if more than 10% of them fail, or
+    none converges, the maximum is unreliable and the test aborts. Alpha is
+    checked first, then m >= 3, then the failed fits.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    corr = gumbel_correction(m)
-    j, drop = pick()
-    stat = drop - corr
+    corr = gumbel_correction(step.m_remaining)
+    if len(step.failures) > 0.10 * step.m_remaining or step.j is None:
+        raise UnreliableMaxError(
+            f"{len(step.failures)} of {step.m_remaining} candidate fits failed; "
+            "maximum statistic unreliable")
+    stat = step.r_j - corr
     p_value = gumbel_sf(stat)
-    return TestOutcome(kind=kind, statistic=float(stat), p_value=float(p_value),
-                       alpha=float(alpha), reject=bool(p_value <= alpha), j=j,
-                       correction=float(corr), **fields)
-
-
-def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
-    """Extreme-value test of the variable added at ``step``: its scaled RSS
-    drop against the centering for the number of remaining candidates."""
-    return _gumbel_outcome("gumbel", alpha, step.m_remaining, lambda: (step.j, step.r_j),
-                           k=step.k, A=step.A, conservative=step.conservative)
+    return TestOutcome(kind="gumbel_glm" if step.selector in ("logistic", "cox") else "gumbel",
+                       k=step.k, statistic=float(stat), p_value=float(p_value),
+                       alpha=float(alpha), reject=bool(p_value <= alpha), A=step.A, j=step.j,
+                       correction=float(corr), conservative=step.conservative,
+                       warnings=tuple(step.failures))
 
 
 def covariance_test(path: LassoPath, data: Dataset, k: int,

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sigtest.cli import run
+from sigtest.exceptions import PathTruncationWarning
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
 IDENTITY_CSV = "x1,x2,x3,y\n1,0,0,3\n0,1,0,-1\n0,0,1,2\n"
@@ -147,6 +149,22 @@ class TestTestVerb:
         rows = read_csv(out)
         assert dict(zip(rows[0], rows[1]))["selector"] == "lasso"
 
+    def test_max_steps_warns_only_about_steps_asked_for(self, tmp_path, capsys):
+        # y = 3 e_0 + 2 e_1 on the identity: the stepwise path stops at step 3.
+        X = np.eye(6)
+        y = 3.0 * X[:, 0] + 2.0 * X[:, 1]
+        data = tmp_path / "two.csv"
+        data.write_text("a,b,c,d,e,f,y\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in np.column_stack([X, y]).tolist()))
+        base = ["test", "--input", str(data), "--sigma2", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PathTruncationWarning)
+            assert run(base + ["--max-steps", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        with pytest.warns(PathTruncationWarning, match="stopped at step 3"):
+            assert run(base) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_logistic_family(self, tmp_path):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((40, 5))
@@ -261,6 +279,11 @@ class TestOptionChecks:
         ("test", "gaussian", ["--sigma2", "inf"]),
         ("test", "gaussian", ["--sigma2", "nan"]),
         ("test", "logistic", ["--family", "logistic", "--sigma2", "inf"]),
+        ("test", "logistic", ["--family", "logistic", "--sigma2", "5"]),
+        ("test", "cox", ["--family", "cox", "--sigma2", "1"]),
+        ("test", "logistic", ["--family", "logistic", "--selector", "lasso"]),
+        ("test", "cox", ["--family", "cox", "--selector", "max_r"]),
+        ("test", "logistic", ["--family", "logistic", "--selector", "lasso", "--sigma2", "5"]),
     ])
     def test_exit_2(self, family_csvs, capsys, verb, family, options):
         assert run([verb, "--input", family_csvs[family], *options]) == 2
@@ -272,12 +295,13 @@ class TestOptionChecks:
     @pytest.mark.parametrize("family, limit", [("gaussian", "min(n, p)=8"), ("logistic", "p=8"),
                                                ("cox", "p=8")])
     def test_max_steps_range_message(self, family_csvs, capsys, family, limit):
+        sigma2 = ["--sigma2", "1"] if family == "gaussian" else []
         assert run(["test", "--input", family_csvs[family], "--family", family,
-                    "--sigma2", "1", "--max-steps", "99"]) == 2
+                    *sigma2, "--max-steps", "99"]) == 2
         assert capsys.readouterr().err == (
             f"sigtest: error: max_steps=99 must lie in [0, {limit}]\n")
         assert run(["test", "--input", family_csvs[family], "--family", family,
-                    "--sigma2", "1", "--max-steps", "8"]) == 0
+                    *sigma2, "--max-steps", "8"]) == 0
 
     @pytest.mark.parametrize("verb, options", [
         ("path", []),
@@ -296,8 +320,9 @@ class TestOptionChecks:
 
     def test_zero_max_steps_prints_header_only(self, family_csvs, capsys):
         for family in ("gaussian", "logistic", "cox"):
+            sigma2 = ["--sigma2", "1"] if family == "gaussian" else []
             assert run(["test", "--input", family_csvs[family], "--family", family,
-                        "--sigma2", "1", "--max-steps", "0"]) == 0
+                        *sigma2, "--max-steps", "0"]) == 0
             assert len(capsys.readouterr().out.splitlines()) == 1
 
 

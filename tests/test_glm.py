@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -25,14 +24,15 @@ from sigtest import (
     UnreliableMaxError,
     cox_fit,
     gumbel_correction,
+    gumbel_test,
     logistic_fit,
     standardize,
     stepwise_path,
 )
 from sigtest import glm
-from sigtest.glm import LrtStep, _solve_rows, lrt_drops_all, lrt_path
+from sigtest.glm import _solve_rows, lrt_drops_all, lrt_path
 from sigtest.linmodel import RANK_TOL, ActiveQR
-from sigtest.selection import best_candidate
+from sigtest.selection import SelectionStep, best_candidate
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -410,9 +410,16 @@ class TestLrtDropsAll:
             np.testing.assert_array_equal(step[i], np.linalg.solve(info[i], grad[i]))
 
 
+def glm_step(A, drops, failures):
+    """The step at A of a greedy logistic path with these drops and failed fits."""
+    j = best_candidate(drops)[0] if drops else None
+    return SelectionStep(k=len(A) + 1, A=tuple(A), j=j, drops=drops, selector="logistic",
+                         failures=failures)
+
+
 def lrt_test(data, A, alpha=0.05):
     """The Gumbel test of the drops ``lrt_drops_all`` reports at A."""
-    return LrtStep(tuple(A), *lrt_drops_all(data, A)).test(alpha)
+    return gumbel_test(glm_step(A, *lrt_drops_all(data, A)), alpha)
 
 
 class TestGumbelTestGlm:
@@ -429,7 +436,7 @@ class TestGumbelTestGlm:
         # The Gaussian drops are ActiveQR's scaled RSS drops.
         X = np.eye(100)[:, :50]
         y = np.eye(100)[:, 60]
-        out = LrtStep((), ActiveQR(X, y).drops(1.0), []).test()
+        out = gumbel_test(glm_step((), ActiveQR(X, y).drops(1.0), []))
         assert out.statistic == pytest.approx(-6.45999, abs=1e-4)
         assert out.p_value == pytest.approx(1.0, abs=1e-4)
         assert not out.reject
@@ -439,11 +446,9 @@ class TestGumbelTestGlm:
         X = standardize(rng.standard_normal((40, 8)))
         y = rng.standard_normal(40)
         data = Dataset(X, y, sigma2=1.0)
-        from sigtest import gumbel_test
-
         step = stepwise_path(data, max_steps=1)[0]
         linear = gumbel_test(step)
-        glm = LrtStep((), ActiveQR(data.X, data.y).drops(1.0), []).test()
+        glm = gumbel_test(glm_step((), ActiveQR(data.X, data.y).drops(1.0), []))
         assert glm.statistic == pytest.approx(linear.statistic, abs=1e-6)
         assert glm.j == linear.j
 
@@ -475,7 +480,7 @@ class TestGumbelTestGlm:
     ])
     def test_error_order(self, drops, failures, alpha, error):
         with pytest.raises(error):
-            LrtStep((), drops, failures).test(alpha)
+            gumbel_test(glm_step((), drops, failures), alpha)
 
     def test_unreliable_when_many_fits_fail(self):
         # Duplicating every column makes half the candidate fits singular
@@ -580,7 +585,7 @@ class TestLrtPath:
             j = best_candidate(step.drops)[0]
             assert j == best_candidate(drops)[0]
             if data.p - len(A) >= 3:
-                ours, theirs = step.test(), lrt_test(data, A)
+                ours, theirs = gumbel_test(step), lrt_test(data, A)
                 assert (ours.j, ours.k, ours.A, ours.warnings) == (
                     theirs.j, theirs.k, theirs.A, theirs.warnings)
                 for name in ("statistic", "p_value", "correction"):
@@ -595,7 +600,7 @@ class TestLrtPath:
     def test_closed_form_empty_model_then_carried_bases(self, make, monkeypatch):
         data = make()
         calls = recording_newton(monkeypatch)
-        steps = list(itertools.islice(lrt_path(data), 5))
+        steps = lrt_path(data, max_steps=5)
         # The model on A = [] is a closed form, never a fit from zero; then
         # one stack of candidates per step.
         assert [len(b0) for b0, _beta in calls] == [12, 11, 10, 9, 8]
@@ -635,6 +640,22 @@ class TestLrtPath:
         steps = list(lrt_path(data))
         assert [s.A for s in steps] == [(), (0,)]
         assert steps[1].drops == {} and len(steps[1].failures) == 2
+
+    @pytest.mark.parametrize("make, family", [
+        (lambda: random_binary(101, 50, 12), "logistic"),
+        (lambda: tied_survival(103, 50, 12), "cox"),
+    ], ids=["logistic", "cox"])
+    def test_max_steps_gives_the_first_steps(self, make, family):
+        data = make()
+        full = lrt_path(data)
+        assert len(full) == 12 and all(s.selector == family for s in full)
+        for m in (0, 1, 5, 12):
+            assert lrt_path(data, max_steps=m) == full[:m]
+
+    @pytest.mark.parametrize("max_steps", [-1, 13])
+    def test_max_steps_outside_range_rejected(self, max_steps):
+        with pytest.raises(ValueError, match=r"must lie in \[0, p=12\]"):
+            lrt_path(random_binary(101, 50, 12), max_steps=max_steps)
 
     def test_gaussian_family_rejected(self):
         with pytest.raises(ValueError, match="logistic or cox"):
@@ -723,7 +744,7 @@ def fence_report(monkeypatch):
     report = {}
     for name, _family, data in fence_corpus():
         calls.clear()
-        carried = [tuple(step) for step in lrt_path(data)]
+        carried = [(step.A, step.drops, step.failures) for step in lrt_path(data)]
         same = same_steps(carried, cold_path(data))
         report[name] = same, max(np.linalg.norm(beta, axis=1).max() for _b0, beta in calls)
     return report

@@ -48,6 +48,10 @@ def test_all_equals_imported_names():
     ("sigtest.glm", "_gaussian_fit"),
     ("sigtest.glm", "_FAMILIES"),
     ("sigtest.glm", "_family"),
+    ("sigtest.glm", "LrtStep"),
+    ("sigtest.significance", "_gumbel_outcome"),
+    ("sigtest.cli", "_glm_test_rows"),
+    ("sigtest.cli", "_gaussian_test_rows"),
 ])
 def test_removed_name_is_gone(module, name):
     with pytest.raises(ImportError):

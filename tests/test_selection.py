@@ -59,7 +59,7 @@ class TestStepwisePath:
     def test_each_step_attains_the_max(self):
         data = random_dataset(3, 40, 8, rho=0.5)
         for step in stepwise_path(data):
-            assert step.r_j == pytest.approx(max(step.r_all.values()), abs=1e-12)
+            assert step.r_j == pytest.approx(max(step.drops.values()), abs=1e-12)
             assert not step.conservative
 
     def test_requires_sigma2(self):
@@ -116,7 +116,7 @@ class TestLassoSteps:
         for seed in range(20):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
             for step in lasso_steps(lars_path(data), data):
-                assert step.r_j <= max(step.r_all.values()) + 1e-10
+                assert step.r_j <= max(step.drops.values()) + 1e-10
 
     def test_null_drops_are_chisq1_on_orthogonal_design(self):
         # Conditional on an orthogonal design and a null response, the
@@ -126,7 +126,7 @@ class TestLassoSteps:
         Q, _ = np.linalg.qr(rng.standard_normal((400, 200)))
         data = Dataset(Q, rng.standard_normal(400), sigma2=1.0)
         steps = stepwise_path(data, max_steps=1)
-        draws = np.array(list(steps[0].r_all.values()))
+        draws = np.array(list(steps[0].drops.values()))
         d, pval = scipy_stats.kstest(draws, scipy_stats.chi2(df=1).cdf)
         assert pval > 0.01
 
@@ -137,7 +137,7 @@ class TestLassoSteps:
         for seed in range(200):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
             for step in lasso_steps(lars_path(data), data):
-                if step.r_j < max(step.r_all.values()) - 1e-10:
+                if step.r_j < max(step.drops.values()) - 1e-10:
                     assert step.conservative
                     found = True
         assert found, "no conservative lasso step found in the seed sweep"
@@ -152,7 +152,7 @@ class TestBestCandidate:
         # Columns 0 and 2 have drops 4 and 4 + 4e-14: a tie, which column 0 wins.
         data = Dataset(np.eye(3), np.array([2.0, 1.0, 2.0 + 1e-14]), sigma2=1.0)
         step = stepwise_path(data, max_steps=1)[0]
-        assert step.r_all[2] > step.r_all[0]
+        assert step.drops[2] > step.drops[0]
         assert step.j == 0
 
 
@@ -168,7 +168,7 @@ class TestDropsAgainstRefits:
                 path = lars_path(data)
                 deletions += sum(kn.action == "leave" for kn in path.knots)
                 for step in stepwise_path(data) + lasso_steps(path, data):
-                    for m, drop in step.r_all.items():
+                    for m, drop in step.drops.items():
                         assert drop == pytest.approx(normal_equation_drop(
                             data.X, data.y, step.A, m, data.sigma2), abs=1e-9)
         assert deletions >= 3

@@ -132,6 +132,11 @@ class TestReferenceFunctions:
             reference_pair("normal")
 
 
+def candidate_drops(r_j, m, first=0):
+    """Drops of m candidates from index ``first`` on: r_j for the first, 0 for the rest."""
+    return {c: (r_j if c == first else 0.0) for c in range(first, first + m)}
+
+
 class TestGumbelTest:
     def test_identity_first_step(self):
         steps = stepwise_path(IDENTITY)
@@ -143,7 +148,7 @@ class TestGumbelTest:
         assert out.correction == pytest.approx(gumbel_correction(3), abs=1e-12)
 
     def test_statistic_zero_when_drop_equals_correction(self):
-        step = SelectionStep(k=1, A=(), j=0, r_j=gumbel_correction(10), p=10,
+        step = SelectionStep(k=1, A=(), j=0, drops=candidate_drops(gumbel_correction(10), 10),
                              selector="max_r")
         out = gumbel_test(step)
         assert out.statistic == pytest.approx(0.0, abs=1e-12)
@@ -151,13 +156,14 @@ class TestGumbelTest:
 
     def test_rejection_boundary(self):
         step = SelectionStep(k=1, A=(), j=0,
-                             r_j=gumbel_quantile(0.95) + gumbel_correction(20),
-                             p=20, selector="max_r")
+                             drops=candidate_drops(gumbel_quantile(0.95) + gumbel_correction(20),
+                                                   20), selector="max_r")
         out = gumbel_test(step, alpha=0.05)
         assert out.p_value == pytest.approx(0.05, abs=1e-6)
 
     def test_too_few_remaining_propagates(self):
-        step = SelectionStep(k=1, A=(0,), j=1, r_j=1.0, p=3, selector="max_r")
+        step = SelectionStep(k=1, A=(0,), j=1, drops=candidate_drops(1.0, 2, first=1),
+                             selector="max_r")
         with pytest.raises(TooFewRemainingError):
             gumbel_test(step)
 
@@ -174,7 +180,8 @@ class TestGumbelTest:
         if abs(r1 - r2) < 1e-9:
             return
         lo, hi = sorted((r1, r2))
-        mk = lambda r: SelectionStep(k=1, A=(), j=0, r_j=r, p=25, selector="max_r")
+        mk = lambda r: SelectionStep(k=1, A=(), j=0, drops=candidate_drops(r, 25),
+                                     selector="max_r")
         assert gumbel_test(mk(hi)).p_value < gumbel_test(mk(lo)).p_value
 
     def test_json_record_field_order(self):
@@ -189,11 +196,22 @@ class TestGumbelTest:
         for alpha in (0.01, 0.05, 0.2):
             threshold = gumbel_quantile(1 - alpha)
             for r in np.linspace(2.0, 20.0, 41):
-                step = SelectionStep(k=1, A=(), j=0, r_j=float(r), p=12,
+                step = SelectionStep(k=1, A=(), j=0, drops=candidate_drops(float(r), 12),
                                      selector="max_r")
                 out = gumbel_test(step, alpha=alpha)
                 assert out.reject == (out.p_value <= alpha)
                 assert out.reject == (out.statistic >= threshold)
+
+    @pytest.mark.parametrize("selector, kind", [("max_r", "gumbel"), ("logistic", "gumbel_glm")])
+    def test_near_tie_tests_the_drop_of_j(self, selector, kind):
+        # Candidates 1 and 3 tie within 1e-12; the lower index is selected
+        # and its own drop, not the maximum, is tested.
+        drops = {0: 2.0, 1: 10.0 - 5e-13, 2: 1.0, 3: 10.0, 4: 0.5}
+        step = SelectionStep(k=1, A=(), j=1, drops=drops, selector=selector)
+        out = gumbel_test(step)
+        assert (out.kind, out.j) == (kind, 1)
+        assert out.statistic == drops[1] - out.correction
+        assert out.statistic != drops[3] - out.correction
 
 
 class TestCovarianceTest:
