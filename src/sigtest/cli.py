@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -102,7 +101,7 @@ def _test_rows(args: argparse.Namespace):
             data = replace(data, sigma2=estimate_sigma2(data))
         path = lars_path(data)  # uncapped: the covariance test needs the next knot
         if args.selector == "lasso":
-            steps = lasso_steps(path, data)[: args.max_steps]
+            steps = lasso_steps(path, data, args.max_steps)
         else:
             steps = stepwise_path(data, max_steps=args.max_steps, selector=args.selector or "max_r")
     else:
@@ -150,8 +149,6 @@ def cmd_test(args: argparse.Namespace) -> int:
     """Run the significance tests step by step over a CSV dataset."""
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if args.sigma2 is not None and not 0.0 < args.sigma2 < math.inf:
-        raise ValueError("sigma2 must be finite and positive")
     rows, records = _test_rows(args)
     if args.fmt == "json":
         _emit(args, json.dumps([r.to_json_dict() for r in records], indent=2) + "\n")

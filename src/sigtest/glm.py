@@ -326,7 +326,7 @@ def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
 
 
 def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
-                  A: Sequence[int]) -> tuple[dict[int, float], list[str]]:
+                  A: Sequence[int]) -> tuple[np.ndarray, list[str]]:
     """Drop of every candidate outside A; failed fits are reported, not raised.
 
     Logistic or Cox regression, by the type of ``data``. The model on A is
@@ -335,22 +335,24 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     then fitted in one batched Newton solve over the stack of designs A u {m}
     (``[1, X_A, x_m]``, or ``[X_A, x_m]`` in time order), each started from
     the base coefficients with 0 for x_m: at that start every candidate fit has the base fit's
-    likelihood, so it only climbs from there. A candidate whose fit fails is
-    left out of the drops and reported as ``"fit failed for candidate m:
-    <error>"``.
+    likelihood, so it only climbs from there. The drops are an array of
+    length p, NaN on A and on a candidate whose fit failed, which is
+    reported as ``"fit failed for candidate m: <error>"``.
     """
     problem = _problem(data)
     A = _check_subset(data, A)
     base = _fit(problem, A)
-    candidates = [m for m in range(data.p) if m not in A]
-    logliks = _candidate_fits(problem, A, base.coefficients, candidates)[1]
-    return _drops(candidates, logliks, base.loglik)
+    _fits, logliks, failures = _candidate_fits(problem, A, base.coefficients)
+    return np.maximum(2.0 * (logliks - base.loglik), 0.0), failures
 
 
-def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray, candidates: list[int]):
-    """Coefficients of the model on A plus each candidate column, each fit
-    started from the base coefficients and 0, and per candidate its
-    log-likelihood or its error."""
+def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray):
+    """Fit the model on A plus each column m outside A, each fit started
+    from the base coefficients and 0. Returns the coefficients and the
+    log-likelihoods of these fits indexed by m, NaN for m in A and where a
+    fit failed, and a failure note per failed fit."""
+    p = problem.columns.shape[1]
+    candidates = [m for m in range(p) if m not in A]
     design = problem.design(A)
     n, d = design.shape
     Z = np.empty((len(candidates), n, d + 1))
@@ -358,20 +360,12 @@ def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray, candidate
     Z[:, :, d] = problem.columns[:, candidates].T
     beta0 = np.zeros((len(candidates), d + 1))
     beta0[:, :d] = base
-    beta, ll, _iterations, errors = _newton_stack(problem.objective, Z, beta0, problem.what)
-    return beta, [float(v) if e is None else e for v, e in zip(ll, errors)]
-
-
-def _drops(candidates, logliks, base_ll: float) -> tuple[dict[int, float], list[str]]:
-    """Drops of the candidates whose fit converged, and failure notes for the rest."""
-    drops: dict[int, float] = {}
-    failures: list[str] = []
-    for m, ll in zip(candidates, logliks):
-        if isinstance(ll, SigtestError):
-            failures.append(f"fit failed for candidate {m}: {ll}")
-        else:
-            drops[m] = max(2.0 * (ll - base_ll), 0.0)
-    return drops, failures
+    fits, logliks = np.full((p, d + 1), np.nan), np.full(p, np.nan)
+    fits[candidates], logliks[candidates], _iterations, errors = _newton_stack(
+        problem.objective, Z, beta0, problem.what)
+    failed = [(m, e) for m, e in zip(candidates, errors) if e is not None]
+    logliks[[m for m, _e in failed]] = np.nan
+    return fits, logliks, [f"fit failed for candidate {m}: {e}" for m, e in failed]
 
 
 def lrt_path(data: BinaryDataset | SurvivalDataset,
@@ -397,15 +391,13 @@ def lrt_path(data: BinaryDataset | SurvivalDataset,
     beta, loglik = problem.empty
     steps: list[SelectionStep] = []
     while len(steps) < max_steps:
-        candidates = [m for m in range(data.p) if m not in A]
-        fits, logliks = _candidate_fits(problem, A, beta, candidates)
-        drops, failures = _drops(candidates, logliks, loglik)
-        j = best_candidate(drops)[0] if drops else None
+        fits, logliks, failures = _candidate_fits(problem, A, beta)
+        drops = np.maximum(2.0 * (logliks - loglik), 0.0)
+        j = None if np.isnan(drops).all() else best_candidate(drops)[0]
         steps.append(SelectionStep(k=len(steps) + 1, A=tuple(A), j=j, drops=drops,
                                    selector=problem.family, failures=failures))
         if j is None:
             break
-        i = candidates.index(j)
         A.append(j)
-        beta, loglik = fits[i], logliks[i]
+        beta, loglik = fits[j], logliks[j]
     return steps

@@ -249,8 +249,9 @@ class ActiveQR:
         w = self._Rit[:k, :k] @ s
         return self.coef, self._Rit[:k, :k].T @ w, self._Qt[:k].T @ w
 
-    def drops(self, sigma2: float) -> dict[int, float]:
-        """Scaled RSS drop from adding each column m outside A.
+    def drops(self, sigma2: float) -> np.ndarray:
+        """Scaled RSS drop from adding each column m outside A, as an array
+        of length p indexed by column that holds NaN for the columns in A.
 
         Uses the projection identity: the drop equals
         (x_m' r_A)^2 / ||(I - P_A) x_m||^2 / sigma2 with r_A the residual of
@@ -259,13 +260,13 @@ class ActiveQR:
         if self._Z is None:
             Qt = self._Qt[:len(self.cols)]
             self._Z = self.X - Qt.T @ (Qt @ self.X)
-        cand = np.delete(np.arange(self.X.shape[1]), self.cols)
-        num = (self.X.T @ self.resid)[cand] ** 2
-        den = np.einsum("ij,ij->j", self._Z, self._Z)[cand]
-        drops = np.zeros(cand.size)
+        num = (self.X.T @ self.resid) ** 2
+        den = np.einsum("ij,ij->j", self._Z, self._Z)
+        drops = np.zeros(num.size)
         ok = den > 1e-12
         drops[ok] = num[ok] / den[ok] / sigma2
-        return {int(m): float(d) for m, d in zip(cand, drops)}
+        drops[self.cols] = np.nan
+        return drops
 
 
 def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:

@@ -77,6 +77,8 @@ class Scenario:
             raise ValueError(f"test {self.test!r} requires the gaussian family")
         if self.test == "gumbel_glm" and self.family == "gaussian":
             raise ValueError("gumbel_glm scenarios use the logistic or cox family")
+        if self.family != "gaussian" and (self.selector != "max_r" or self.sigma != 1.0):
+            raise ValueError("selector and sigma apply only to the gaussian family")
         # The Gaussian selection paths stop at min(n, p) entries; the
         # covariance test of step k also needs entry k + 1.
         entries = self.k + 1 if self.test == "covariance" else self.k

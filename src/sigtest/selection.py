@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
@@ -21,13 +23,14 @@ from .linmodel import ActiveQR, Dataset
 ZERO_DROP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionStep:
     """One step of a selection path.
 
-    ``drops`` maps every candidate m not in A to its drop, so the maximum
-    can be checked exactly; ``failures`` notes the candidates of a GLM step
-    whose fit failed, which have no drop. ``j`` is None only for a GLM step
+    ``drops`` is a float array of length p, indexed by column: the drop of
+    every candidate m not in A, so the maximum can be checked exactly, and
+    NaN for the columns in A and for the candidates of a GLM step whose fit
+    failed, which ``failures`` notes. ``j`` is None only for a GLM step
     where no fit converged. ``conservative`` marks steps where the selected
     j does not attain the maximum (possible for the lasso ordering on
     correlated designs).
@@ -36,7 +39,7 @@ class SelectionStep:
     k: int
     A: tuple[int, ...]
     j: int | None
-    drops: Mapping[int, float]
+    drops: np.ndarray
     selector: str
     failures: Sequence[str] = ()
     conservative: bool = False
@@ -50,21 +53,21 @@ class SelectionStep:
     @property
     def r_j(self) -> float:
         """Drop of the selected variable j."""
-        return self.drops[self.j]
+        return float(self.drops[self.j])
 
     @property
     def m_remaining(self) -> int:
-        """Number of candidate variables outside A (including j)."""
-        return len(self.drops) + len(self.failures)
+        """Number of candidate variables outside A (including j and failed fits)."""
+        return len(self.drops) - len(self.A)
 
 
-def best_candidate(drops: Mapping[int, float]) -> tuple[int, float]:
-    """Candidate with the largest drop, and that drop.
+def best_candidate(drops: np.ndarray) -> tuple[int, float]:
+    """Candidate with the largest drop (NaN entries are none), and that drop.
 
     Drops within 1e-12 of the largest count as tied; the lowest index wins.
     """
-    best = max(drops.values())
-    return min(m for m, d in drops.items() if d >= best - 1e-12), best
+    best = float(np.nanmax(drops))
+    return int(np.flatnonzero(drops >= best - 1e-12)[0]), best
 
 
 def stepwise_path(data: Dataset, max_steps: int | None = None,
@@ -90,8 +93,6 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
         if steps:
             qr.add(steps[-1].j)
         drops = qr.drops(sigma2)
-        if not drops:
-            break
         j, best = best_candidate(drops)
         if best <= ZERO_DROP_TOL:
             _warnings.warn(
@@ -103,18 +104,23 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     return steps
 
 
-def lasso_steps(path: LassoPath, data: Dataset) -> list[SelectionStep]:
-    """One step per lasso entry event, with the drop of the entering variable.
+def lasso_steps(path: LassoPath, data: Dataset,
+                max_steps: int | None = None) -> list[SelectionStep]:
+    """One step per lasso entry event, with the drop of the entering variable,
+    for the first ``max_steps`` entry events (default all).
 
     Steps where the entering variable does not maximize the drop over the
     remaining candidates are flagged conservative.
     """
     if path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
+    limit = min(data.n, data.p)
+    if max_steps is not None and not 0 <= max_steps <= limit:
+        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)={limit}]")
     sigma2 = data.require_sigma2()
     steps: list[SelectionStep] = []
     qr = ActiveQR(data.X, data.y)
-    for idx, knot in enumerate(path.entry_knots(), start=1):
+    for idx, knot in enumerate(path.entry_knots()[:max_steps], start=1):
         A = knot.active_before
         inside = set(A)
         for i in [c for c in qr.cols if c not in inside]:
@@ -124,5 +130,5 @@ def lasso_steps(path: LassoPath, data: Dataset) -> list[SelectionStep]:
         drops = qr.drops(sigma2)
         steps.append(SelectionStep(
             k=idx, A=A, j=knot.entering, drops=drops, selector="lasso",
-            conservative=bool(drops[knot.entering] < max(drops.values()) - 1e-10)))
+            conservative=bool(drops[knot.entering] < np.nanmax(drops) - 1e-10)))
     return steps

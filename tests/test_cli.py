@@ -8,6 +8,7 @@ import pytest
 
 from sigtest.cli import run
 from sigtest.exceptions import PathTruncationWarning
+from sigtest.linmodel import ActiveQR
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
 IDENTITY_CSV = "x1,x2,x3,y\n1,0,0,3\n0,1,0,-1\n0,0,1,2\n"
@@ -149,6 +150,17 @@ class TestTestVerb:
         rows = read_csv(out)
         assert dict(zip(rows[0], rows[1]))["selector"] == "lasso"
 
+    def test_lasso_max_steps_computes_only_the_steps_asked_for(self, family_csvs, capsys,
+                                                                monkeypatch):
+        calls = []
+        drops = ActiveQR.drops
+        monkeypatch.setattr(ActiveQR, "drops",
+                            lambda qr, sigma2: calls.append(sigma2) or drops(qr, sigma2))
+        assert run(["test", "--input", family_csvs["gaussian"], "--sigma2", "1",
+                    "--selector", "lasso", "--max-steps", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len(calls) == 1
+
     def test_max_steps_warns_only_about_steps_asked_for(self, tmp_path, capsys):
         # y = 3 e_0 + 2 e_1 on the identity: the stepwise path stops at step 3.
         X = np.eye(6)
@@ -289,7 +301,7 @@ class TestOptionChecks:
         assert run([verb, "--input", family_csvs[family], *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("sigtest: error:")
+        assert captured.err.startswith("sigtest: error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("family, limit", [("gaussian", "min(n, p)=8"), ("logistic", "p=8"),

@@ -330,9 +330,12 @@ class TestLrtDropsAll:
         A = [6, 1, 3, 0, 4][:size]
         drops, failures = lrt_drops_all(data, A)
         assert failures == []
-        assert sorted(drops) == [m for m in range(data.p) if m not in A]
+        assert drops.shape == (data.p,)
+        assert np.flatnonzero(~np.isnan(drops)).tolist() == [m for m in range(data.p)
+                                                             if m not in A]
         base = oracle_loglik(family, data, A)
-        for m, drop in drops.items():
+        for m in np.flatnonzero(~np.isnan(drops)):
+            drop = drops[m]
             assert drop == pytest.approx(single_drop(data, A, m), abs=1e-9)
             expect = max(2.0 * (oracle_loglik(family, data, A + [m]) - base), 0.0)
             assert drop == pytest.approx(expect, abs=1e-6)
@@ -357,9 +360,9 @@ class TestLrtDropsAll:
                 logistic_fit(data, A + [m])
             expected.append(f"fit failed for candidate {m}: {info.value}")
         assert failures == expected
-        assert sorted(drops) == [1, 3, 5, 6, 8, 9]
-        for m, drop in drops.items():
-            assert drop == pytest.approx(single_drop(data, A, m), abs=1e-9)
+        assert np.flatnonzero(~np.isnan(drops)).tolist() == [1, 3, 5, 6, 8, 9]
+        for m in (1, 3, 5, 6, 8, 9):
+            assert drops[m] == pytest.approx(single_drop(data, A, m), abs=1e-9)
 
     def test_first_step_failure_leaves_other_rows_running(self):
         # A NaN in row 1's design makes its first Newton step fail, while
@@ -391,7 +394,7 @@ class TestLrtDropsAll:
         monkeypatch.setattr(glm, "_newton_stack", counting)
         data = random_binary(101, 50, 12) if family == "logistic" else tied_survival(103, 50, 12)
         drops, _failures = lrt_drops_all(data, [3, 5])
-        assert len(drops) == 10
+        assert len(drops) == 12 and np.count_nonzero(~np.isnan(drops)) == 10
         # The base fit, then all ten candidates at once, each started from
         # the base coefficients and 0 for its own column.
         assert [len(b) for b in starts] == [1, 10]
@@ -412,9 +415,14 @@ class TestLrtDropsAll:
 
 def glm_step(A, drops, failures):
     """The step at A of a greedy logistic path with these drops and failed fits."""
-    j = best_candidate(drops)[0] if drops else None
+    j = None if np.isnan(drops).all() else best_candidate(drops)[0]
     return SelectionStep(k=len(A) + 1, A=tuple(A), j=j, drops=drops, selector="logistic",
                          failures=failures)
+
+
+def step_fields(step):
+    """Every field of a step but its drops, which compare as arrays."""
+    return step.k, step.A, step.j, step.selector, step.failures, step.conservative
 
 
 def lrt_test(data, A, alpha=0.05):
@@ -471,14 +479,16 @@ class TestGumbelTestGlm:
 
     @pytest.mark.parametrize("drops, failures, alpha, error", [
         # Alpha is checked first, then the centering, then the failed fits.
-        ({}, ["failed"] * 2, 0.0, ValueError),
-        ({0: 1.0}, ["failed"] * 3, 1.5, ValueError),
-        ({}, ["failed"] * 2, 0.05, TooFewRemainingError),
-        ({0: 9.0}, ["failed"], 0.05, TooFewRemainingError),
-        ({0: 1.0}, ["failed"] * 3, 0.05, UnreliableMaxError),
-        ({}, ["failed"] * 5, 0.05, UnreliableMaxError),
+        # A failed fit is a NaN drop.
+        ([], ["failed"] * 2, 0.0, ValueError),
+        ([1.0], ["failed"] * 3, 1.5, ValueError),
+        ([], ["failed"] * 2, 0.05, TooFewRemainingError),
+        ([9.0], ["failed"], 0.05, TooFewRemainingError),
+        ([1.0], ["failed"] * 3, 0.05, UnreliableMaxError),
+        ([], ["failed"] * 5, 0.05, UnreliableMaxError),
     ])
     def test_error_order(self, drops, failures, alpha, error):
+        drops = np.append(drops, np.full(len(failures), np.nan))
         with pytest.raises(error):
             gumbel_test(glm_step((), drops, failures), alpha)
 
@@ -528,7 +538,7 @@ def cold_path(data):
             steps.append((tuple(A), type(exc).__name__))
             break
         steps.append((tuple(A), drops, failures))
-        if not drops:
+        if np.isnan(drops).all():
             break
         A.append(best_candidate(drops)[0])
     return steps
@@ -539,9 +549,11 @@ def same_steps(ours, theirs, tol=1e-9):
     if len(ours) != len(theirs):
         return False
     for a, b in zip(ours, theirs):
-        if len(a) != len(b) or a[0] != b[0] or a[2:] != b[2:] or set(a[1]) != set(b[1]):
+        if len(a) != len(b) or a[0] != b[0] or a[2:] != b[2:]:
             return False
-        if any(abs(a[1][m] - b[1][m]) > tol for m in a[1]):
+        if not np.array_equal(np.isnan(a[1]), np.isnan(b[1])):
+            return False
+        if np.any(np.abs(a[1] - b[1]) > tol):  # NaN on both sides compares False
             return False
     return True
 
@@ -579,9 +591,9 @@ class TestLrtPath:
             assert step.A == A
             drops, failures = lrt_drops_all(data, A)
             assert step.failures == failures
-            assert sorted(step.drops) == sorted(drops)
-            for m, drop in drops.items():
-                assert step.drops[m] == pytest.approx(drop, abs=1e-9)
+            assert np.array_equal(np.isnan(step.drops), np.isnan(drops))
+            for m in np.flatnonzero(~np.isnan(drops)):
+                assert step.drops[m] == pytest.approx(drops[m], abs=1e-9)
             j = best_candidate(step.drops)[0]
             assert j == best_candidate(drops)[0]
             if data.p - len(A) >= 3:
@@ -639,7 +651,7 @@ class TestLrtPath:
         data = BinaryDataset(np.column_stack([x, x, x]), (rng.random(30) < 0.5) * 1.0)
         steps = list(lrt_path(data))
         assert [s.A for s in steps] == [(), (0,)]
-        assert steps[1].drops == {} and len(steps[1].failures) == 2
+        assert np.isnan(steps[1].drops).all() and len(steps[1].failures) == 2
 
     @pytest.mark.parametrize("make, family", [
         (lambda: random_binary(101, 50, 12), "logistic"),
@@ -650,7 +662,10 @@ class TestLrtPath:
         full = lrt_path(data)
         assert len(full) == 12 and all(s.selector == family for s in full)
         for m in (0, 1, 5, 12):
-            assert lrt_path(data, max_steps=m) == full[:m]
+            head = lrt_path(data, max_steps=m)
+            assert [step_fields(s) for s in head] == [step_fields(s) for s in full[:m]]
+            assert all(np.array_equal(s.drops, t.drops, equal_nan=True)
+                       for s, t in zip(head, full))
 
     @pytest.mark.parametrize("max_steps", [-1, 13])
     def test_max_steps_outside_range_rejected(self, max_steps):

@@ -230,7 +230,7 @@ class TestRStat:
 
     def test_candidate_already_in_subset(self):
         data = random_dataset(5, 10, 3)
-        assert set(drops(data, [0])) == {1, 2}
+        assert np.flatnonzero(~np.isnan(drops(data, [0]))).tolist() == [1, 2]
         # The model on A plus a candidate already in A repeats an index.
         with pytest.raises(ValueError, match="repeated indices"):
             least_squares(data, [0] + [0])
@@ -240,15 +240,14 @@ class TestRStat:
     def test_batch_agrees_with_single(self, seed):
         data = random_dataset(seed, 15, 6, sigma2=1.3)
         batch = drops(data, [1, 4])
-        assert set(batch) == {0, 2, 3, 5}
-        for m, val in batch.items():
-            assert val == pytest.approx(
+        assert np.flatnonzero(~np.isnan(batch)).tolist() == [0, 2, 3, 5]
+        for m in (0, 2, 3, 5):
+            assert batch[m] == pytest.approx(
                 normal_equation_drop(data.X, data.y, [1, 4], m, 1.3), abs=1e-8)
 
     def test_nonnegative(self):
         data = random_dataset(11, 25, 8)
-        for m, val in drops(data, [0, 5]).items():
-            assert val >= 0.0
+        assert np.all(np.delete(drops(data, [0, 5]), [0, 5]) >= 0.0)
 
 
 class TestNearCollinearPair:
@@ -275,7 +274,7 @@ class TestNearCollinearPair:
         else:
             fit = least_squares(data, [0, 1])
             assert fit.rss <= least_squares(data, [0]).rss
-            assert set(drops(data, [0, 1])) == {2, 3}
+            assert np.flatnonzero(~np.isnan(drops(data, [0, 1]))).tolist() == [2, 3]
 
 
 class TestActiveQRDowndate:
@@ -309,9 +308,8 @@ class TestActiveQRDowndate:
             np.testing.assert_allclose(b1, np.linalg.solve(XA.T @ XA, s), rtol=0, atol=1e-10)
             np.testing.assert_allclose(fit_b1, XA @ b1, rtol=0, atol=1e-10)
             want = fresh.drops(1.0)
-            assert got.keys() == want.keys()
-            np.testing.assert_allclose([got[m] for m in want], list(want.values()),
-                                       rtol=0, atol=1e-10)
+            # NaN on the columns of A, in both
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, equal_nan=True)
 
     def test_drop_then_add_restores_the_factor(self):
         data = random_dataset(4, 20, 6)

@@ -238,6 +238,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             s.validate()
 
+    @pytest.mark.parametrize("fields", [{"selector": "lasso"}, {"sigma": 5.0},
+                                        {"selector": "lasso", "sigma": 5.0}])
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_gaussian_fields_rejected_for_glm_families(self, family, fields):
+        # _replicate would ignore both for the likelihood-ratio path.
+        s = Scenario(family=family, design="iid_gaussian", n=40, p=10, test="gumbel_glm",
+                     reps=3, **fields)
+        with pytest.raises(ValueError, match="only to the gaussian family"):
+            s.validate()
+        replace(s, selector="max_r", sigma=1.0).validate()
+
     def test_beta_index_range(self):
         s = replace(preset("fig1-left"), beta=((60, 1.0),))
         with pytest.raises(ValueError):

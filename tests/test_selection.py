@@ -1,16 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import best_single_variable_drop, normal_equation_drop
 from sigtest import (
+    BinaryDataset,
     Dataset,
     PathTruncationWarning,
     StalePathError,
+    SurvivalDataset,
     lars_path,
     lasso_steps,
     standardize,
     stepwise_path,
 )
+from sigtest.glm import lrt_path
 from sigtest.selection import best_candidate
 
 IDENTITY = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]), sigma2=1.0)
@@ -59,7 +66,7 @@ class TestStepwisePath:
     def test_each_step_attains_the_max(self):
         data = random_dataset(3, 40, 8, rho=0.5)
         for step in stepwise_path(data):
-            assert step.r_j == pytest.approx(max(step.drops.values()), abs=1e-12)
+            assert step.r_j == pytest.approx(np.nanmax(step.drops), abs=1e-12)
             assert not step.conservative
 
     def test_requires_sigma2(self):
@@ -116,7 +123,23 @@ class TestLassoSteps:
         for seed in range(20):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
             for step in lasso_steps(lars_path(data), data):
-                assert step.r_j <= max(step.drops.values()) + 1e-10
+                assert step.r_j <= np.nanmax(step.drops) + 1e-10
+
+    def test_max_steps_gives_the_first_steps(self):
+        data = random_dataset(4, 30, 8, rho=0.8, signal=((0, 2.0),))
+        path = lars_path(data)
+        full = lasso_steps(path, data)
+        for m in (0, 1, 3, len(full)):
+            head = lasso_steps(path, data, max_steps=m)
+            assert [(s.k, s.A, s.j, s.conservative) for s in head] == [
+                (s.k, s.A, s.j, s.conservative) for s in full[:m]]
+            assert all(np.array_equal(s.drops, t.drops, equal_nan=True)
+                       for s, t in zip(head, full))
+
+    @pytest.mark.parametrize("max_steps", [-1, 4])
+    def test_max_steps_outside_range_rejected(self, max_steps):
+        with pytest.raises(ValueError, match=r"must lie in \[0, min\(n, p\)=3\]"):
+            lasso_steps(lars_path(IDENTITY), IDENTITY, max_steps=max_steps)
 
     def test_null_drops_are_chisq1_on_orthogonal_design(self):
         # Conditional on an orthogonal design and a null response, the
@@ -126,7 +149,8 @@ class TestLassoSteps:
         Q, _ = np.linalg.qr(rng.standard_normal((400, 200)))
         data = Dataset(Q, rng.standard_normal(400), sigma2=1.0)
         steps = stepwise_path(data, max_steps=1)
-        draws = np.array(list(steps[0].drops.values()))
+        draws = steps[0].drops[~np.isnan(steps[0].drops)]
+        assert draws.size == 200
         d, pval = scipy_stats.kstest(draws, scipy_stats.chi2(df=1).cdf)
         assert pval > 0.01
 
@@ -137,7 +161,7 @@ class TestLassoSteps:
         for seed in range(200):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
             for step in lasso_steps(lars_path(data), data):
-                if step.r_j < max(step.drops.values()) - 1e-10:
+                if step.r_j < np.nanmax(step.drops) - 1e-10:
                     assert step.conservative
                     found = True
         assert found, "no conservative lasso step found in the seed sweep"
@@ -145,8 +169,9 @@ class TestLassoSteps:
 
 class TestBestCandidate:
     def test_ties_within_tolerance_go_to_lowest_index(self):
-        assert best_candidate({3: 1.0, 1: 1.0 - 5e-13, 2: 0.5}) == (1, 1.0)
-        assert best_candidate({3: 1.0, 1: 1.0 - 5e-12, 2: 0.5}) == (3, 1.0)
+        # Column 0 is in A (NaN), so it is no candidate.
+        assert best_candidate(np.array([np.nan, 1.0 - 5e-13, 0.5, 1.0])) == (1, 1.0)
+        assert best_candidate(np.array([np.nan, 1.0 - 5e-12, 0.5, 1.0])) == (3, 1.0)
 
     def test_stepwise_path_uses_the_tie_rule(self):
         # Columns 0 and 2 have drops 4 and 4 + 4e-14: a tie, which column 0 wins.
@@ -168,7 +193,84 @@ class TestDropsAgainstRefits:
                 path = lars_path(data)
                 deletions += sum(kn.action == "leave" for kn in path.knots)
                 for step in stepwise_path(data) + lasso_steps(path, data):
-                    for m, drop in step.drops.items():
-                        assert drop == pytest.approx(normal_equation_drop(
+                    assert np.flatnonzero(np.isnan(step.drops)).tolist() == sorted(step.A)
+                    for m in np.flatnonzero(~np.isnan(step.drops)):
+                        assert step.drops[m] == pytest.approx(normal_equation_drop(
                             data.X, data.y, step.A, m, data.sigma2), abs=1e-9)
         assert deletions >= 3
+
+
+def glm_data(family, seed, n, p, copy=None):
+    """A logistic or Cox dataset with one signal; with ``copy=(i, k)``, column
+    k repeats column i, so once one of them is in A the other's fit fails."""
+    rng = np.random.default_rng(seed)
+    X = standardize(rng.standard_normal((n, p)))
+    if copy is not None:
+        X[:, copy[1]] = X[:, copy[0]]
+    eta = 4.0 * X[:, 0]
+    if family == "logistic":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        y[:2] = 0.0, 1.0
+        return BinaryDataset(X, y)
+    return SurvivalDataset(X, rng.exponential(1.0, n) / np.exp(eta), np.ones(n))
+
+
+def gaussian_path(selector, data):
+    return lasso_steps(lars_path(data), data) if selector == "lasso" else stepwise_path(data)
+
+
+PATHS = {
+    "stepwise": lambda: gaussian_path("stepwise", random_dataset(6, 30, 8, rho=0.5)),
+    "lasso": lambda: gaussian_path("lasso", random_dataset(6, 30, 8, rho=0.5)),
+    "logistic": lambda: lrt_path(glm_data("logistic", 7, 60, 6)),
+    "cox": lambda: lrt_path(glm_data("cox", 7, 60, 6)),
+    "logistic-copy": lambda: lrt_path(glm_data("logistic", 7, 60, 6, copy=(0, 3))),
+    "cox-copy": lambda: lrt_path(glm_data("cox", 7, 60, 6, copy=(0, 3))),
+}
+
+
+class TestStepRecord:
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_drops_are_an_array_over_all_columns(self, name):
+        steps = PATHS[name]()
+        p = 8 if name in ("stepwise", "lasso") else 6
+        assert steps
+        for step in steps:
+            failed = [int(m) for m in re.findall(r"candidate (\d+):", " ".join(step.failures))]
+            assert len(failed) == len(step.failures)
+            assert step.drops.dtype == np.float64 and step.drops.shape == (p,)
+            assert np.flatnonzero(np.isnan(step.drops)).tolist() == sorted([*step.A, *failed])
+            assert step.m_remaining == p - len(step.A)
+        if name.endswith("-copy"):
+            # The copy's fit fails once column 0 is in A, and the path ends
+            # with a step where every fit fails.
+            assert any(step.failures for step in steps)
+            assert steps[-1].j is None and np.isnan(steps[-1].drops).all()
+
+    @pytest.mark.parametrize("family", ["stepwise", "lasso", "logistic", "cox"])
+    @given(seed=st.integers(0, 2**16), perm=st.permutations(range(5)))
+    @settings(max_examples=20, deadline=None)
+    def test_column_permutation_maps_the_path(self, family, seed, perm):
+        # Xp = X[:, perm] holds column perm[i] of X at position i, so the
+        # path on Xp selects the same columns, renamed through perm, and its
+        # drops are the original drops taken at perm.
+        perm = np.array(perm)
+        if family in ("stepwise", "lasso"):
+            data = random_dataset(seed, 25, 5, rho=0.5, signal=((0, 2.0),))
+            moved = Dataset(data.X[:, perm], data.y, sigma2=data.sigma2)
+            run = lambda d: gaussian_path(family, d)  # noqa: E731
+        else:
+            data = glm_data(family, seed, 40, 5)
+            moved = (BinaryDataset(data.X[:, perm], data.y) if family == "logistic"
+                     else SurvivalDataset(data.X[:, perm], data.time, data.status))
+            run = lrt_path
+        steps = run(data)
+        for step in steps:  # no entry tie within 1e-9
+            top = np.sort(step.drops[~np.isnan(step.drops)])[-2:]
+            assume(top.size < 2 or top[1] - top[0] > 1e-9 * max(top[1], 1.0))
+        ours = run(moved)
+        assert [None if s.j is None else int(perm[s.j]) for s in ours] == [s.j for s in steps]
+        assert [tuple(int(perm[i]) for i in s.A) for s in ours] == [s.A for s in steps]
+        for s, t in zip(ours, steps):
+            assert len(s.failures) == len(t.failures) and s.conservative == t.conservative
+            np.testing.assert_allclose(s.drops, t.drops[perm], rtol=1e-8, atol=1e-12)

@@ -133,8 +133,11 @@ class TestReferenceFunctions:
 
 
 def candidate_drops(r_j, m, first=0):
-    """Drops of m candidates from index ``first`` on: r_j for the first, 0 for the rest."""
-    return {c: (r_j if c == first else 0.0) for c in range(first, first + m)}
+    """Drops of m candidates from index ``first`` on: r_j for the first, 0 for the rest,
+    and NaN for the columns before ``first`` (the model A)."""
+    drops = np.zeros(first + m)
+    drops[:first], drops[first] = np.nan, r_j
+    return drops
 
 
 class TestGumbelTest:
@@ -206,7 +209,7 @@ class TestGumbelTest:
     def test_near_tie_tests_the_drop_of_j(self, selector, kind):
         # Candidates 1 and 3 tie within 1e-12; the lower index is selected
         # and its own drop, not the maximum, is tested.
-        drops = {0: 2.0, 1: 10.0 - 5e-13, 2: 1.0, 3: 10.0, 4: 0.5}
+        drops = np.array([2.0, 10.0 - 5e-13, 1.0, 10.0, 0.5])
         step = SelectionStep(k=1, A=(), j=1, drops=drops, selector=selector)
         out = gumbel_test(step)
         assert (out.kind, out.j) == (kind, 1)
