@@ -206,7 +206,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             scenario = preset(args.scenario, seed=args.seed)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-    scenario.validate()
     summary = run_scenario(scenario)
 
     out = args.out_dir

@@ -93,7 +93,7 @@ def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
     diagonal, from one QR for the stack, then the norm of row i's last
     column after projecting them out (twice, as in ActiveQR.add)."""
     c, n, d = Z.shape
-    if d > n:
+    if d > n or c == 0:
         return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
     Q, R = np.linalg.qr(Z[0, :, :-1])
     v = Z[:, :, -1].T.copy()
@@ -107,18 +107,14 @@ def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
 
 def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps ``info[i] @ step[i] = grad[i]`` and a mask of singular rows."""
-    singular = np.zeros(len(grad), dtype=bool)
     try:
-        return np.linalg.solve(info, grad[:, :, None])[:, :, 0], singular
+        return np.linalg.solve(info, grad[:, :, None])[:, :, 0], np.zeros(len(grad), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    # One singular row fails the whole stacked solve; find it row by row.
+    # A singular row fails the stacked solve; slogdet runs solve's getrf, so sign 0 marks those rows.
+    singular = np.linalg.slogdet(info)[0] == 0
     step = np.zeros_like(grad)
-    for i in range(len(grad)):
-        try:
-            step[i] = np.linalg.solve(info[i], grad[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    step[~singular] = np.linalg.solve(info[~singular], grad[~singular, :, None])[:, :, 0]
     return step, singular
 
 
@@ -159,13 +155,15 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
 
     rows = np.flatnonzero(live)
     ll[rows], grad[rows], info[rows] = evaluate(rows, beta[rows])
-    for it in range(1, MAX_ITER + 1):
+    for it in range(MAX_ITER + 1):
         rows = np.flatnonzero(live)
         done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
-        iterations[rows[done]] = it - 1
+        iterations[rows[done]] = it
         live[rows[done]] = False
         rows = rows[~done]
-        if rows.size == 0:
+        if it == MAX_ITER:
+            fail(rows, ConvergenceError, f"no convergence after {MAX_ITER} iterations")
+        if rows.size == 0 or it == MAX_ITER:
             break
         step, singular = _solve_rows(info[rows], grad[rows])
         fail(rows[singular], ConvergenceError, "singular information matrix")
@@ -188,10 +186,6 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
         moved = np.delete(rows, pending)
         fail(moved[np.linalg.norm(beta[moved], axis=1) > DIVERGENCE_NORM], SeparationError,
              "coefficients diverging; likelihood unbounded")
-    rows = np.flatnonzero(live)
-    done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
-    iterations[rows[done]] = MAX_ITER
-    fail(rows[~done], ConvergenceError, f"no convergence after {MAX_ITER} iterations")
     return beta, ll, iterations, errors
 
 

@@ -119,22 +119,22 @@ def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
 
 
 def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
-           signs: dict[int, int], lam_cur: float, just_dropped: int | None,
+           signs: Sequence[int], lam_cur: float, just_dropped: int | None,
            stop_lambda: float, max_active: int, max_steps: int | None = None,
            segment: tuple[np.ndarray, np.ndarray] | None = None
            ) -> tuple[list[Knot], list[str], list]:
     """Continue the lasso path over ``cols`` from the state just below ``lam_cur``.
 
-    ``active`` (entry order), ``signs`` and ``just_dropped`` (deleted at
-    ``lam_cur``) give that state, and ``segment`` its ``(b0, b1)`` if known;
-    the empty state at ``lam_cur = inf`` starts a path. One :class:`ActiveQR`
-    factor, built when a segment is first needed, follows the events. The
-    trace ends at ``max_active`` active variables or after ``max_steps``
-    entries. Returns the knots down to ``stop_lambda``, the entry-tie
-    warnings, and the segments (see :class:`LassoPath`) of the starting state
-    and each knot.
+    ``active`` (entry order), ``signs`` (aligned with ``active``) and
+    ``just_dropped`` (deleted at ``lam_cur``) give that state, and ``segment``
+    its ``(b0, b1)`` if known; the empty state at ``lam_cur = inf`` starts a
+    path. One :class:`ActiveQR` factor, built when a segment is first needed,
+    follows the events. The trace ends at ``max_active`` active variables or
+    after ``max_steps`` entries. Returns the knots down to ``stop_lambda``,
+    the entry-tie warnings, and the segments (see :class:`LassoPath`) of the
+    starting state and each knot.
     """
-    active, signs = list(active), dict(signs)
+    active, signs = list(active), list(signs)
     inactive = np.zeros(X.shape[1], dtype=bool)
     inactive[cols] = True
     inactive[active] = False
@@ -156,7 +156,7 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
             except SingularDesignError:
                 segments.append(None)
                 break
-            b0, b1, fit_b1 = qr.segment(np.array([signs[i] for i in active], float))
+            b0, b1, fit_b1 = qr.segment(np.array(signs, float))
             segments.append((b0, b1))
         if len(active) >= max_active or (max_steps is not None and entries >= max_steps):
             break
@@ -188,47 +188,33 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
                               & (drop_roots < lam_cur - LAMBDA_TOL), drop_roots, -np.inf)
         best_drop_lam = float(drop_roots.max(initial=-np.inf))
 
-        has_entry = best_entry_lam > ZERO_CORR_TOL
-        has_drop = best_drop_lam > -np.inf
-        if not has_entry and not has_drop:
+        if best_entry_lam == best_drop_lam == -np.inf:
             break
-
         # Deletions take precedence on exact ties so the sign vector stays valid.
-        if has_drop and (not has_entry or best_drop_lam >= best_entry_lam - LAMBDA_TOL):
-            lam_next = min(best_drop_lam, lam_cur)
-            if lam_next < stop_lambda:
-                break
-            drop_idx = active[int(np.argmax(drop_roots))]
-            knots.append(Knot(k=len(knots) + 1, lam=lam_next, entering=drop_idx,
-                              active_before=tuple(active),
-                              signs_after=tuple(signs[i] for i in active if i != drop_idx),
-                              action="leave"))
-            active.remove(drop_idx)
-            del signs[drop_idx]
-            inactive[drop_idx] = True
-            just_dropped = drop_idx
-            lam_cur = lam_next
-            continue
-
-        # Entry ties within LAMBDA_TOL go to the lowest index.
-        tied = np.flatnonzero(roots >= best_entry_lam - LAMBDA_TOL)
-        lam_next = min(float(roots[tied[0]]), lam_cur)
+        if best_drop_lam >= best_entry_lam - LAMBDA_TOL:
+            pos = int(np.argmax(drop_roots))
+            action, j, lam_next, tied = "leave", active[pos], best_drop_lam, ()
+            signs_after = signs[:pos] + signs[pos + 1:]
+        else:
+            # Entry ties within LAMBDA_TOL go to the lowest index.
+            tied = np.flatnonzero(roots >= best_entry_lam - LAMBDA_TOL)
+            action, j, lam_next = "enter", int(idx[tied[0] // 2]), float(roots[tied[0]])
+            signs_after = signs + [1 - 2 * int(tied[0] % 2)]
+        lam_next = min(lam_next, lam_cur)
         if lam_next < stop_lambda:
             break
-        j, sgn = int(idx[tied[0] // 2]), 1 - 2 * int(tied[0] % 2)
         if len(tied) > 1:
             tied_vars = sorted(set(idx[tied // 2].tolist()))
             warnings_list.append(
                 f"entry tie at lambda={lam_next:.6g} among {tied_vars}; chose {j}")
-        knots.append(Knot(k=len(knots) + 1, lam=lam_next, entering=j,
-                          active_before=tuple(active),
-                          signs_after=tuple([signs[i] for i in active] + [sgn])))
-        active.append(j)
-        signs[j] = sgn
-        inactive[j] = False
-        entries += 1
+        knot = Knot(k=len(knots) + 1, lam=lam_next, entering=j, action=action,
+                    active_before=tuple(active), signs_after=tuple(signs_after))
+        knots.append(knot)
+        active, signs = list(knot.active_after), signs_after
+        inactive[j] = action == "leave"
+        entries += action == "enter"
         lam_cur = lam_next
-        just_dropped = None
+        just_dropped = j if action == "leave" else None
     else:
         raise PathNonTerminationError("path did not terminate; data may be degenerate")
     return knots, warnings_list, segments
@@ -248,7 +234,7 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     cols = _columns(data, None)
     if max_steps is not None and not 0 <= max_steps <= min(data.n, data.p):
         raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)]")
-    knots, warnings_list, segments = _trace(data.X, data.y, cols, [], {}, np.inf, None,
+    knots, warnings_list, segments = _trace(data.X, data.y, cols, [], [], np.inf, None,
                                             0.0, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
@@ -287,13 +273,13 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     elif path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
     inside = set(cols)
-    state, segment = ((), {}, np.inf, None), None
+    state, segment = ((), (), np.inf, None), None
     # Knot penalties do not increase, so the knots above lam are a prefix.
     above = bisect.bisect_left(path.knots, -(lam + LAMBDA_TOL), key=lambda kn: -kn.lam)
     for pos in range(min(above, len(path.segments)) - 1, -1, -1):
         kn = path.knots[pos]
         if inside.issuperset(kn.active_after):
-            state = (kn.active_after, dict(zip(kn.active_after, kn.signs_after)), kn.lam,
+            state = (kn.active_after, kn.signs_after, kn.lam,
                      kn.entering if kn.action == "leave" else None)
             segment = path.segments[pos]
             break

@@ -374,6 +374,13 @@ class TestSimulateVerb:
                              "n": 40, "p": 10, "test": "gumbel", "reps": 0})
         assert run(["simulate", "--inline", inline]) == 2
 
+    def test_inline_infeasible_orthogonal_design_exit_3(self, tmp_path, capsys):
+        inline = json.dumps({"family": "gaussian", "design": "orthogonal",
+                             "n": 5, "p": 10, "test": "gumbel", "reps": 2})
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err == "sigtest: error: orthogonal design requires n >= p\n"
+        assert not (tmp_path / "s").exists()
+
     def test_inline_unknown_field_exit_2(self):
         inline = json.dumps({"family": "gaussian", "design": "orthogonal",
                              "n": 40, "p": 10, "test": "gumbel", "bogus": 1})

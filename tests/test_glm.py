@@ -340,6 +340,13 @@ class TestLrtDropsAll:
             expect = max(2.0 * (oracle_loglik(family, data, A + [m]) - base), 0.0)
             assert drop == pytest.approx(expect, abs=1e-6)
 
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_full_model_leaves_no_candidate(self, family):
+        data = random_binary(13, 20, 3) if family == "logistic" else tied_survival(13, 20, 3)
+        drops, failures = lrt_drops_all(data, [2, 0, 1])
+        assert drops.shape == (3,) and np.isnan(drops).all()
+        assert failures == []
+
     def test_failed_candidates_are_isolated(self):
         # Column 4 separates the labels (one pair of opposite labels a tiny
         # gap apart, so the likelihood climbs without bound) and column 7
@@ -411,6 +418,56 @@ class TestLrtDropsAll:
         assert singular.tolist() == [False, False, True, False]
         for i in (0, 1, 3):
             np.testing.assert_array_equal(step[i], np.linalg.solve(info[i], grad[i]))
+        step, singular = _solve_rows(np.stack([info[2], np.zeros((3, 3)), info[2]]), grad[:3])
+        assert singular.tolist() == [True, True, True]
+        np.testing.assert_array_equal(step, 0.0)
+
+
+class TestIterationCap:
+    """A fit that needs exactly N Newton iterations converges under
+    ``MAX_ITER = N`` and fails under N - 1."""
+
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_fit_converges_at_the_cap_and_fails_below_it(self, family, monkeypatch):
+        data, fit = ((random_binary(17, 40, 3, beta=np.array([1.0, -0.5, 0.0])), logistic_fit)
+                     if family == "logistic" else (tied_survival(17, 40, 3), cox_fit))
+        free = fit(data, [0, 1, 2])
+        needed = free.iterations
+        assert needed >= 2
+        monkeypatch.setattr(glm, "MAX_ITER", needed)
+        capped = fit(data, [0, 1, 2])
+        assert (capped.converged, capped.iterations) == (True, needed)
+        np.testing.assert_array_equal(capped.coefficients, free.coefficients)
+        monkeypatch.setattr(glm, "MAX_ITER", needed - 1)
+        with pytest.raises(ConvergenceError, match=rf"^{family} fit: no convergence after "
+                                                   rf"{needed - 1} iterations$"):
+            fit(data, [0, 1, 2])
+
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_capped_candidates_are_failure_notes(self, family, monkeypatch):
+        data = glm_table(family, 11, 40, 6)
+        counts = []
+        newton = glm._newton_stack
+
+        def recording(objective, Z, beta0, what):
+            out = newton(objective, Z, beta0, what)
+            counts.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(glm, "_newton_stack", recording)
+        free = lrt_path(data, max_steps=1)[0]
+        # The base on A = [] is closed-form: one stacked solve, candidate m in row m.
+        (iterations,) = counts
+        cap = int(iterations.max())
+        assert cap >= 2 and free.failures == []
+        monkeypatch.setattr(glm, "MAX_ITER", cap - 1)
+        capped = lrt_path(data, max_steps=1)[0]
+        slow = np.flatnonzero(iterations == cap)
+        assert capped.failures == [f"fit failed for candidate {m}: {family} fit: no convergence "
+                                   f"after {cap - 1} iterations" for m in slow]
+        assert np.flatnonzero(np.isnan(capped.drops)).tolist() == slow.tolist()
+        fast = iterations < cap
+        np.testing.assert_array_equal(capped.drops[fast], free.drops[fast])
 
 
 def glm_step(A, drops, failures):

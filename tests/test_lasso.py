@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,20 @@ class TestLassoSolve:
         with pytest.warns(NonUniqueSolutionWarning):
             beta = lasso_solve(data, 1.5)
         np.testing.assert_allclose(beta, [0.5, 0.5, 0.0])
+
+    def test_entry_tie_warns_only_once_its_knot_is_reached(self):
+        from sigtest.exceptions import NonUniqueSolutionWarning
+
+        # Columns 1 and 2 tie at lambda = 2. A trace that stops above it keeps
+        # no knot there, so it has no tie to report.
+        data = Dataset(np.eye(4), np.array([3.0, 2.0, -2.0, 1.0]), sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(lasso_solve(data, 2.5), [0.5, 0.0, 0.0, 0.0])
+        with pytest.warns(NonUniqueSolutionWarning,
+                          match=r"entry tie at lambda=2 among \[1, 2\]; chose 1\)"):
+            beta = lasso_solve(data, 1.5)
+        np.testing.assert_allclose(beta, [1.5, 0.5, -0.5, 0.0])
 
     def test_kkt_self_consistency_sweep(self):
         # Every solver output passes the stationarity check: 100 instances.

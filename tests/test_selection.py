@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from sigtest import (
     BinaryDataset,
     Dataset,
     PathTruncationWarning,
+    SigtestError,
     StalePathError,
     SurvivalDataset,
+    covariance_test,
     lars_path,
     lasso_steps,
     standardize,
@@ -219,6 +222,85 @@ def gaussian_path(selector, data):
     return lasso_steps(lars_path(data), data) if selector == "lasso" else stepwise_path(data)
 
 
+def no_near_tie(steps):
+    """Whether no step's two largest drops lie within 1e-9: ties go to the
+    lowest index, so only then may a relation move the selection."""
+    for step in steps:
+        top = np.sort(step.drops[~np.isnan(step.drops)])[-2:]
+        if top.size == 2 and top[1] - top[0] <= 1e-9 * max(top[1], 1.0):
+            return False
+    return True
+
+
+def assert_same_steps(ours, theirs, rename=None):
+    """Same selections and failures, and drops to 1e-8 relative; ``rename``
+    maps a column of ``ours`` to its column in ``theirs``."""
+    rename = np.arange(len(theirs[0].drops)) if rename is None else rename
+    assert [None if s.j is None else int(rename[s.j]) for s in ours] == [s.j for s in theirs]
+    assert [tuple(int(rename[i]) for i in s.A) for s in ours] == [s.A for s in theirs]
+    for s, t in zip(ours, theirs):
+        assert len(s.failures) == len(t.failures) and s.conservative == t.conservative
+        drops = np.empty_like(s.drops)
+        drops[rename] = s.drops
+        np.testing.assert_allclose(drops, t.drops, rtol=1e-8, atol=1e-12)
+
+
+def covariance_statistics(path, data):
+    """The covariance statistic of each entry that has a next one, or the
+    name of the error its test raises."""
+    out = []
+    for k in range(1, len(path.entry_positions)):
+        try:
+            out.append(covariance_test(path, data, k).statistic)
+        except SigtestError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def assert_same_statistics(ours, theirs):
+    assert [isinstance(s, str) and s for s in ours] == [isinstance(t, str) and t for t in theirs]
+    for s, t in zip(ours, theirs):
+        if not isinstance(t, str):
+            assert s == pytest.approx(t, rel=1e-8, abs=1e-10)
+
+
+def assert_same_knots(ours, theirs, rename=None, flip=()):
+    """Same events, renamed through ``rename``, with the signs of the columns
+    in ``flip`` flipped and knot penalties to 1e-8 relative."""
+    rename = (lambda i: i) if rename is None else rename
+    assert [(kn.action, rename(kn.entering), tuple(map(rename, kn.active_before)))
+            for kn in ours.knots] == [(kn.action, kn.entering, kn.active_before)
+                                      for kn in theirs.knots]
+    assert [tuple(-s if i in flip else s for i, s in zip(kn.active_after, kn.signs_after))
+            for kn in ours.knots] == [kn.signs_after for kn in theirs.knots]
+    np.testing.assert_allclose([kn.lam for kn in ours.knots], [kn.lam for kn in theirs.knots],
+                               rtol=1e-8)
+
+
+def with_tied_times(data):
+    """The Cox dataset with its times rounded to 0.5, so many event times tie."""
+    return replace(data, time=np.round(data.time * 2.0) / 2.0 + 0.5)
+
+
+def rows_moved(data, order):
+    """The dataset with its rows in ``order``."""
+    return replace(data, **{name: getattr(data, name)[order] for name in data._arrays})
+
+
+def column_flipped(data, m):
+    """The dataset with the sign of column m flipped."""
+    X = data.X.copy()
+    X[:, m] = -X[:, m]
+    return replace(data, X=X)
+
+
+METAMORPHIC_DATA = {
+    "gaussian": lambda seed: random_dataset(seed, 25, 5, rho=0.5, signal=((0, 2.0),)),
+    "logistic": lambda seed: glm_data("logistic", seed, 40, 5),
+    "cox-ties": lambda seed: with_tied_times(glm_data("cox", seed, 40, 5)),
+}
+
+
 PATHS = {
     "stepwise": lambda: gaussian_path("stepwise", random_dataset(6, 30, 8, rho=0.5)),
     "lasso": lambda: gaussian_path("lasso", random_dataset(6, 30, 8, rho=0.5)),
@@ -265,12 +347,58 @@ class TestStepRecord:
                      else SurvivalDataset(data.X[:, perm], data.time, data.status))
             run = lrt_path
         steps = run(data)
-        for step in steps:  # no entry tie within 1e-9
-            top = np.sort(step.drops[~np.isnan(step.drops)])[-2:]
-            assume(top.size < 2 or top[1] - top[0] > 1e-9 * max(top[1], 1.0))
-        ours = run(moved)
-        assert [None if s.j is None else int(perm[s.j]) for s in ours] == [s.j for s in steps]
-        assert [tuple(int(perm[i]) for i in s.A) for s in ours] == [s.A for s in steps]
-        for s, t in zip(ours, steps):
-            assert len(s.failures) == len(t.failures) and s.conservative == t.conservative
-            np.testing.assert_allclose(s.drops, t.drops[perm], rtol=1e-8, atol=1e-12)
+        assume(no_near_tie(steps))
+        assert_same_steps(run(moved), steps, rename=perm)
+        if family == "lasso":
+            # The knots are renamed the same way, and the statistics stay.
+            path = lars_path(data)
+            assume(not path.warnings)
+            ours = lars_path(moved)
+            assert_same_knots(ours, path, rename=lambda i: int(perm[i]))
+            assert_same_statistics(covariance_statistics(ours, moved),
+                                   covariance_statistics(path, data))
+
+
+class TestMetamorphic:
+    """Relations any correct implementation keeps, checked with no second one."""
+
+    @staticmethod
+    def assert_same_results(family, data, other, flip=()):
+        """``other`` gives the same steps and, for Gaussian data, the same
+        knots (with the signs of the columns in ``flip`` flipped) and
+        covariance statistics."""
+        if family != "gaussian":
+            steps = lrt_path(data)
+            assume(no_near_tie(steps))
+            assert_same_steps(lrt_path(other), steps)
+            return
+        path = lars_path(data)
+        assume(not path.warnings)
+        for run in (stepwise_path, lambda d: lasso_steps(lars_path(d), d)):
+            steps = run(data)
+            assume(no_near_tie(steps))
+            assert_same_steps(run(other), steps)
+        ours = lars_path(other)
+        assert_same_knots(ours, path, flip=flip)
+        assert_same_statistics(covariance_statistics(ours, other),
+                               covariance_statistics(path, data))
+
+    @pytest.mark.parametrize("family", sorted(METAMORPHIC_DATA))
+    @given(seed=st.integers(0, 2**16), m=st.integers(0, 4))
+    @settings(max_examples=12, deadline=None)
+    def test_column_sign_flip(self, family, seed, m):
+        # Flipping x_m flips its lasso sign and leaves every knot penalty,
+        # drop and statistic as it was.
+        data = METAMORPHIC_DATA[family](seed)
+        self.assert_same_results(family, data, column_flipped(data, m), flip=(m,))
+
+    @pytest.mark.parametrize("family", sorted(METAMORPHIC_DATA))
+    @given(seed=st.integers(0, 2**16), shuffle=st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_row_permutation(self, family, seed, shuffle):
+        # The rows are exchangeable, also for Cox data with tied times.
+        data = METAMORPHIC_DATA[family](seed)
+        if family == "cox-ties":
+            assert len(np.unique(data.time[data.status == 1.0])) < data.status.sum()
+        order = np.random.default_rng(shuffle).permutation(data.n)
+        self.assert_same_results(family, data, rows_moved(data, order))
