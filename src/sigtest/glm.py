@@ -99,8 +99,9 @@ def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
     v = Z[:, :, -1].T.copy()
     for _ in range(2):
         v -= Q @ (Q.T @ v)
-    diag = np.column_stack([np.tile(np.abs(np.diagonal(R)), (c, 1)), np.linalg.norm(v, axis=0)])
-    deficient = diag.min(axis=1) < RANK_TOL * diag.max(axis=1)
+    shared, last = np.abs(np.diagonal(R)), np.linalg.norm(v, axis=0)
+    deficient = (np.minimum(shared.min(initial=np.inf), last)
+                 < RANK_TOL * np.maximum(shared.max(initial=0.0), last))
     return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
             for bad in deficient]
 
@@ -118,17 +119,46 @@ def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     return step, singular
 
 
-def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
-    """Damped Newton ascent on a stack of c problems of one shape.
+def _information(Z: np.ndarray, a: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Z'(a Z) - C'C for a design Z (n, d) or each design of a stack (c, n, d)."""
+    return Z.swapaxes(-1, -2) @ (a[..., None] * Z) - C.swapaxes(-1, -2) @ C
 
-    ``Z`` is the (c, n, d) stack of designs, which share their first d - 1
-    columns, and ``beta0`` the (c, d) starting points. ``objective(Z, beta)``
-    returns the log-likelihood (c,), gradient (c, d) and information matrix
-    (c, d, d) of the rows it is given; the information matrix is the negated
-    Hessian, so a row's ascent step solves ``info @ step = grad``. Each row
-    keeps the rules of a single fit under its own mask: the rank check,
-    convergence once the gradient norm is below GRAD_TOL, step halving with
-    its own scale (at most MAX_HALVINGS times), SeparationError once the
+
+def _shared_start(objective, design: np.ndarray, columns: np.ndarray, base: np.ndarray):
+    """Log-likelihood, gradient and information of every model [design, x_m]
+    at (base, 0), from the one evaluation at design @ base they share: the
+    design's block once, the cross blocks from one (d, n) x (n, c) product,
+    in O(n c d + n d^2) with no Gram matrix of [design, columns]."""
+    ll, r, a, center = objective((design @ base)[None])
+    r, a = r[0], a[0]
+    cd, cx = center(design, 0), center(columns, 0)
+    c, d = columns.shape[1], design.shape[1]
+    grad = np.empty((c, d + 1))
+    grad[:, :d], grad[:, d] = design.T @ r, columns.T @ r
+    info = np.empty((c, d + 1, d + 1))
+    info[:, :d, :d] = _information(design, a, cd)
+    info[:, :d, d] = info[:, d, :d] = columns.T @ (a[:, None] * design) - cx.T @ cd
+    info[:, d, d] = a @ columns**2 - (cx**2).sum(axis=0)
+    return np.full(c, ll[0]), grad, info
+
+
+# Far along a diverging direction the Cox risk-set sums can underflow; such
+# rows are rejected by the line search or fail alone, so numpy stays quiet.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.ndarray,
+                  what: str):
+    """Damped Newton ascent on the c models [design, columns[:, m]], each
+    started from ``base`` on ``design`` (n, d) and 0 on its own column.
+
+    ``objective(eta)`` maps a (c, n) stack of linear predictors to the pieces
+    ``(loglik, r, a, center)`` of ``_Problem``; a design Z of the stack has
+    gradient Z'r and information Z'(a Z) - C'C, C = ``center(Z, rows)``. All
+    rows start from one evaluation at ``design @ base`` (``_shared_start``);
+    then only rows that accepted their step and have not converged form the
+    information, with which a row's step solves ``info @ step = grad``.
+    Each row keeps the rules of a single fit under its own mask: the rank
+    check, convergence once the gradient norm is below GRAD_TOL, step halving
+    with its own scale (at most MAX_HALVINGS times), SeparationError once the
     coefficient norm passes DIVERGENCE_NORM, and ConvergenceError on a
     singular information matrix, a failed line search or MAX_ITER
     iterations. A failed row stops; the others go on unchanged.
@@ -136,25 +166,22 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
     exception a fit of row i alone raises, or None when the row converged.
     """
-    beta = np.array(beta0, dtype=float)
-    c, d = beta.shape
+    (n, d), c = design.shape, columns.shape[1]
+    Z = np.empty((c, n, d + 1))
+    Z[:, :, :d] = design
+    Z[:, :, d] = columns.T
+    beta = np.zeros((c, d + 1))
+    beta[:, :d] = base
     errors = _rank_errors(Z, what)
     live = np.array([e is None for e in errors], dtype=bool)
     iterations = np.zeros(c, dtype=int)
-    ll = np.full(c, np.nan)
-    grad = np.zeros((c, d))
-    info = np.zeros((c, d, d))
-
-    def evaluate(rows, b):
-        return objective(Z if rows.size == c else Z[rows], b)
+    ll, grad, info = _shared_start(objective, design, columns, base)
 
     def fail(rows, error, message):
         for i in rows:
             errors[i] = error(f"{what}: {message}")
         live[rows] = False
 
-    rows = np.flatnonzero(live)
-    ll[rows], grad[rows], info[rows] = evaluate(rows, beta[rows])
     for it in range(MAX_ITER + 1):
         rows = np.flatnonzero(live)
         done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
@@ -174,12 +201,17 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
             if pending.size == 0:
                 break
             sub = rows[pending]
+            Zs = Z if sub.size == c else Z[sub]
             cand = beta[sub] + scale[pending, None] * step[pending]
-            ll_new, grad_new, info_new = evaluate(sub, cand)
+            ll_new, r, a, center = objective((Zs @ cand[:, :, None])[:, :, 0])
             ok = np.isfinite(ll_new) & (ll_new >= ll[sub] - 1e-12)
+            g = (r[:, None] @ Zs)[:, 0]
             took = sub[ok]
-            beta[took], ll[took] = cand[ok], ll_new[ok]
-            grad[took], info[took] = grad_new[ok], info_new[ok]
+            beta[took], ll[took], grad[took] = cand[ok], ll_new[ok], g[ok]
+            # A row that has converged never uses its information.
+            more = np.flatnonzero(ok & (np.linalg.norm(g, axis=1) >= GRAD_TOL))
+            Zm = Zs if more.size == sub.size else Zs[more]
+            info[sub[more]] = _information(Zm, a[more], center(Zm, more))
             pending = pending[~ok]
             scale[pending] *= 0.5
         fail(rows[pending], ConvergenceError, "step halving failed to improve the likelihood")
@@ -191,11 +223,16 @@ def _newton_stack(objective, Z: np.ndarray, beta0: np.ndarray, what: str):
 
 class _Problem(NamedTuple):
     """A family's model, with rows in the order its objective needs, and the
-    fit of the model on A = [] (the lead columns alone) in closed form."""
+    fit of the model on A = [] (the lead columns alone) in closed form.
+
+    At a stack of linear predictors (c, n) the objective gives the
+    log-likelihood, a residual r and weights a, and center(Z, rows): a design
+    Z has gradient Z'r and information Z'(a Z) - C'C with C = center(Z, rows),
+    none for logistic and the risk-set means of Z at each event for Cox."""
 
     lead: np.ndarray  # (n, 0) or (n, 1): the columns every model has (the intercept)
     columns: np.ndarray  # (n, p): every column of X
-    objective: Callable  # (Z (c, n, d), beta (c, d)) -> loglik, gradient, information
+    objective: Callable  # eta (c, n) -> loglik, r, a, center, as _newton_stack reads them
     empty: tuple[np.ndarray, float]  # coefficients and log-likelihood of the model on A = []
     family: str  # "logistic" or "cox"
 
@@ -212,17 +249,12 @@ class _Problem(NamedTuple):
 def _logistic_problem(data: BinaryDataset) -> _Problem:
     y = data.y
 
-    def objective(Z, beta):
-        eta = (Z @ beta[:, :, None])[:, :, 0]
+    def objective(eta):
         # log(1 + e^eta) and the fitted probabilities from e^-|eta|, which cannot overflow.
         e = np.exp(-np.abs(eta))
         ll = eta @ y - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=1)
         prob = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
-        Zt = Z.transpose(0, 2, 1)
-        grad = (Zt @ (y - prob)[:, :, None])[:, :, 0]
-        w = prob * (1.0 - prob)
-        info = Zt @ (w[:, :, None] * Z)
-        return ll, grad, info
+        return ll, y - prob, prob * (1.0 - prob), lambda X, rows: X[..., :0, :]  # C'C = 0
 
     # With an intercept the maximum fits p = k/n to every observation, for
     # k ones (0 < k < n in a BinaryDataset); with no parameters, p = 1/2.
@@ -243,7 +275,8 @@ def _fit(problem: _Problem, M: list[int]) -> FitResult:
                          converged=True, iterations=0)
     design = problem.design(M)
     beta, ll, iterations, errors = _newton_stack(
-        problem.objective, design[None], np.zeros((1, design.shape[1])), problem.what)
+        problem.objective, design[:, :-1], design[:, -1:], np.zeros(design.shape[1] - 1),
+        problem.what)
     if errors[0] is not None:
         raise errors[0]
     return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
@@ -262,41 +295,34 @@ def _cox_problem(data: SurvivalDataset) -> _Problem:
     # Rows sorted by follow-up time. The risk set of an event at position i
     # is positions first(i)..n-1, first(i) the first index sharing its time.
     order = np.argsort(data.time, kind="stable")
-    time = data.time[order]
-    event_pos = np.flatnonzero(data.status[order] == 1.0)
+    time, status = data.time[order], data.status[order]
+    event_pos = np.flatnonzero(status == 1.0)
     first = np.searchsorted(time, time[event_pos], side="left")
     # Number of events whose risk set starts at or before each position.
     starts = np.searchsorted(first, np.arange(data.n), side="right")
 
-    def objective(Z, beta):
-        # Far along a diverging direction the risk-set sums can underflow;
-        # the resulting non-finite candidates are rejected by the line
-        # search, so the numpy warnings are suppressed here.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            eta = (Z @ beta[:, :, None])[:, :, 0]
-            shift = eta.max(axis=1, keepdims=True)
-            w = np.exp(eta - shift)
-            # Suffix sums over the sorted order: sum of w (and w*x) from each
-            # position to the end.
-            s0 = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-            s1 = np.cumsum((w[:, :, None] * Z)[:, ::-1], axis=1)[:, ::-1]
-            denom = s0[:, first]
-            ll = eta[:, event_pos].sum(axis=1) - (np.log(denom) + shift).sum(axis=1)
-            mean = s1[:, first] / denom[:, :, None]
-            grad = Z[:, event_pos].sum(axis=1) - mean.sum(axis=1)
-            # The information needs sum_e S2(first_e) / denom_e, with S2(k)
-            # the suffix sum of w x x' from position k. Swapping the sums
-            # gives sum_i w_i c_i x_i x_i', where c_i sums 1/denom_e over the
-            # events whose risk set starts at or before i: one prefix sum over
-            # events and one weighted Gram matrix, with no (n, d, d) array.
-            # Tied events share first_e but each keeps its own 1/denom_e
-            # term on both sides, so the identity is exact with ties.
-            inv = np.concatenate([np.zeros((len(Z), 1)), np.cumsum(1.0 / denom, axis=1)],
-                                 axis=1)
-            cw = w * inv[:, starts]
-            info = Z.transpose(0, 2, 1) @ (cw[:, :, None] * Z) \
-                - mean.transpose(0, 2, 1) @ mean
-        return ll, grad, info
+    def objective(eta):
+        shift = eta.max(axis=1, keepdims=True)
+        w = np.exp(eta - shift)
+        # Suffix sums over the sorted order: sum of w from each position to the end.
+        denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1][:, first]
+        ll = eta[:, event_pos].sum(axis=1) - (np.log(denom) + shift).sum(axis=1)
+        # The gradient sums x_e - C_e and the information S2(first_e) / denom_e
+        # - C_e C_e' over the events e, with C_e = S1(first_e) / denom_e and S1,
+        # S2 the suffix sums of w x and w x x'. Swapping the sums gives r =
+        # status - c w and a = c w, where c_i sums 1/denom_e over the events
+        # whose risk set starts at or before i: one prefix sum, no (n, d, d)
+        # array. Tied events share first_e but each keeps its own 1/denom_e
+        # term on both sides, so the identity is exact with ties.
+        inv = np.concatenate([np.zeros((len(eta), 1)), np.cumsum(1.0 / denom, axis=1)], axis=1)
+        cw = w * inv[:, starts]
+
+        def center(X, rows):
+            """C_e of the columns of X, per event: S1(first_e) / denom_e."""
+            s1 = np.cumsum((w[rows, :, None] * X)[..., ::-1, :], axis=-2)[..., ::-1, :]
+            return s1[..., first, :] / denom[rows, :, None]
+
+        return ll, status - cw, cw, center
 
     return _Problem(np.empty((data.n, 0)), data.X[order], objective,
                     (np.zeros(0), -float(np.log(data.n - first).sum())), "cox")
@@ -329,7 +355,9 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     then fitted in one batched Newton solve over the stack of designs A u {m}
     (``[1, X_A, x_m]``, or ``[X_A, x_m]`` in time order), each started from
     the base coefficients with 0 for x_m: at that start every candidate fit has the base fit's
-    likelihood, so it only climbs from there. The drops are an array of
+    likelihood, so it only climbs from there, and one evaluation at the
+    base's linear predictor gives every candidate's starting gradient and
+    information. The drops are an array of
     length p, NaN on A and on a candidate whose fit failed, which is
     reported as ``"fit failed for candidate m: <error>"``.
     """
@@ -348,15 +376,9 @@ def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray):
     p = problem.columns.shape[1]
     candidates = [m for m in range(p) if m not in A]
     design = problem.design(A)
-    n, d = design.shape
-    Z = np.empty((len(candidates), n, d + 1))
-    Z[:, :, :d] = design
-    Z[:, :, d] = problem.columns[:, candidates].T
-    beta0 = np.zeros((len(candidates), d + 1))
-    beta0[:, :d] = base
-    fits, logliks = np.full((p, d + 1), np.nan), np.full(p, np.nan)
+    fits, logliks = np.full((p, design.shape[1] + 1), np.nan), np.full(p, np.nan)
     fits[candidates], logliks[candidates], _iterations, errors = _newton_stack(
-        problem.objective, Z, beta0, problem.what)
+        problem.objective, design, problem.columns[:, candidates], base, problem.what)
     failed = [(m, e) for m, e in zip(candidates, errors) if e is not None]
     logliks[[m for m, _e in failed]] = np.nan
     return fits, logliks, [f"fit failed for candidate {m}: {e}" for m, e in failed]

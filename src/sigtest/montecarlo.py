@@ -130,6 +130,8 @@ class MonteCarloSummary:
             "rejection_rate_05": self.rejection_rate_05,
             "failures": self.failures,
             "unreliable": self.unreliable,
+            "failure_reasons": dict(sorted(self.failure_reasons.items())),
+            "signal_missed": self.signal_missed,
         }
 
 

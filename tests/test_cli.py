@@ -359,8 +359,10 @@ class TestSimulateVerb:
         assert run(["simulate", "--inline", inline, "--out", out]) == 0
         summary = json.loads((tmp_path / "s" / "summary.json").read_text())
         assert list(summary) == ["scenario", "reps", "ks", "rejection_rate_05",
-                                 "failures", "unreliable"]
+                                 "failures", "unreliable", "failure_reasons",
+                                 "signal_missed"]
         assert summary["reps"] == 5
+        assert summary["failure_reasons"] == {} and summary["signal_missed"] == 0
         stats = (tmp_path / "s" / "statistics.csv").read_text().strip().splitlines()
         assert len(stats) == 5
 

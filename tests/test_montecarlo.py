@@ -291,12 +291,13 @@ class TestRunScenario:
         summ = run_scenario(s)
         assert summ.signal_missed >= 0
         assert summ.failures + len(summ.statistics) == 30
+        assert summ.to_json_dict()["signal_missed"] == summ.signal_missed
 
     def test_summary_json_fields(self):
         s = replace(preset("fig1-left"), reps=5)
         record = run_scenario(s).to_json_dict()
         assert list(record) == ["scenario", "reps", "ks", "rejection_rate_05",
-                                "failures", "unreliable"]
+                                "failures", "unreliable", "failure_reasons", "signal_missed"]
 
     def test_unreliable_flag_when_failures_exceed_five_percent(self):
         # Tiny heavily-censored survival samples fail often (no events or
@@ -352,6 +353,10 @@ class TestRunScenario:
         summ = run_scenario(s, threads=1)
         assert summ.failure_reasons.get("DegenerateResponseError", 0) > 0
         assert len(summ.statistics) + summ.failures == 40
+        record = summ.to_json_dict()
+        assert record["failure_reasons"] == summ.failure_reasons
+        assert list(record["failure_reasons"]) == sorted(summ.failure_reasons)
+        assert sum(record["failure_reasons"].values()) == record["failures"] == summ.failures
 
 
 class TestResolveThreads:
