@@ -31,27 +31,28 @@ def _read_table(path: str, reserved: tuple[str, ...]) -> tuple[list[str], np.nda
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            for name in reserved:
+                if header.count(name) > 1:
+                    raise CsvFormatError(f"column {name!r} appears more than once", line=1)
+                if name not in header:
+                    raise CsvFormatError(f"missing required column {name!r}", line=1)
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"expected {len(header)} fields, found {len(row)}", line=lineno)
+                try:
+                    rows.append([float(c) for c in row])
+                except ValueError:
+                    bad = next(c for c in row if not _is_float(c))
+                    raise CsvFormatError(f"non-numeric value {bad.strip()!r}", lineno) from None
         except StopIteration:
             raise CsvFormatError("file is empty", line=1) from None
-        header = [h.strip() for h in header]
-        for name in reserved:
-            if header.count(name) > 1:
-                raise CsvFormatError(f"column {name!r} appears more than once", line=1)
-            if name not in header:
-                raise CsvFormatError(f"missing required column {name!r}", line=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"expected {len(header)} fields, found {len(row)}", line=lineno)
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise CsvFormatError(f"non-numeric value {bad.strip()!r}", line=lineno) from None
+        except csv.Error as exc:  # a malformed or overlong field
+            raise CsvFormatError(str(exc), line=reader.line_num) from None
     if not rows:
         raise CsvFormatError("file contains a header but no data rows", line=2)
     table = np.asarray(rows, dtype=float)

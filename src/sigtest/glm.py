@@ -158,9 +158,10 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
     information, with which a row's step solves ``info @ step = grad``.
     Each row keeps the rules of a single fit under its own mask: the rank
     check, convergence once the gradient norm is below GRAD_TOL, step halving
-    with its own scale (at most MAX_HALVINGS times), SeparationError once the
-    coefficient norm passes DIVERGENCE_NORM, and ConvergenceError on a
-    singular information matrix, a failed line search or MAX_ITER
+    with its own scale (at most MAX_HALVINGS times) until the log-likelihood
+    falls by no more than round-off, 1e-12 * max(1, |ll|), SeparationError
+    once the coefficient norm passes DIVERGENCE_NORM, and ConvergenceError on
+    a singular information matrix, a failed line search or MAX_ITER
     iterations. A failed row stops; the others go on unchanged.
 
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
@@ -204,7 +205,7 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
             Zs = Z if sub.size == c else Z[sub]
             cand = beta[sub] + scale[pending, None] * step[pending]
             ll_new, r, a, center = objective((Zs @ cand[:, :, None])[:, :, 0])
-            ok = np.isfinite(ll_new) & (ll_new >= ll[sub] - 1e-12)
+            ok = np.isfinite(ll_new) & (ll_new >= ll[sub] - 1e-12 * np.maximum(1.0, abs(ll[sub])))
             g = (r[:, None] @ Zs)[:, 0]
             took = sub[ok]
             beta[took], ll[took], grad[took] = cand[ok], ll_new[ok], g[ok]

@@ -30,6 +30,7 @@ LAMBDA_TOL = 1e-10
 ZERO_CORR_TOL = 1e-12
 # A trace that has not ended after this many events per column is abandoned.
 MAX_EVENTS_PER_COLUMN = 50
+_ROOT_SIGNS = np.array((1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,14 @@ def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
     return cols
 
 
+def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float) -> np.ndarray:
+    """Penalty below ``lam_cur`` where each b0_i - lam*b1_i crosses zero, else -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = b0 / b1
+    return np.where((np.abs(b1) >= 1e-14) & (roots > ZERO_CORR_TOL)
+                    & (roots < lam_cur - LAMBDA_TOL), roots, -np.inf)
+
+
 def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
            signs: Sequence[int], lam_cur: float, just_dropped: int | None,
            stop_lambda: float, max_active: int, max_steps: int | None = None,
@@ -162,30 +171,26 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
             break
         idx = np.flatnonzero(inactive)
         b0, b1 = segments[-1]
-        # The residual y - X_A b0 and the direction X_A b1 of the segment come
-        # from the factor; the supplied starting segment has none yet.
-        if qr is not None:
-            resid = qr.resid
-        elif idx.size:
-            XA = X[:, active]
-            resid, fit_b1 = y - XA @ b0, XA @ b1
-        a, v = (np.array((resid, fit_b1)) @ X)[:, idx] if idx.size else np.zeros((2, 0))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        best_entry_lam = -np.inf
+        if idx.size:
+            # The residual y - X_A b0 and the direction X_A b1 of the segment come
+            # from the factor; the supplied starting segment has none yet.
+            if qr is None:
+                resid, fit_b1 = y - X[:, active] @ b0, X[:, active] @ b1
+            a, v = (np.array((resid if qr is None else qr.resid, fit_b1)) @ X)[:, idx]
             # Entry candidates: the correlation a + lam*v of inactive m meets the
             # boundary +lam at a/(1-v) and -lam at -a/(1+v). Row m holds both
-            # roots, so flat order is index order with the + root first.
-            denom = np.column_stack((1.0 - v, 1.0 + v))
-            roots = np.column_stack((a, -a)) / denom
-            # Deletion candidates: active coefficient b0_i - lam*b1_i crosses zero.
-            drop_roots = b0 / b1
-        ok = ((np.abs(denom) >= 1e-14) & np.isfinite(roots) & (roots > ZERO_CORR_TOL)
-              & (roots <= lam_cur + LAMBDA_TOL))
-        # A just-deleted variable re-enters only strictly below lam_cur.
-        ok[idx == just_dropped] &= roots[idx == just_dropped] < lam_cur - LAMBDA_TOL
-        roots = np.where(ok, roots, -np.inf).ravel()
-        best_entry_lam = float(roots.max()) if roots.size else -np.inf
-        drop_roots = np.where((np.abs(b1) >= 1e-14) & (drop_roots > ZERO_CORR_TOL)
-                              & (drop_roots < lam_cur - LAMBDA_TOL), drop_roots, -np.inf)
+            # roots, so flat order is index order with the + root (_ROOT_SIGNS) first.
+            denom = 1.0 - v[:, None] * _ROOT_SIGNS
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                roots = a[:, None] * _ROOT_SIGNS / denom
+            ok = ((np.abs(denom) >= 1e-14) & np.isfinite(roots) & (roots > ZERO_CORR_TOL)
+                  & (roots <= lam_cur + LAMBDA_TOL))
+            if just_dropped is not None:  # it re-enters only strictly below lam_cur
+                ok[idx == just_dropped] &= roots[idx == just_dropped] < lam_cur - LAMBDA_TOL
+            roots = np.where(ok, roots, -np.inf).ravel()
+            best_entry_lam = float(roots.max())
+        drop_roots = _drop_roots(b0, b1, lam_cur)
         best_drop_lam = float(drop_roots.max(initial=-np.inf))
 
         if best_entry_lam == best_drop_lam == -np.inf:
@@ -254,9 +259,10 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     cached segments. Where its active set lies inside ``subset``, its
     solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
-    knot above ``lam`` (else from the empty state), found by bisecting the
-    knot penalties and walking up, and covers only the stretch from there
-    down to ``lam``.
+    knot above ``lam`` (else from the empty state) and covers only the
+    stretch from there down to ``lam``. When that knot's active set is all of
+    ``subset``, the restricted path can only delete: unless a deletion comes
+    before ``lam``, the answer is the knot's segment at ``lam``, untraced.
 
     A degenerate equicorrelation set (entry tie) makes the solution
     non-unique; the lowest-index representative is returned with a
@@ -283,8 +289,12 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
                      kn.entering if kn.action == "leave" else None)
             segment = path.segments[pos]
             break
-    knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
-                                            max_active=data.n, segment=segment)
+    knots, warnings_list, segments = [], [], [segment]
+    # With all of the subset active, the warm segment holds unless a deletion precedes lam.
+    if (segment is None or len(state[0]) < len(cols)
+            or _drop_roots(*segment, state[2]).max(initial=-np.inf) >= lam):
+        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
+                                                max_active=data.n, segment=segment)
     warnings_list = list(path.warnings) + warnings_list
     if warnings_list:
         _warnings.warn(

@@ -145,12 +145,12 @@ def standardize(X: np.ndarray) -> np.ndarray:
 
 def _check_subset(data, M: Sequence[int]) -> list[int]:
     """M as a list of distinct column indices of ``data`` (any dataset with ``p``)."""
-    M = [int(m) for m in M]
+    M, p = [int(m) for m in M], data.p
     if len(set(M)) != len(M):
         raise ValueError(f"subset contains repeated indices: {M}")
     for m in M:
-        if not 0 <= m < data.p:
-            raise IndexError(f"column index {m} out of range [0, {data.p})")
+        if not 0 <= m < p:
+            raise IndexError(f"column index {m} out of range [0, {p})")
     return M
 
 

@@ -66,8 +66,8 @@ def best_candidate(drops: np.ndarray) -> tuple[int, float]:
 
     Drops within 1e-12 of the largest count as tied; the lowest index wins.
     """
-    best = float(np.nanmax(drops))
-    return int(np.flatnonzero(drops >= best - 1e-12)[0]), best
+    best = float(np.fmax.reduce(drops))
+    return int(np.argmax(drops >= best - 1e-12)), best
 
 
 def stepwise_path(data: Dataset, max_steps: int | None = None,
@@ -130,5 +130,5 @@ def lasso_steps(path: LassoPath, data: Dataset,
         drops = qr.drops(sigma2)
         steps.append(SelectionStep(
             k=idx, A=A, j=knot.entering, drops=drops, selector="lasso",
-            conservative=bool(drops[knot.entering] < np.nanmax(drops) - 1e-10)))
+            conservative=bool(drops[knot.entering] < np.fmax.reduce(drops) - 1e-10)))
     return steps

@@ -169,7 +169,10 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     RSS-drop decomposition using sign vectors and the least-squares
     coefficients that the segments of ``path`` (from :func:`lars_path`) hold
     above and below the kth entry; ``decomposition`` carries the second
-    value. Both routes take y'X beta from the cached X'y of ``data``. The
+    value. The restricted solution (:func:`lasso_solve`, warm-started from
+    ``path``) is the segment above the kth entry at the next knot, unless
+    the restricted path deletes a variable of A first; then it is traced.
+    Both routes take y'X beta from the cached X'y of ``data``. The
     p-value is the standard exponential upper tail exp(-statistic), clamped
     to 1 for negative statistics; a statistic more negative than round-off
     (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.

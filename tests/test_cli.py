@@ -68,6 +68,19 @@ class TestPathVerb:
 
 
 class TestTestVerb:
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_overlong_field_exit_2(self, tmp_path, capsys, line):
+        # The csv module refuses a field past its 131,072-character limit.
+        rows = IDENTITY_CSV.splitlines()
+        rows[line - 1] += "0" * 131_072
+        data = tmp_path / "long.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert run(["test", "--input", str(data), "--sigma2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("sigtest: error: field larger than field limit")
+        assert captured.err.endswith(f"(line {line})\n") and captured.err.count("\n") == 1
+
     def test_identity_first_row(self, identity_csv, tmp_path):
         out = str(tmp_path / "tests.csv")
         assert run(["test", "--input", identity_csv, "--sigma2", "1",

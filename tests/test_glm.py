@@ -475,6 +475,41 @@ class TestIterationCap:
         np.testing.assert_array_equal(capped.drops[fast], free.drops[fast])
 
 
+def cox_table_300():
+    """The (300, 48) Cox table of the benchmark's ``cox_table`` at seed 7:
+    event draws, then three signals of size 0.7, then censoring of 10% of
+    rate-1 events."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, 300])))
+    n, p = 300, 48
+    X = rng.standard_normal((n, p))
+    draws = rng.exponential(1.0, n)
+    beta = np.zeros(p)
+    beta[rng.choice(p, size=3, replace=False)] = 0.7 * rng.choice((-1.0, 1.0), size=3)
+    event = draws / np.exp(X @ beta)
+    censor = rng.exponential(0.9 / 0.1, n)
+    return SurvivalDataset(X, np.minimum(event, censor), (event <= censor).astype(float))
+
+
+class TestStepAcceptance:
+    """A Newton step is judged against round-off relative to |loglik|: at n in
+    the hundreds a Cox partial log-likelihood carries rounding above 1e-12,
+    and an absolute slack of 1e-12 rejected every later step of a fit that
+    converges alone."""
+
+    def test_large_cox_candidates_converge_in_the_stack(self):
+        data = cox_table_300()
+        alone = cox_fit(data, [35])
+        assert (alone.converged, alone.iterations) == (True, 3)
+        steps = lrt_path(data, max_steps=30)
+        # With the absolute slack, step 1's candidate 35 failed ("step
+        # halving failed to improve the likelihood"), and so did 10 fits over
+        # these 30 steps.
+        assert [step.failures for step in steps] == [[]] * 30
+        time, status = np.asarray(data.time), np.asarray(data.status)
+        empty = cox_partial_loglik(np.zeros((data.n, 0)), time, status, np.zeros(0))
+        assert steps[0].drops[35] == pytest.approx(2.0 * (alone.loglik - empty), abs=1e-9)
+
+
 GLM_PIECES = {
     "logistic": lambda: random_binary(131, 40, 5, beta=np.array([0.8, -0.5, 0.0, 0.3, 0.0])),
     "logistic-no-intercept": lambda: random_binary(137, 40, 5, intercept=False),

@@ -176,6 +176,24 @@ class TestBestCandidate:
         assert best_candidate(np.array([np.nan, 1.0 - 5e-13, 0.5, 1.0])) == (1, 1.0)
         assert best_candidate(np.array([np.nan, 1.0 - 5e-12, 0.5, 1.0])) == (3, 1.0)
 
+    @staticmethod
+    def nanmax_rule(drops):
+        """The rule as first written: np.nanmax, then the first index tied with it."""
+        best = float(np.nanmax(drops))
+        return int(np.flatnonzero(drops >= best - 1e-12)[0]), best
+
+    @settings(max_examples=300, deadline=None)
+    @given(top=st.floats(-1e3, 1e3), entries=st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 3e-12]).map(lambda d: ("near", d)),
+        st.floats(0.0, 2e-12).map(lambda d: ("near", d))), min_size=1, max_size=12))
+    def test_matches_the_nanmax_rule(self, top, entries):
+        # ("near", d) stands for top - d: within or just past the 1e-12 tie window.
+        drops = np.array([top - e[1] if isinstance(e, tuple) else e for e in entries])
+        assume(not np.isnan(drops).all())
+        assert best_candidate(drops) == self.nanmax_rule(drops)
+
     def test_stepwise_path_uses_the_tie_rule(self):
         # Columns 0 and 2 have drops 4 and 4 + 4e-14: a tie, which column 0 wins.
         data = Dataset(np.eye(3), np.array([2.0, 1.0, 2.0 + 1e-14]), sigma2=1.0)

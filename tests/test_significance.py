@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,77 @@ class TestWarmStartedRestrictedFit:
                         warm[A], cd_lasso(data.X[:, A], data.y, lam), rtol=0, atol=1e-8)
                     deletions += np.count_nonzero(warm[A]) < len(A)
         assert deletions >= 1, "no restricted segment with a deletion in the corpus"
+
+    def test_trace_only_where_the_restricted_path_has_an_event(self, monkeypatch):
+        # A step's restricted fit starts from the segment above the kth entry,
+        # with all of A active. Whether the restricted path has an event
+        # between lambda_k and lambda_{k+1} is read off a cold trace of it.
+        traces = []
+
+        def counting(*args, **kwargs):
+            out = original_trace(*args, **kwargs)
+            traces.append(out[0])
+            return out
+
+        original_trace = lasso_module._trace
+        monkeypatch.setattr(lasso_module, "_trace", counting)
+        quiet = deletion_steps = 0
+        for rho, n, p, seeds in self.CORPUS:
+            for seed in seeds:
+                data = ar1_dataset(seed, n, p, rho)
+                path = lars_path(data)
+                entries = path.entry_knots()
+                for k in range(1, len(entries)):
+                    traces.clear()
+                    try:
+                        out = covariance_test(path, data, k)
+                    except UnsupportedStepError:
+                        continue
+                    warm_traces = len(traces)
+                    A, lam = list(out.A), entries[k].lam
+                    traces.clear()
+                    cold = lasso_solve(data, lam, subset=A)
+                    events = [kn for knots in traces for kn in knots
+                              if kn.lam < entries[k - 1].lam - lasso_module.LAMBDA_TOL]
+                    if events:
+                        deletion_steps += 1
+                        assert warm_traces == 1
+                        fit_y = lambda beta: float(data.xty @ beta)
+                        expect = (fit_y(lasso_solve(data, lam)) - fit_y(cold)) / data.sigma2
+                        assert out.statistic == pytest.approx(expect, abs=1e-9)
+                    else:
+                        quiet += 1
+                        assert warm_traces == 0, (rho, n, p, seed, k)
+        assert deletion_steps >= 1 and quiet >= 100, (deletion_steps, quiet)
+
+    @pytest.mark.parametrize("case", ["corpus", "ties"])
+    def test_warns_exactly_when_the_path_has_ties(self, case):
+        # Every restricted fit of a covariance step with a nonempty A, warm
+        # started or not, passes on the tie warnings of the path it is given.
+        if case == "corpus":
+            designs = [ar1_dataset(seed, n, p, rho)
+                       for rho, n, p, seeds in self.CORPUS for seed in seeds]
+        else:
+            designs = [tie_design(seed) for seed in (6, 7, 15, 39, 43, 46)]
+        checked = 0
+        for data in designs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonUniqueSolutionWarning)
+                path = lars_path(data)
+            assert bool(path.warnings) == (case == "ties")
+            entries = path.entry_knots()
+            for k in range(1, len(entries)):
+                A = entries[k - 1].active_before
+                if not A:
+                    continue
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    lasso_solve(data, entries[k].lam, subset=A, path=path)
+                tie_warnings = [w for w in caught
+                                if issubclass(w.category, NonUniqueSolutionWarning)]
+                assert len(tie_warnings) == bool(path.warnings), (case, k)
+                checked += 1
+        assert checked >= 20
 
     def test_factor_work(self, monkeypatch):
         # Counted on the one ActiveQR factor: every column appended (also when
