@@ -34,7 +34,7 @@ from .exceptions import (
 )
 from .glm import lrt_path
 from .lasso import lars_path
-from .linmodel import estimate_sigma2
+from .linmodel import _check_max_steps, estimate_sigma2
 from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
 from .selection import lasso_steps, stepwise_path
 from .significance import covariance_test, gumbel_test
@@ -93,9 +93,7 @@ def _test_rows(args: argparse.Namespace):
     plug_in, path = (), None
     if args.family == "gaussian":
         data, _names = load_dataset(args.input, sigma2=args.sigma2)
-        limit = min(data.n, data.p)
-        if args.max_steps is not None and not 0 <= args.max_steps <= limit:
-            raise ValueError(f"max_steps={args.max_steps} must lie in [0, min(n, p)={limit}]")
+        _check_max_steps(args.max_steps, "min(n, p)", min(data.n, data.p))
         if data.sigma2 is None:  # estimate_sigma2 raises NotEstimableError when n <= p
             plug_in = ("plug-in-sigma2",)
             data = replace(data, sigma2=estimate_sigma2(data))

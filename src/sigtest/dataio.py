@@ -18,7 +18,7 @@ from .linmodel import Dataset, standardize
 
 
 class CsvFormatError(ValueError):
-    """Malformed input file; carries a 1-based line number when known."""
+    """Malformed input file; carries a 1-based line number (where a row ends) when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -38,17 +38,17 @@ def _read_table(path: str, reserved: tuple[str, ...]) -> tuple[list[str], np.nda
                 if name not in header:
                     raise CsvFormatError(f"missing required column {name!r}", line=1)
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or all(not c.strip() for c in row):
                     continue
                 if len(row) != len(header):
                     raise CsvFormatError(
-                        f"expected {len(header)} fields, found {len(row)}", line=lineno)
+                        f"expected {len(header)} fields, found {len(row)}", reader.line_num)
                 try:
                     rows.append([float(c) for c in row])
                 except ValueError:
                     bad = next(c for c in row if not _is_float(c))
-                    raise CsvFormatError(f"non-numeric value {bad.strip()!r}", lineno) from None
+                    raise CsvFormatError(f"non-numeric value {bad.strip()!r}", reader.line_num) from None
         except StopIteration:
             raise CsvFormatError("file is empty", line=1) from None
         except csv.Error as exc:  # a malformed or overlong field

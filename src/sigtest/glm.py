@@ -21,7 +21,7 @@ from .exceptions import (
     SigtestError,
     SingularDesignError,
 )
-from .linmodel import RANK_TOL, _Shape, _check_subset
+from .linmodel import RANK_TOL, _Shape, _check_max_steps, _check_subset
 from .selection import SelectionStep, best_candidate
 
 MAX_ITER = 100
@@ -83,7 +83,6 @@ class FitResult:
     subset: tuple[int, ...]
     coefficients: np.ndarray
     loglik: float
-    converged: bool
     iterations: int
 
 
@@ -267,31 +266,6 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
                     "logistic")
 
 
-def _fit(problem: _Problem, M: list[int]) -> FitResult:
-    """Fit the model on M from zero, as a stack of one; the model on
-    M = [] is the problem's closed-form fit, with no Newton solve."""
-    if not M:
-        coefficients, loglik = problem.empty
-        return FitResult(subset=(), coefficients=coefficients, loglik=loglik,
-                         converged=True, iterations=0)
-    design = problem.design(M)
-    beta, ll, iterations, errors = _newton_stack(
-        problem.objective, design[:, :-1], design[:, -1:], np.zeros(design.shape[1] - 1),
-        problem.what)
-    if errors[0] is not None:
-        raise errors[0]
-    return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
-                     converged=True, iterations=int(iterations[0]))
-
-
-def logistic_fit(data: BinaryDataset, M: Sequence[int]) -> FitResult:
-    """Maximize the Bernoulli log-likelihood on columns M by Newton iterations.
-
-    Includes an unpenalized intercept when the dataset requests one.
-    """
-    return _fit(_logistic_problem(data), _check_subset(data, M))
-
-
 def _cox_problem(data: SurvivalDataset) -> _Problem:
     # Rows sorted by follow-up time. The risk set of an event at position i
     # is positions first(i)..n-1, first(i) the first index sharing its time.
@@ -329,14 +303,6 @@ def _cox_problem(data: SurvivalDataset) -> _Problem:
                     (np.zeros(0), -float(np.log(data.n - first).sum())), "cox")
 
 
-def cox_fit(data: SurvivalDataset, M: Sequence[int]) -> FitResult:
-    """Maximize the partial log-likelihood on columns M by damped Newton.
-
-    Ties are handled by pooling tied events over the same risk set.
-    """
-    return _fit(_cox_problem(data), _check_subset(data, M))
-
-
 def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
     """The logistic or Cox problem of a dataset, by its type."""
     if isinstance(data, BinaryDataset):
@@ -344,6 +310,24 @@ def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
     if isinstance(data, SurvivalDataset):
         return _cox_problem(data)
     raise ValueError(f"likelihood-ratio drops need logistic or cox data, not {type(data).__name__}")
+
+
+def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResult:
+    """Maximize the log-likelihood on columns M by damped Newton from zero, as
+    a stack of one: logistic regression (with the dataset's intercept) for a
+    ``BinaryDataset``, Cox regression (tied events pooled over one risk set)
+    for a ``SurvivalDataset``. The model on M = [] is the closed-form fit."""
+    problem, M = _problem(data), _check_subset(data, M)
+    if not M:
+        return FitResult((), *problem.empty, iterations=0)
+    design = problem.design(M)
+    beta, ll, iterations, errors = _newton_stack(
+        problem.objective, design[:, :-1], design[:, -1:], np.zeros(design.shape[1] - 1),
+        problem.what)
+    if errors[0] is not None:
+        raise errors[0]
+    return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
+                     iterations=int(iterations[0]))
 
 
 def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
@@ -362,10 +346,9 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     length p, NaN on A and on a candidate whose fit failed, which is
     reported as ``"fit failed for candidate m: <error>"``.
     """
-    problem = _problem(data)
-    A = _check_subset(data, A)
-    base = _fit(problem, A)
-    _fits, logliks, failures = _candidate_fits(problem, A, base.coefficients)
+    base = glm_fit(data, A)
+    _fits, logliks, failures = _candidate_fits(_problem(data), list(base.subset),
+                                               base.coefficients)
     return np.maximum(2.0 * (logliks - base.loglik), 0.0), failures
 
 
@@ -400,14 +383,11 @@ def lrt_path(data: BinaryDataset | SurvivalDataset,
     finite.
     """
     problem = _problem(data)
-    if max_steps is None:
-        max_steps = data.p
-    elif not 0 <= max_steps <= data.p:
-        raise ValueError(f"max_steps={max_steps} must lie in [0, p={data.p}]")
+    _check_max_steps(max_steps, "p", data.p)
     A: list[int] = []
     beta, loglik = problem.empty
     steps: list[SelectionStep] = []
-    while len(steps) < max_steps:
+    while len(steps) < (data.p if max_steps is None else max_steps):
         fits, logliks, failures = _candidate_fits(problem, A, beta)
         drops = np.maximum(2.0 * (logliks - loglik), 0.0)
         j = None if np.isnan(drops).all() else best_candidate(drops)[0]

@@ -22,7 +22,7 @@ from .exceptions import (
     SingularDesignError,
     StalePathError,
 )
-from .linmodel import ActiveQR, Dataset, _check_subset
+from .linmodel import ActiveQR, Dataset, _check_max_steps, _check_subset
 
 # Penalty comparisons on standardized data use this absolute tolerance.
 LAMBDA_TOL = 1e-10
@@ -31,6 +31,7 @@ ZERO_CORR_TOL = 1e-12
 # A trace that has not ended after this many events per column is abandoned.
 MAX_EVENTS_PER_COLUMN = 50
 _ROOT_SIGNS = np.array((1.0, -1.0))
+_EMPTY_SEGMENT = (np.zeros(0), np.zeros(0))  # (b0, b1) with no variable active
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,14 @@ def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float) -> np.ndarray:
 
 def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
            signs: Sequence[int], lam_cur: float, just_dropped: int | None,
-           stop_lambda: float, max_active: int, max_steps: int | None = None,
-           segment: tuple[np.ndarray, np.ndarray] | None = None
-           ) -> tuple[list[Knot], list[str], list]:
+           segment: tuple[np.ndarray, np.ndarray], stop_lambda: float, max_active: int,
+           max_steps: int | None = None) -> tuple[list[Knot], list[str], list]:
     """Continue the lasso path over ``cols`` from the state just below ``lam_cur``.
 
     ``active`` (entry order), ``signs`` (aligned with ``active``) and
     ``just_dropped`` (deleted at ``lam_cur``) give that state, and ``segment``
-    its ``(b0, b1)`` if known; the empty state at ``lam_cur = inf`` starts a
-    path. One :class:`ActiveQR` factor, built when a segment is first needed,
+    its ``(b0, b1)``; the empty state at ``lam_cur = inf`` starts a path. One
+    :class:`ActiveQR` factor, built when a segment is first needed,
     follows the events. The trace ends at ``max_active`` active variables or
     after ``max_steps`` entries. Returns the knots down to ``stop_lambda``,
     the entry-tie warnings, and the segments (see :class:`LassoPath`) of the
@@ -148,12 +148,12 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
     inactive[cols] = True
     inactive[active] = False
     knots: list[Knot] = []
-    segments: list = [] if segment is None else [segment]
+    segments: list = [segment]
     warnings_list: list[str] = []
     entries = 0
     qr = None
 
-    for _ in range(MAX_EVENTS_PER_COLUMN * max(len(cols), 1)):
+    for _ in range(MAX_EVENTS_PER_COLUMN * len(cols)):
         if len(segments) == len(knots):  # the current state has no segment yet
             try:
                 if qr is None:
@@ -174,7 +174,7 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
         best_entry_lam = -np.inf
         if idx.size:
             # The residual y - X_A b0 and the direction X_A b1 of the segment come
-            # from the factor; the supplied starting segment has none yet.
+            # from the factor; the starting segment has none yet.
             if qr is None:
                 resid, fit_b1 = y - X[:, active] @ b0, X[:, active] @ b1
             a, v = (np.array((resid if qr is None else qr.resid, fit_b1)) @ X)[:, idx]
@@ -237,10 +237,9 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     the path's warnings.
     """
     cols = _columns(data, None)
-    if max_steps is not None and not 0 <= max_steps <= min(data.n, data.p):
-        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)]")
+    _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     knots, warnings_list, segments = _trace(data.X, data.y, cols, [], [], np.inf, None,
-                                            0.0, min(data.n, data.p), max_steps)
+                                            _EMPTY_SEGMENT, 0.0, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
@@ -260,9 +259,10 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
     knot above ``lam`` (else from the empty state) and covers only the
-    stretch from there down to ``lam``. When that knot's active set is all of
-    ``subset``, the restricted path can only delete: unless a deletion comes
-    before ``lam``, the answer is the knot's segment at ``lam``, untraced.
+    stretch from there down to ``lam``. When the starting active set is all
+    of ``subset`` (always, for an empty one), the restricted path can only
+    delete: unless a deletion comes before ``lam``, the answer is the
+    starting segment at ``lam``, untraced.
 
     A degenerate equicorrelation set (entry tie) makes the solution
     non-unique; the lowest-index representative is returned with a
@@ -272,14 +272,12 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     if not lam >= 0:  # NaN too
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     cols = _columns(data, subset)
-    if not cols:
-        return np.zeros(data.p)
     if path is None:
         path = LassoPath(knots=(), data_digest=data.digest)
     elif path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
     inside = set(cols)
-    state, segment = ((), (), np.inf, None), None
+    state, segment = ((), (), np.inf, None), _EMPTY_SEGMENT
     # Knot penalties do not increase, so the knots above lam are a prefix.
     above = bisect.bisect_left(path.knots, -(lam + LAMBDA_TOL), key=lambda kn: -kn.lam)
     for pos in range(min(above, len(path.segments)) - 1, -1, -1):
@@ -291,10 +289,10 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
             break
     knots, warnings_list, segments = [], [], [segment]
     # With all of the subset active, the warm segment holds unless a deletion precedes lam.
-    if (segment is None or len(state[0]) < len(cols)
-            or _drop_roots(*segment, state[2]).max(initial=-np.inf) >= lam):
-        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, stop_lambda=lam,
-                                                max_active=data.n, segment=segment)
+    if segment is not None and (len(state[0]) < len(cols)
+                                or _drop_roots(*segment, state[2]).max(initial=-np.inf) >= lam):
+        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, segment,
+                                                stop_lambda=lam, max_active=data.n)
     warnings_list = list(path.warnings) + warnings_list
     if warnings_list:
         _warnings.warn(

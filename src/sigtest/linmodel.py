@@ -154,6 +154,12 @@ def _check_subset(data, M: Sequence[int]) -> list[int]:
     return M
 
 
+def _check_max_steps(max_steps: int | None, bound: str, limit: int) -> None:
+    """Reject a step cap outside [0, limit] (``bound`` names it); None passes."""
+    if max_steps is not None and not 0 <= max_steps <= limit:
+        raise ValueError(f"max_steps={max_steps} must lie in [0, {bound}={limit}]")
+
+
 class ActiveQR:
     """Thin QR factor X_A = Q R of an ordered list A of design columns.
 

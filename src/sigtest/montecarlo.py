@@ -247,24 +247,27 @@ def resolve_threads(threads: int | None = None) -> int:
     return max(1, threads)
 
 
+def _order_statistics(statistics: Sequence[float]) -> np.ndarray:
+    """The statistics sorted; a ValueError when there are none or one is not finite."""
+    stats = np.sort(np.asarray(statistics, dtype=float))
+    if stats.size == 0:
+        raise ValueError("statistics must be nonempty")
+    if not np.all(np.isfinite(stats)):
+        raise ValueError("statistics must be finite")
+    return stats
+
+
 def qq_points(statistics: Sequence[float], reference: str) -> list[tuple[float, float]]:
     """Pairs (reference quantile at (i - 0.5)/N, ith order statistic)."""
-    stats = np.sort(np.asarray(statistics, dtype=float))
-    n = stats.size
-    if n == 0:
-        raise ValueError("statistics must be nonempty")
-    probs = (np.arange(1, n + 1) - 0.5) / n
+    stats = _order_statistics(statistics)
+    probs = (np.arange(1, stats.size + 1) - 0.5) / stats.size
     return list(zip(reference_pair(reference)[1](probs).tolist(), stats.tolist()))
 
 
 def ks_distance(statistics: Sequence[float], reference: str) -> float:
     """Sup distance between the empirical CDF of the statistics and the reference."""
-    stats = np.sort(np.asarray(statistics, dtype=float))
+    stats = _order_statistics(statistics)
     n = stats.size
-    if n == 0:
-        raise ValueError("statistics must be nonempty")
-    if not np.all(np.isfinite(stats)):
-        raise ValueError("statistics must be finite")
     cdf = reference_pair(reference)[0](stats)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n

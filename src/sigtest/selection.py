@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
-from .linmodel import ActiveQR, Dataset
+from .linmodel import ActiveQR, Dataset, _check_max_steps
 
 # Drops at or below this are treated as "residual orthogonal to the candidate".
 ZERO_DROP_TOL = 1e-12
@@ -81,15 +81,12 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     if selector not in ("stepwise", "max_r"):
         raise ValueError("stepwise_path selector must be 'stepwise' or 'max_r'")
     limit = min(data.n, data.p)
-    if max_steps is None:
-        max_steps = limit
-    elif not 0 <= max_steps <= limit:
-        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)={limit}]")
+    _check_max_steps(max_steps, "min(n, p)", limit)
     sigma2 = data.require_sigma2()
 
     steps: list[SelectionStep] = []
     qr = ActiveQR(data.X, data.y)
-    for k in range(1, max_steps + 1):
+    for k in range(1, (limit if max_steps is None else max_steps) + 1):
         if steps:
             qr.add(steps[-1].j)
         drops = qr.drops(sigma2)
@@ -114,9 +111,7 @@ def lasso_steps(path: LassoPath, data: Dataset,
     """
     if path.data_digest != data.digest:
         raise StalePathError("path was computed from different data")
-    limit = min(data.n, data.p)
-    if max_steps is not None and not 0 <= max_steps <= limit:
-        raise ValueError(f"max_steps={max_steps} must lie in [0, min(n, p)={limit}]")
+    _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     sigma2 = data.require_sigma2()
     steps: list[SelectionStep] = []
     qr = ActiveQR(data.X, data.y)

@@ -39,13 +39,12 @@ from oracles import stepwise_gumbel_statistics
 from sigtest import (
     Dataset,
     covariance_test,
-    cox_fit,
+    glm_fit,
     gumbel_cdf,
     gumbel_correction,
     gumbel_quantile,
     lars_path,
     lasso_solve,
-    logistic_fit,
     preset,
     run_scenario,
     standardize,
@@ -277,7 +276,7 @@ def test_criterion_8_oracle_equivalences():
             y[0] = 1.0 - y[0]
         from sigtest import BinaryDataset
 
-        fit = logistic_fit(BinaryDataset(X, y), [0])
+        fit = glm_fit(BinaryDataset(X, y), [0])
         Z = np.column_stack([np.ones(50), X])
         grid = grid_scan_max(
             lambda bc: grid_scan_max(
@@ -296,7 +295,7 @@ def test_criterion_8_oracle_equivalences():
 
         data = SurvivalDataset(X, np.minimum(event, censor),
                                (event <= censor).astype(float))
-        fit = cox_fit(data, [0])
+        fit = glm_fit(data, [0])
         grid = grid_scan_max(
             lambda b: cox_partial_loglik(np.asarray(data.X), np.asarray(data.time),
                                          np.asarray(data.status), np.array([b])),

@@ -327,6 +327,12 @@ class TestOptionChecks:
             f"sigtest: error: max_steps=99 must lie in [0, {limit}]\n")
         assert run(["test", "--input", family_csvs[family], "--family", family,
                     *sigma2, "--max-steps", "8"]) == 0
+        if family == "gaussian":  # the path verb has the same bound and message
+            capsys.readouterr()
+            assert run(["path", "--input", family_csvs[family], "--max-steps", "99"]) == 2
+            assert capsys.readouterr().err == (
+                f"sigtest: error: max_steps=99 must lie in [0, {limit}]\n")
+            assert run(["path", "--input", family_csvs[family], "--max-steps", "8"]) == 0
 
     @pytest.mark.parametrize("verb, options", [
         ("path", []),
@@ -466,6 +472,13 @@ class TestQqVerb:
         f = tmp_path / "stats.txt"
         f.write_text("")
         assert run(["qq", "--input", str(f), "--reference", "exp1"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_statistic_exit_2(self, tmp_path, capsys, bad):
+        f = tmp_path / "stats.txt"
+        f.write_text(f"0.5\n{bad}\n1.2\n")
+        assert run(["qq", "--input", str(f), "--reference", "gumbel"]) == 2
+        assert capsys.readouterr() == ("", "sigtest: error: statistics must be finite\n")
 
 
 class TestRoundTrip:

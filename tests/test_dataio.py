@@ -50,10 +50,18 @@ class TestLoadDataset:
         path = write(tmp_path, "d.csv", "a,y\n1,2\nx,4\n")
         with pytest.raises(CsvFormatError, match="line 3"):
             load_dataset(path)
+        # The line in the file, not the record number: a quoted field of the
+        # first data row spans lines 2 and 3.
+        path = write(tmp_path, "d.csv", 'a,b,y\n"1\n",2,3\n1,x,3\n')
+        with pytest.raises(CsvFormatError, match=r"^non-numeric value 'x' \(line 4\)$"):
+            load_dataset(path)
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,y\n1,2\n3\n")
         with pytest.raises(CsvFormatError, match="expected 2 fields"):
+            load_dataset(path)
+        path = write(tmp_path, "d.csv", 'a,b,y\n"1\n",2,3\n1,3\n')
+        with pytest.raises(CsvFormatError, match=r"^expected 3 fields, found 2 \(line 4\)$"):
             load_dataset(path)
 
     def test_duplicate_y_column(self, tmp_path):

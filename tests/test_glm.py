@@ -22,10 +22,9 @@ from sigtest import (
     SurvivalDataset,
     TooFewRemainingError,
     UnreliableMaxError,
-    cox_fit,
+    glm_fit,
     gumbel_correction,
     gumbel_test,
-    logistic_fit,
     standardize,
     stepwise_path,
 )
@@ -103,19 +102,19 @@ class TestLogisticFit:
     def test_intercept_only_closed_form(self):
         data = BinaryDataset(np.zeros((4, 1)) + np.eye(4)[:, :1],  # any column
                              np.array([1.0, 1.0, 0.0, 0.0]))
-        fit = logistic_fit(data, [])
+        fit = glm_fit(data, [])
         assert fit.loglik == pytest.approx(4 * math.log(0.5), abs=1e-10)
-        assert fit.converged
+        assert fit.iterations == 0
 
     def test_constant_column_with_intercept_rank_error(self):
         X = np.column_stack([np.ones(6), np.arange(6.0)])
         data = BinaryDataset(X, np.array([0, 1, 0, 1, 0, 1.0]))
         with pytest.raises(SingularDesignError):
-            logistic_fit(data, [0])
+            glm_fit(data, [0])
 
     def test_single_covariate_matches_grid_scan(self):
         data = random_binary(3, 50, 1)
-        fit = logistic_fit(data, [0])
+        fit = glm_fit(data, [0])
         Z = np.column_stack([np.ones(50), np.asarray(data.X)])
         grid_best = grid_scan_max(
             lambda b_cov: grid_scan_max(
@@ -126,7 +125,7 @@ class TestLogisticFit:
 
     def test_score_equations_hold(self):
         data = random_binary(11, 60, 3)
-        fit = logistic_fit(data, [0, 1, 2])
+        fit = glm_fit(data, [0, 1, 2])
         Z = np.column_stack([np.ones(60), np.asarray(data.X)])
         prob = 1.0 / (1.0 + np.exp(-(Z @ fit.coefficients)))
         np.testing.assert_allclose(Z.T @ (np.asarray(data.y) - prob), 0.0, atol=1e-6)
@@ -139,11 +138,11 @@ class TestLogisticFit:
         y = (x > 0).astype(float)
         data = BinaryDataset(standardize(x[:, None]), y)
         with pytest.raises(SeparationError):
-            logistic_fit(data, [0])
+            glm_fit(data, [0])
 
     def test_no_intercept_empty_model(self):
         data = random_binary(5, 30, 2, intercept=False)
-        fit = logistic_fit(data, [])
+        fit = glm_fit(data, [])
         assert fit.loglik == pytest.approx(-30 * math.log(2), abs=1e-12)
         assert fit.iterations == 0
 
@@ -155,12 +154,12 @@ class TestLogisticFit:
         y = np.zeros(n)
         y[rng.permutation(n)[:k]] = 1.0
         data = BinaryDataset(rng.standard_normal((n, 1)), y)
-        fit = logistic_fit(data, [])
+        fit = glm_fit(data, [])
         beta, ll, _iterations, errors = glm._newton_stack(
             glm._logistic_problem(data).objective, np.ones((n, 0)), np.ones((n, 1)), np.zeros(0),
             "logistic fit")
         assert errors == [None]
-        assert (fit.subset, fit.iterations, fit.converged) == ((), 0, True)
+        assert (fit.subset, fit.iterations) == ((), 0)
         np.testing.assert_allclose(fit.coefficients, beta[0], rtol=0, atol=1e-9)
         assert fit.loglik == pytest.approx(ll[0], rel=0, abs=1e-12)
 
@@ -194,18 +193,18 @@ class TestCoxFit:
     def test_null_model_closed_form(self):
         data = SurvivalDataset(np.zeros((2, 1)) + np.eye(2)[:, :1],
                                np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        fit = cox_fit(data, [])
+        fit = glm_fit(data, [])
         assert fit.loglik == pytest.approx(-math.log(2) - math.log(1), abs=1e-12)
 
     def test_null_model_with_ties_pools_risk_sets(self):
         data = SurvivalDataset(np.eye(3)[:, :1], np.array([1.0, 1.0, 2.0]),
                                np.array([1.0, 1.0, 1.0]))
-        fit = cox_fit(data, [])
+        fit = glm_fit(data, [])
         assert fit.loglik == pytest.approx(-2 * math.log(3) - math.log(1), abs=1e-12)
 
     def test_single_covariate_matches_grid_scan(self):
         data = random_survival(7, 40, 1)
-        fit = cox_fit(data, [0])
+        fit = glm_fit(data, [0])
         grid_best = grid_scan_max(
             lambda b: cox_partial_loglik(np.asarray(data.X), np.asarray(data.time),
                                          np.asarray(data.status), np.array([b])),
@@ -216,7 +215,7 @@ class TestCoxFit:
         rng = np.random.default_rng(2)
         X = standardize(rng.standard_normal((3, 1)))
         data = SurvivalDataset(X, np.array([0.5, 1.5, 2.5]), np.ones(3))
-        fit = cox_fit(data, [0])
+        fit = glm_fit(data, [0])
         grid_best = grid_scan_max(
             lambda b: cox_partial_loglik(np.asarray(X), np.asarray(data.time),
                                          np.asarray(data.status), np.array([b])),
@@ -225,7 +224,7 @@ class TestCoxFit:
 
     def test_gradient_zero_at_solution(self):
         data = random_survival(13, 50, 3)
-        fit = cox_fit(data, [0, 1, 2])
+        fit = glm_fit(data, [0, 1, 2])
         eps = 1e-6
         for i in range(3):
             up, dn = fit.coefficients.copy(), fit.coefficients.copy()
@@ -245,13 +244,12 @@ class TestCoxFit:
         X = standardize(raw[:, None])
         data = SurvivalDataset(X, raw, np.ones(n))
         with pytest.raises(SeparationError):
-            cox_fit(data, [0])
+            glm_fit(data, [0])
 
 
 def single_drop(data, A, m):
     """Likelihood-ratio drop 2*(loglik(A u {m}) - loglik(A)) from two single fits."""
-    fit = logistic_fit if isinstance(data, BinaryDataset) else cox_fit
-    return 2.0 * (fit(data, A + [m]).loglik - fit(data, A).loglik)
+    return 2.0 * (glm_fit(data, A + [m]).loglik - glm_fit(data, A).loglik)
 
 
 class TestLrtDrop:
@@ -288,10 +286,11 @@ class TestLrtDrop:
 
     def test_unknown_family(self):
         # The family is the dataset's type; any other dataset is rejected.
-        with pytest.raises(ValueError, match="logistic or cox data, not NoneType"):
-            lrt_drops_all(None, [])
-        with pytest.raises(ValueError, match="logistic or cox data, not Dataset"):
-            lrt_drops_all(Dataset(np.eye(3), np.ones(3), sigma2=1.0), [])
+        for entry in (lrt_drops_all, glm_fit):
+            with pytest.raises(ValueError, match="logistic or cox data, not NoneType"):
+                entry(None, [])
+            with pytest.raises(ValueError, match="logistic or cox data, not Dataset"):
+                entry(Dataset(np.eye(3), np.ones(3), sigma2=1.0), [])
 
 
 def tied_survival(seed, n, p):
@@ -367,7 +366,7 @@ class TestLrtDropsAll:
         expected = []
         for m, error in ((4, SeparationError), (7, SingularDesignError)):
             with pytest.raises(error) as info:
-                logistic_fit(data, A + [m])
+                glm_fit(data, A + [m])
             expected.append(f"fit failed for candidate {m}: {info.value}")
         assert failures == expected
         assert np.flatnonzero(~np.isnan(drops)).tolist() == [1, 3, 5, 6, 8, 9]
@@ -387,7 +386,7 @@ class TestLrtDropsAll:
                 objective, Z[0, :, :2], Z[:, :, 2].T, np.zeros(2), "logistic fit")
         assert isinstance(errors[1], ConvergenceError)
         for row, j in ((0, 1), (2, 3)):
-            single = logistic_fit(data, [0, j])
+            single = glm_fit(data, [0, j])
             assert errors[row] is None
             assert iterations[row] == single.iterations > 1
             assert ll[row] == pytest.approx(single.loglik, abs=1e-9)
@@ -410,7 +409,7 @@ class TestLrtDropsAll:
         # The base fit, then all ten candidates at once, each started from
         # the base coefficients and 0 for its own column.
         assert [len(b) for b in starts] == [1, 10]
-        base = (logistic_fit if family == "logistic" else cox_fit)(data, [3, 5])
+        base = glm_fit(data, [3, 5])
         np.testing.assert_array_equal(starts[1][:, :-1], np.tile(base.coefficients, (10, 1)))
         np.testing.assert_array_equal(starts[1][:, -1], 0.0)
 
@@ -434,19 +433,19 @@ class TestIterationCap:
 
     @pytest.mark.parametrize("family", ["logistic", "cox"])
     def test_fit_converges_at_the_cap_and_fails_below_it(self, family, monkeypatch):
-        data, fit = ((random_binary(17, 40, 3, beta=np.array([1.0, -0.5, 0.0])), logistic_fit)
-                     if family == "logistic" else (tied_survival(17, 40, 3), cox_fit))
-        free = fit(data, [0, 1, 2])
+        data = (random_binary(17, 40, 3, beta=np.array([1.0, -0.5, 0.0]))
+                if family == "logistic" else tied_survival(17, 40, 3))
+        free = glm_fit(data, [0, 1, 2])
         needed = free.iterations
         assert needed >= 2
         monkeypatch.setattr(glm, "MAX_ITER", needed)
-        capped = fit(data, [0, 1, 2])
-        assert (capped.converged, capped.iterations) == (True, needed)
+        capped = glm_fit(data, [0, 1, 2])
+        assert capped.iterations == needed
         np.testing.assert_array_equal(capped.coefficients, free.coefficients)
         monkeypatch.setattr(glm, "MAX_ITER", needed - 1)
         with pytest.raises(ConvergenceError, match=rf"^{family} fit: no convergence after "
                                                    rf"{needed - 1} iterations$"):
-            fit(data, [0, 1, 2])
+            glm_fit(data, [0, 1, 2])
 
     @pytest.mark.parametrize("family", ["logistic", "cox"])
     def test_capped_candidates_are_failure_notes(self, family, monkeypatch):
@@ -498,8 +497,8 @@ class TestStepAcceptance:
 
     def test_large_cox_candidates_converge_in_the_stack(self):
         data = cox_table_300()
-        alone = cox_fit(data, [35])
-        assert (alone.converged, alone.iterations) == (True, 3)
+        alone = glm_fit(data, [35])
+        assert alone.iterations == 3
         steps = lrt_path(data, max_steps=30)
         # With the absolute slack, step 1's candidate 35 failed ("step
         # halving failed to improve the likelihood"), and so did 10 fits over
@@ -809,7 +808,7 @@ class TestLrtPath:
         # one stack of candidates per step.
         assert [len(b0) for b0, _beta in calls] == [12, 11, 10, 9, 8]
         # The first stack starts from the closed-form base, 0 for each candidate's column.
-        base = glm._fit(glm._problem(data), []).coefficients
+        base = glm_fit(data, []).coefficients
         np.testing.assert_array_equal(calls[0][0], np.tile(np.append(base, 0.0), (12, 1)))
         for k in range(1, 5):
             before, step = steps[k - 1], steps[k]

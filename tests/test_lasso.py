@@ -114,7 +114,8 @@ class TestLarsPath:
 
     @pytest.mark.parametrize("max_steps", [-1, -2, 9])
     def test_max_steps_outside_range_rejected(self, max_steps):
-        with pytest.raises(ValueError, match=r"must lie in \[0, min\(n, p\)\]"):
+        with pytest.raises(ValueError,
+                           match=rf"^max_steps={max_steps} must lie in \[0, min\(n, p\)=8\]$"):
             lars_path(random_dataset(1, 30, 8), max_steps=max_steps)
 
     def test_knot_lambdas_weakly_decreasing(self):
@@ -153,8 +154,9 @@ class TestLarsPath:
         data = random_dataset(4, 20, 5)
         other = random_dataset(5, 20, 5)
         path = lars_path(data)
-        with pytest.raises(StalePathError):
-            lasso_solve(other, 0.1, path=path)
+        for subset in (None, [2], []):  # an empty subset is checked too
+            with pytest.raises(StalePathError):
+                lasso_solve(other, 0.1, subset=subset, path=path)
 
     def test_entry_tie_breaks_low_and_warns(self):
         data = Dataset(np.eye(3), np.array([2.0, 2.0, 1.0]), sigma2=1.0)

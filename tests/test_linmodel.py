@@ -13,13 +13,14 @@ from sigtest import (
     NotEstimableError,
     PathTruncationWarning,
     SingularDesignError,
+    SurvivalDataset,
     estimate_sigma2,
+    glm_fit,
     kkt_check,
     lasso_solve,
     lars_path,
     lasso_steps,
     least_squares,
-    logistic_fit,
     standardize,
     stepwise_path,
 )
@@ -175,8 +176,10 @@ class TestLeastSquares:
 
 _GAUSSIAN = random_dataset(2, 30, 5)
 _BINARY = BinaryDataset(_GAUSSIAN.X, (np.arange(30) % 2).astype(float))
+_SURVIVAL = SurvivalDataset(_GAUSSIAN.X, np.arange(1.0, 31.0), np.ones(30))
 SUBSET_ENTRY_POINTS = {
-    "logistic_fit": lambda M: logistic_fit(_BINARY, M),
+    "glm_fit-logistic": lambda M: glm_fit(_BINARY, M),
+    "glm_fit-cox": lambda M: glm_fit(_SURVIVAL, M),
     "lrt_drops_all": lambda M: lrt_drops_all(_BINARY, M),
     "lasso_solve": lambda M: lasso_solve(_GAUSSIAN, 0.1, subset=M),
     "kkt_check": lambda M: kkt_check(_GAUSSIAN, np.zeros(5), 0.1, subset=M),

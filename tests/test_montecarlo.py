@@ -138,8 +138,9 @@ class TestQQPoints:
         assert emp == sorted(emp)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            qq_points([], "gumbel")
+        for fn in (qq_points, ks_distance):
+            with pytest.raises(ValueError, match="^statistics must be nonempty$"):
+                fn([], "gumbel")
 
     def test_exp1_median(self):
         pairs = qq_points([0.4], "exp1")
@@ -180,8 +181,11 @@ class TestKsDistance:
         assert 0.0 <= d <= 1.0
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ks_distance([np.nan], "gumbel")
+        # qq_points validates as ks_distance does.
+        for fn in (ks_distance, qq_points):
+            for bad in ([np.nan], [0.5, np.nan, 1.2], [0.5, np.inf], [-np.inf, 1.0]):
+                with pytest.raises(ValueError, match="^statistics must be finite$"):
+                    fn(bad, "gumbel")
 
 
 # Reference CDFs evaluated one statistic at a time, independently of the library.

@@ -52,6 +52,11 @@ def test_all_equals_imported_names():
     ("sigtest.significance", "_gumbel_outcome"),
     ("sigtest.cli", "_glm_test_rows"),
     ("sigtest.cli", "_gaussian_test_rows"),
+    ("sigtest", "logistic_fit"),
+    ("sigtest", "cox_fit"),
+    ("sigtest.glm", "logistic_fit"),
+    ("sigtest.glm", "cox_fit"),
+    ("sigtest.glm", "_fit"),
 ])
 def test_removed_name_is_gone(module, name):
     with pytest.raises(ImportError):
@@ -72,6 +77,7 @@ def test_removed_parameter_is_gone(function, parameter):
     ("sigtest.glm", "lrt_path", "family"),
     ("sigtest.glm", "lrt_drops_all", "family"),
     ("sigtest.linmodel", "standardize", "center"),
+    ("sigtest.glm", "FitResult", "converged"),  # a fit that fails raises
 ])
 def test_removed_argument_is_gone(module, function, parameter):
     fn = getattr(importlib.import_module(module), function)

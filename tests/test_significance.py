@@ -472,8 +472,8 @@ class TestWarmStartedRestrictedFit:
 
     @pytest.mark.parametrize("case", ["corpus", "ties"])
     def test_warns_exactly_when_the_path_has_ties(self, case):
-        # Every restricted fit of a covariance step with a nonempty A, warm
-        # started or not, passes on the tie warnings of the path it is given.
+        # Every restricted fit of a covariance step, warm started or not and
+        # with A empty or not, passes on the tie warnings of the path it is given.
         if case == "corpus":
             designs = [ar1_dataset(seed, n, p, rho)
                        for rho, n, p, seeds in self.CORPUS for seed in seeds]
@@ -488,8 +488,6 @@ class TestWarmStartedRestrictedFit:
             entries = path.entry_knots()
             for k in range(1, len(entries)):
                 A = entries[k - 1].active_before
-                if not A:
-                    continue
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     lasso_solve(data, entries[k].lam, subset=A, path=path)
