@@ -309,7 +309,8 @@ def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
         return _logistic_problem(data)
     if isinstance(data, SurvivalDataset):
         return _cox_problem(data)
-    raise ValueError(f"likelihood-ratio drops need logistic or cox data, not {type(data).__name__}")
+    raise ValueError("logistic or Cox regression needs a BinaryDataset or SurvivalDataset, "
+                     f"not {type(data).__name__}")
 
 
 def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResult:

@@ -164,13 +164,13 @@ class ActiveQR:
     """Thin QR factor X_A = Q R of an ordered list A of design columns.
 
     Holds R, R^{-T}, Q' and Q'y (row i of each belongs to the ith column of
-    A), the residual of y on A and, once :meth:`drops` asks for them, all
-    columns residualised on A. :meth:`add` appends a column by Gram-Schmidt
-    with one reorthogonalisation, in O(nk) plus O(np) while residualised
-    columns are kept. :meth:`drop` is a downdate (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sec. 6.5): Givens rotations restore the triangle
-    of R without the dropped column, in O(nk + k^2) plus O(np) while
-    residualised columns are kept.
+    A), the residual of y on A and, once :meth:`drops` asks for them, the p
+    squared residual norms ||(I - P_A) x_m||^2; no n x p state. :meth:`add`
+    appends a column by Gram-Schmidt with one reorthogonalisation, in O(nk).
+    :meth:`drop` is a downdate (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., sec. 6.5): Givens rotations restore the triangle of R without the
+    dropped column, in O(nk + k^2). While the norms are kept, each update
+    also costs one O(np) product X'q with the column q that enters or leaves.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, cols: Sequence[int] = ()):
@@ -183,7 +183,7 @@ class ActiveQR:
         self._Qt, self._qty = self._rows[:, 2 * cap:-1], self._rows[:, -1]
         self.cols: list[int] = []
         self.resid = y.copy()
-        self._Z = None
+        self._norms = self._den = None  # ||x_m||^2 and ||(I - P_A) x_m||^2
         for j in cols:
             self.add(j)
 
@@ -194,25 +194,26 @@ class ActiveQR:
         if k == self._Qt.shape[0]:
             raise SingularDesignError(f"subset of size {k + 1} exceeds n={self.X.shape[0]}")
         Qt = self._Qt[:k]
-        v, r = self.X[:, j].copy(), np.zeros(k)
-        for _ in range(2):  # Gram-Schmidt twice is enough
-            c = Qt @ v
-            v -= Qt.T @ c
-            r += c
+        v = self.X[:, j].copy()
+        r = Qt @ v
+        v -= Qt.T @ r
+        c = Qt @ v  # Gram-Schmidt twice is enough
+        v -= Qt.T @ c
+        r += c
         rho = float(np.sqrt(v @ v))
-        diag = np.append(self._R.diagonal()[:k], rho)
-        if rho == 0.0 or diag.min() < RANK_TOL * diag.max():
+        diag = self._R.diagonal()[:k]
+        if rho == 0.0 or diag.min(initial=rho) < RANK_TOL * diag.max(initial=rho):
             raise SingularDesignError(f"columns {self.cols + [int(j)]} are linearly dependent")
-        q = v / rho
-        self._Qt[k] = q
+        q = np.divide(v, rho, out=self._Qt[k])
         self._R[:k, k], self._R[k, k] = r, rho
         self._Rit[k, :k] = self._Rit[:k, :k].T @ r / -rho
         self._Rit[k, k] = 1.0 / rho
         self._qty[k] = q @ self.resid
         self.resid -= self._qty[k] * q
-        if self._Z is not None:
-            self._Z -= np.outer(q, q @ self._Z)
         self.cols.append(int(j))
+        if self._den is not None:
+            self._den -= (q @ self.X) ** 2
+            self._refresh()
 
     def drop(self, j: int) -> None:
         """Remove column j by a Givens downdate.
@@ -223,8 +224,9 @@ class ActiveQR:
         that moves column i last, G R P is triangular with inverse
         P' R^{-1} G', so the new R^{-1} is R^{-1} without row i, its columns
         rotated by G, less its last column: R^{-T} without column i, its rows
-        rotated, less its last row. The last rotated row of Q' has left the
-        span; it returns to the residual and to the residualised columns.
+        rotated, less its last row. The last rotated row q of Q' has left the
+        span; it returns to the residual, and (x_m'q)^2 to each kept squared
+        residual norm.
         """
         i, k = self.cols.index(j), len(self.cols)
         R, Rit, rows = self._R, self._Rit, self._rows
@@ -236,10 +238,12 @@ class ActiveQR:
             R[m + 1, m] = 0.0
         q_out = self._Qt[k - 1]
         self.resid += self._qty[k - 1] * q_out
-        if self._Z is not None:
-            self._Z += np.outer(q_out, q_out @ self.X)
+        if self._den is not None:
+            self._den += (q_out @ self.X) ** 2
         rows[k - 1] = 0.0
         del self.cols[i]
+        if self._den is not None:
+            self._refresh()
 
     @property
     def coef(self) -> np.ndarray:
@@ -262,17 +266,39 @@ class ActiveQR:
         Uses the projection identity: the drop equals
         (x_m' r_A)^2 / ||(I - P_A) x_m||^2 / sigma2 with r_A the residual of
         y on A. Columns numerically in the span of A get a drop of 0.
+
+        The numerator is formed fresh from X'r_A. The denominators are the
+        downdated column norms of QR with column pivoting (Businger & Golub,
+        *Numer. Math.* 7, 1965; Quintana-Orti, Sun & Bischof, *SIAM J. Sci.
+        Comput.* 19(5), 1998): computed exactly at the first call, then
+        each :meth:`add` subtracts (x_m'q)^2 and each :meth:`drop` adds it
+        back. A kept value carries an error of about eps ||x_m||^2 per
+        update, so a column outside A whose value falls below 1e-3 of its
+        own ||x_m||^2 is recomputed exactly: a column nearly in the span of
+        A then stays as accurate as a fresh projection.
         """
-        if self._Z is None:
-            Qt = self._Qt[:len(self.cols)]
-            self._Z = self.X - Qt.T @ (Qt @ self.X)
+        if self._den is None:
+            self._norms = np.einsum("ij,ij->j", self.X, self.X)
+            self._den = np.zeros_like(self._norms)
+            self._refresh()
         num = (self.X.T @ self.resid) ** 2
-        den = np.einsum("ij,ij->j", self._Z, self._Z)
         drops = np.zeros(num.size)
-        ok = den > 1e-12
-        drops[ok] = num[ok] / den[ok] / sigma2
+        ok = self._den > 1e-12
+        drops[ok] = num[ok] / self._den[ok] / sigma2
         drops[self.cols] = np.nan
         return drops
+
+    def _refresh(self) -> None:
+        """Recompute, by the twice-projected residual, each kept norm outside
+        A that fell below 1e-3 ||x_m||^2."""
+        low = self._den < 1e-3 * self._norms
+        low[self.cols] = False
+        idx = np.flatnonzero(low)
+        if idx.size:
+            Qt, Z = self._Qt[:len(self.cols)], self.X[:, idx]
+            for _ in range(2):
+                Z = Z - Qt.T @ (Qt @ Z)
+            self._den[idx] = np.einsum("ij,ij->j", Z, Z)
 
 
 def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:

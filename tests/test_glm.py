@@ -286,11 +286,12 @@ class TestLrtDrop:
 
     def test_unknown_family(self):
         # The family is the dataset's type; any other dataset is rejected.
-        for entry in (lrt_drops_all, glm_fit):
-            with pytest.raises(ValueError, match="logistic or cox data, not NoneType"):
-                entry(None, [])
-            with pytest.raises(ValueError, match="logistic or cox data, not Dataset"):
-                entry(Dataset(np.eye(3), np.ones(3), sigma2=1.0), [])
+        message = "^logistic or Cox regression needs a BinaryDataset or SurvivalDataset, not {}$"
+        for entry in (lambda d: lrt_drops_all(d, []), lambda d: glm_fit(d, []), lrt_path):
+            with pytest.raises(ValueError, match=message.format("NoneType")):
+                entry(None)
+            with pytest.raises(ValueError, match=message.format("Dataset")):
+                entry(Dataset(np.eye(3), np.ones(3), sigma2=1.0))
 
 
 def tied_survival(seed, n, p):
@@ -864,7 +865,7 @@ class TestLrtPath:
             lrt_path(random_binary(101, 50, 12), max_steps=max_steps)
 
     def test_gaussian_family_rejected(self):
-        with pytest.raises(ValueError, match="logistic or cox"):
+        with pytest.raises(ValueError, match="^logistic or Cox regression needs a BinaryDataset"):
             next(lrt_path(Dataset(np.eye(3), np.ones(3), sigma2=1.0)))
 
 

@@ -285,8 +285,8 @@ class TestActiveQRDowndate:
     @given(seed=st.integers(0, 2**16), n=st.integers(12, 30),
            ops=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), min_size=1, max_size=30))
     def test_add_drop_sequences_match_fresh_factor(self, seed, n, ops):
-        # drops() runs between updates, so the residualised columns it keeps
-        # are carried across every later add and drop.
+        # drops() runs between updates, so the squared residual norms it
+        # keeps are downdated across every later add and drop.
         p = 8
         rng = np.random.default_rng(seed)
         X = standardize(rng.standard_normal((n, p)))
@@ -323,6 +323,67 @@ class TestActiveQRDowndate:
         fresh = ActiveQR(data.X, data.y, [0, 2, 3, 4, 1])
         np.testing.assert_allclose(qr.coef, fresh.coef, rtol=0, atol=1e-12)
         np.testing.assert_allclose(qr.resid, fresh.resid, rtol=0, atol=1e-12)
+
+
+def near_copies(seed, n, p, eps):
+    """Column 1 is column 0 plus eps noise and column 5 is x2 + x3 - x4 plus
+    eps noise, so each has a residual of squared norm about eps^2 once its
+    twin (or x2, x3 and x4) is in A."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, p))
+    Z[:, 1] = Z[:, 0] + eps * rng.standard_normal(n)
+    Z[:, 5] = Z[:, 2] + Z[:, 3] - Z[:, 4] + eps * rng.standard_normal(n)
+    X = standardize(Z)
+    return Dataset(X, X[:, :3] @ [4.0, -3.0, 2.0] + rng.standard_normal(n), sigma2=1.0)
+
+
+def assert_drops_match_refits(data, A, got):
+    # Two fresh least-squares fits, not normal equations: those lose about
+    # cond^2 on near copies.
+    rss_a = least_squares(data, A).rss
+    for m in np.flatnonzero(~np.isnan(got)):
+        rss_am = least_squares(data, list(A) + [int(m)]).rss
+        assert got[m] == pytest.approx((rss_a - rss_am) / data.sigma2, abs=1e-9)
+
+
+class TestKeptResidualNorms:
+    # ActiveQR downdates each column's squared residual norm by (x_m'q)^2
+    # and recomputes it once it falls below 1e-3 of ||x_m||^2; without the
+    # recompute a near copy's drop would carry the cancellation of 1 - eps^2.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stepwise_drops_on_near_copies(self, seed):
+        data = near_copies(seed, 30, 12, 1e-5)
+        steps = stepwise_path(data)
+        assert len(steps) == 12
+        for step in steps:
+            assert_drops_match_refits(data, step.A, step.drops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_add_drop_sequences_on_near_copies(self, seed):
+        data = near_copies(seed, 30, 12, 1e-5)
+        rng = np.random.default_rng(seed)
+        qr = ActiveQR(data.X, data.y)
+        for cols in ([0, 1], [2, 3, 4, 5], [1, 0, 5], [4, 2, 3]):
+            for j in [c for c in cols if c not in qr.cols]:
+                qr.add(j)
+                assert_drops_match_refits(data, qr.cols, qr.drops(1.0))
+            for j in rng.permutation(qr.cols)[:len(qr.cols) - 1]:
+                qr.drop(int(j))
+                assert_drops_match_refits(data, qr.cols, qr.drops(1.0))
+
+    def test_no_n_by_p_state(self):
+        # On a wide design the factor buffer is smaller than X, so any kept
+        # n x p array would show.
+        data = random_dataset(2, 10, 40)
+        n, p = data.X.shape
+        qr = ActiveQR(data.X, data.y, [0, 1, 2])
+        qr.drops(1.0)
+        qr.add(3)
+        qr.drop(1)
+        qr.drops(1.0)
+        for name, value in vars(qr).items():
+            if isinstance(value, np.ndarray) and value is not data.X:
+                assert value.size < n * p, name
 
 
 class TestEstimateSigma2:
