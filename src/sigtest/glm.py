@@ -39,14 +39,10 @@ class BinaryDataset(_Shape):
     include_intercept: bool = True
     _arrays = ("X", "y")
 
-    def _check(self, X, y):
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be n x p with y of length n")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X contains non-finite entries")
-        if not np.all(np.isin(y, (0.0, 1.0))):
+    def _check(self):
+        if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise ValueError("y must contain only 0 and 1")
-        if y.min() == y.max():
+        if self.y.min() == self.y.max():
             raise DegenerateResponseError("y must contain at least one 0 and one 1")
 
 
@@ -59,16 +55,12 @@ class SurvivalDataset(_Shape):
     status: np.ndarray
     _arrays = ("X", "time", "status")
 
-    def _check(self, X, time, status):
-        if X.ndim != 2 or X.shape[0] != time.shape[0] or time.shape != status.shape:
-            raise ValueError("X must be n x p with time and status of length n")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(time)):
-            raise ValueError("non-finite entries in X or time")
-        if np.any(time <= 0):
+    def _check(self):
+        if np.any(self.time <= 0):
             raise ValueError("all times must be positive")
-        if not np.all(np.isin(status, (0.0, 1.0))):
+        if not np.all(np.isin(self.status, (0.0, 1.0))):
             raise ValueError("status must contain only 0 and 1")
-        if status.sum() < 1:
+        if self.status.sum() < 1:
             raise NoEventsError("survival data contains no observed events")
 
 
@@ -86,21 +78,21 @@ class FitResult:
     iterations: int
 
 
-def _rank_errors(Z: np.ndarray, what: str) -> list[SigtestError | None]:
-    """Per-row rank check of a (c, n, d) stack of designs that share their
-    first d - 1 columns: row i's triangular factor has the shared columns'
-    diagonal, from one QR for the stack, then the norm of row i's last
-    column after projecting them out (twice, as in ActiveQR.add)."""
-    c, n, d = Z.shape
-    if d > n or c == 0:
+def _rank_errors(design: np.ndarray, columns: np.ndarray, what: str) -> list[SigtestError | None]:
+    """Rank check of each model [design, columns[:, i]] by ActiveQR.add's rule:
+    its triangular factor has the design's diagonal, from one QR, then the
+    norm r of column i after projecting the design out (twice); it fails when
+    r is 0 or the least diagonal entry is below RANK_TOL times the largest."""
+    (n, d), c = design.shape, columns.shape[1]
+    if d >= n:
         return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
-    Q, R = np.linalg.qr(Z[0, :, :-1])
-    v = Z[:, :, -1].T.copy()
+    Q, R = np.linalg.qr(design)
+    v = columns.copy()
     for _ in range(2):
         v -= Q @ (Q.T @ v)
     shared, last = np.abs(np.diagonal(R)), np.linalg.norm(v, axis=0)
-    deficient = (np.minimum(shared.min(initial=np.inf), last)
-                 < RANK_TOL * np.maximum(shared.max(initial=0.0), last))
+    deficient = (last == 0.0) | (np.minimum(shared.min(initial=np.inf), last)
+                                 < RANK_TOL * np.maximum(shared.max(initial=0.0), last))
     return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
             for bad in deficient]
 
@@ -172,7 +164,7 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
     Z[:, :, d] = columns.T
     beta = np.zeros((c, d + 1))
     beta[:, :d] = base
-    errors = _rank_errors(Z, what)
+    errors = _rank_errors(design, columns, what)
     live = np.array([e is None for e in errors], dtype=bool)
     iterations = np.zeros(c, dtype=int)
     ll, grad, info = _shared_start(objective, design, columns, base)

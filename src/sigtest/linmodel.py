@@ -28,18 +28,30 @@ RANK_TOL = 1e-10
 
 
 class _Shape:
-    """``n`` and ``p`` of a dataset's design matrix ``X``, and how its arrays are kept."""
+    """``n`` and ``p`` of a dataset's design matrix ``X``; the rules every kind shares."""
 
     def __post_init__(self):
-        """The fields named in ``_arrays`` (X first) as contiguous float copies,
-        all but X flattened; once ``_check`` passes on them they are read-only.
-        The caller's own arrays are never frozen."""
+        """The fields named in ``_arrays`` (X first) as read-only contiguous
+        float copies, all but X flattened. X must be 2-d with n >= 2 and
+        p >= 1, every other array must have n entries, and every array must
+        be finite; then the kind's own ``_check`` runs. The caller's own
+        arrays are never frozen."""
         arrays = [np.array(getattr(self, k), dtype=float, order="C") for k in self._arrays]
         arrays[1:] = [a.ravel() for a in arrays[1:]]
-        self._check(*arrays)
+        if arrays[0].ndim != 2:
+            raise ValueError("X must be a 2-d matrix")
+        n, p = arrays[0].shape
+        if n < 2 or p < 1:
+            raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
+        for name, a in zip(self._arrays[1:], arrays[1:]):
+            if a.shape[0] != n:
+                raise ValueError(f"{name} has length {a.shape[0]}, expected {n}")
         for name, a in zip(self._arrays, arrays):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains non-finite entries")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        self._check()
 
     @property
     def n(self) -> int:
@@ -63,18 +75,7 @@ class Dataset(_Shape):
     sigma2: float | None = None
     _arrays = ("X", "y")
 
-    def _check(self, X, y):
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-d matrix")
-        n, p = X.shape
-        if n < 2 or p < 1:
-            raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-        if y.shape[0] != n:
-            raise ValueError(f"y has length {y.shape[0]}, expected {n}")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("X contains non-finite entries")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite entries")
+    def _check(self):
         if self.sigma2 is not None and not 0.0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive when supplied")
 

@@ -79,6 +79,12 @@ class Scenario:
             raise ValueError("gumbel_glm scenarios use the logistic or cox family")
         if self.family != "gaussian" and (self.selector != "max_r" or self.sigma != 1.0):
             raise ValueError("selector and sigma apply only to the gaussian family")
+        if self.test == "covariance" and self.selector != "max_r":
+            raise ValueError("selector does not apply to the covariance test")
+        if self.family != "cox" and self.censor_frac != 0.0:
+            raise ValueError("censor_frac applies only to the cox family")
+        if self.design != "ar1" and self.rho != 0.0:
+            raise ValueError("rho applies only to the ar1 design")
         # The Gaussian selection paths stop at min(n, p) entries; the
         # covariance test of step k also needs entry k + 1.
         entries = self.k + 1 if self.test == "covariance" else self.k

@@ -10,7 +10,7 @@ Gumbel with location -log(pi) and scale 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,37 +100,27 @@ def reference_pair(name: str):
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one significance test at one step."""
+    """Result of one significance test at one step. The fields before
+    ``decomposition`` are the JSON record, in its order."""
 
     kind: str
     k: int
+    A: tuple[int, ...]
+    j: int
     statistic: float
+    correction: float | None
     p_value: float
     alpha: float
     reject: bool
-    A: tuple[int, ...]
-    j: int
-    correction: float | None = None
     conservative: bool = False
     warnings: tuple[str, ...] = ()
     # Second evaluation route of the covariance statistic; not serialized.
     decomposition: float | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
-        """Record with the exact documented field set, in order."""
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "A": list(self.A),
-            "j": self.j,
-            "statistic": self.statistic,
-            "correction": self.correction,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "conservative": self.conservative,
-            "warnings": list(self.warnings),
-        }
+        """The record: every field but ``decomposition``, A and warnings as lists."""
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "decomposition"}
+        return {**record, "A": list(self.A), "warnings": list(self.warnings)}
 
 
 def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from sigtest import gen_design
 from sigtest.cli import run
+from sigtest.dataio import format_csv
 from sigtest.exceptions import PathTruncationWarning
 from sigtest.linmodel import ActiveQR
 from sigtest.significance import exp1_quantile, gumbel_quantile
@@ -189,6 +192,51 @@ class TestTestVerb:
         with pytest.warns(PathTruncationWarning, match="stopped at step 3"):
             assert run(base) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_deletion_between_entries_noted(self, tmp_path):
+        # On this AR(1) design a variable leaves the lasso path between its
+        # 6th and 7th entries, so step 6 has no covariance test.
+        rng = np.random.default_rng(0)
+        X = gen_design("ar1", 30, 12, rng, 0.8)
+        y = X[:, :3] @ np.array([4.0, -4.0, 3.0]) + rng.standard_normal(30)
+        data = tmp_path / "ar1.csv"
+        data.write_text(format_csv([f"x{i}" for i in range(12)] + ["y"],
+                                   np.column_stack([X, y]).tolist()))
+        out = str(tmp_path / "t.csv")
+        assert run(["test", "--input", str(data), "--sigma2", "1", "--selector", "lasso",
+                    "--output", out]) == 0
+        header, *rows = read_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [r["k"] for r in rows if "deletion-between-entries" in r["note"]] == ["6"]
+        assert rows[5]["cov_statistic"] == "" and rows[5]["gumbel_statistic"] != ""
+        assert rows[4]["cov_statistic"] != "" and rows[6]["cov_statistic"] != ""
+
+    @pytest.mark.parametrize("family, column, message", [
+        ("gaussian", "x3", "X contains non-finite entries"),
+        ("gaussian", "y", "y contains non-finite entries"),
+        ("logistic", "y", "y contains non-finite entries"),
+        ("cox", "time", "time contains non-finite entries"),
+        ("cox", "status", "status contains non-finite entries"),
+    ])
+    def test_non_finite_cell_exit_2(self, family_csvs, capsys, family, column, message):
+        header, *rows = read_csv(family_csvs[family])
+        rows[1][header.index(column)] = "nan"
+        with open(family_csvs[family], "w") as fh:
+            fh.write(format_csv(header, rows))
+        sigma2 = ["--sigma2", "1"] if family == "gaussian" else []
+        assert run(["test", "--input", family_csvs[family], "--family", family, *sigma2]) == 2
+        assert capsys.readouterr().err == f"sigtest: error: {message}\n"
+
+    def test_failed_replace_leaves_no_temporary_file(self, identity_csv, tmp_path, monkeypatch,
+                                                     capsys):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "out" / "t.csv"
+        assert run(["test", "--input", identity_csv, "--sigma2", "1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"sigtest: error: cannot replace {out}\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_logistic_family(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -427,6 +475,32 @@ class TestSimulateVerb:
         err = capsys.readouterr().err
         assert err.startswith(f"sigtest: error: inline scenario field {field!r} must be ")
         assert err.endswith(f", got {value!r}\n")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{family: gaussian}", "inline scenario is not valid JSON: "),
+        ("[1, 2]", "inline scenario must be a JSON object\n"),
+        ('{"family": "gaussian", "design": "orthogonal", "n": 40, "p": 10}',
+         "inline scenario missing required field 'test'\n"),
+    ], ids=["not-json", "not-object", "missing-field"])
+    def test_inline_scenario_errors_exit_2(self, tmp_path, capsys, text, message):
+        assert run(["simulate", "--inline", text, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(f"sigtest: error: {message}")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"test": "covariance", "selector": "lasso"},
+         "selector does not apply to the covariance test"),
+        ({"censor_frac": 0.1}, "censor_frac applies only to the cox family"),
+        ({"rho": 0.7}, "rho applies only to the ar1 design"),
+    ])
+    def test_inline_field_a_replication_never_reads_exit_2(self, tmp_path, capsys, fields,
+                                                           message):
+        scenario = {"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10,
+                    "test": "gumbel", "reps": 5, **fields}
+        assert run(["simulate", "--inline", json.dumps(scenario),
+                    "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"sigtest: error: {message}\n"
         assert not (tmp_path / "s").exists()
 
     def test_inline_int_for_float_field_accepted(self, tmp_path):

@@ -64,6 +64,23 @@ class TestLoadDataset:
         with pytest.raises(CsvFormatError, match=r"^expected 3 fields, found 2 \(line 4\)$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("blank", ["\n", ",\n", " , \n"])
+    def test_blank_rows_skipped(self, tmp_path, blank):
+        path = write(tmp_path, "d.csv", f"a,y\n3,1\n{blank}4,2\n{blank}")
+        data, _ = load_dataset(path)
+        np.testing.assert_array_equal(data.y, [1, 2])
+        np.testing.assert_allclose(data.X[:, 0], [0.6, 0.8])
+
+    @pytest.mark.parametrize("load, text", [
+        (load_dataset, "y\n1\n2\n"),
+        (load_binary, "y\n1\n0\n"),
+        (load_survival, "time,status\n1,1\n2,0\n"),
+    ], ids=["gaussian", "binary", "survival"])
+    def test_only_reserved_columns(self, tmp_path, load, text):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(CsvFormatError, match=r"^no covariate columns found \(line 1\)$"):
+            load(path)
+
     def test_duplicate_y_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "y,y\n1,2\n3,4\n")
         with pytest.raises(CsvFormatError, match="more than once"):

@@ -876,7 +876,7 @@ def stacked_rank_errors(Z, what):
     if d > n:
         return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
     diag = np.abs(np.diagonal(np.linalg.qr(Z, mode="r"), axis1=1, axis2=2))
-    deficient = diag.min(axis=1) < RANK_TOL * diag.max(axis=1)
+    deficient = (diag.max(axis=1) == 0) | (diag.min(axis=1) < RANK_TOL * diag.max(axis=1))
     return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
             for bad in deficient]
 
@@ -897,11 +897,12 @@ def rank_case(name):
         X[:, 3] = 2.5
         return glm._logistic_problem(BinaryDataset(X, y)), [], list(range(6)), [3]
     if name == "zero-column-cox":
-        # Alone, a zero column's factor is all zero, which is not below
-        # RANK_TOL times itself: its fit stops at once with a drop of 0.
+        # Alone, a zero column's factor is all zero. That is not below
+        # RANK_TOL times itself, but as in ActiveQR.add a zero norm is
+        # deficient, so the fit fails here as it does beside any other column.
         X[:, 2] = 0.0
         data = SurvivalDataset(X, rng.exponential(1.0, 30), np.ones(30))
-        return glm._cox_problem(data), [], list(range(6)), []
+        return glm._cox_problem(data), [], list(range(6)), [2]
     # d + 1 > n: an intercept and four columns on five rows, plus a candidate.
     data = BinaryDataset(X[:5], np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
     return glm._logistic_problem(data), [0, 1, 2, 3], [4, 5], [4, 5]
@@ -914,7 +915,7 @@ class TestRankCheck:
         problem, A, candidates, deficient = rank_case(name)
         design = problem.design(A)
         Z = np.stack([np.column_stack([design, problem.columns[:, m]]) for m in candidates])
-        ours = glm._rank_errors(Z, problem.what)
+        ours = glm._rank_errors(design, problem.columns[:, candidates], problem.what)
         theirs = stacked_rank_errors(Z, problem.what)
         assert [(type(e), str(e)) if e else None for e in ours] == [
             (type(e), str(e)) if e else None for e in theirs]
@@ -925,9 +926,26 @@ class TestRankCheck:
     def test_rank_deficient_base_is_caught(self):
         # A base with two equal columns: every stack is deficient.
         problem, _A, _candidates, _bad = rank_case("duplicate")
-        Z = np.stack([np.column_stack([problem.design([1, 4]), problem.columns[:, m]])
-                      for m in (0, 2)])
-        assert all(isinstance(e, SingularDesignError) for e in glm._rank_errors(Z, "fit"))
+        errors = glm._rank_errors(problem.design([1, 4]), problem.columns[:, [0, 2]], "fit")
+        assert all(isinstance(e, SingularDesignError) for e in errors)
+
+    @pytest.mark.parametrize("family", ["cox", "logistic"])
+    def test_zero_column_fails_at_every_step(self, family):
+        # A column of zeros is rank deficient beside any model, the empty
+        # one included, as in ActiveQR.add: no drop of 0 at the first step.
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 5))
+        X[:, 2] = 0.0
+        data = (SurvivalDataset(X, rng.exponential(1.0, 40), np.ones(40)) if family == "cox"
+                else BinaryDataset(X, (rng.random(40) < 0.5) * 1.0, include_intercept=False))
+        note = f"fit failed for candidate 2: {family} fit: design is rank deficient"
+        steps = lrt_path(data, max_steps=3)
+        assert [s.failures for s in steps] == [[note]] * 3
+        assert all(np.isnan(s.drops[2]) and 2 not in s.A for s in steps)
+        with pytest.raises(SingularDesignError, match=f"^{family} fit: design is rank deficient$"):
+            glm_fit(data, [2])
+        with pytest.raises(SingularDesignError, match=f"^{family} fit: design is rank deficient$"):
+            glm_fit(data, [0, 2])
 
 
 # A table's carried path may differ from the cold one only where some fit on

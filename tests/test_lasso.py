@@ -15,7 +15,9 @@ import sigtest.lasso as lasso_module
 from sigtest import (
     Dataset,
     DuplicateColumnError,
+    Knot,
     PathNonTerminationError,
+    SingularDesignError,
     StalePathError,
     kkt_check,
     lars_path,
@@ -167,6 +169,18 @@ class TestLarsPath:
         assert any("tie" in w for w in path.warnings)
 
 
+class TestKnot:
+    @pytest.mark.parametrize("fields, message", [
+        ({"action": "jump"}, "^unknown knot action 'jump'$"),
+        ({"active_before": (2, 0)}, "^entering variable already active$"),
+    ])
+    def test_invalid_knot_rejected(self, fields, message):
+        knot = {"k": 2, "lam": 0.5, "entering": 2, "active_before": (0,), "signs_after": (1, -1)}
+        assert Knot(**knot).active_after == (0, 2)
+        with pytest.raises(ValueError, match=message):
+            Knot(**{**knot, **fields})
+
+
 class TestSegments:
     """Each knot of a path keeps the segment b0 - lam * b1 just below it."""
 
@@ -187,6 +201,21 @@ class TestSegments:
                     deletions += sum(kn.action == "leave" for kn in path.knots)
                     capped += max_steps is not None
         assert deletions >= 20 and capped == 12
+
+    def test_numerically_dependent_entry_has_no_segment(self):
+        # Column 2 is x0 + x1 up to 1e-12 and enters last: below that knot
+        # X_A is rank deficient to RANK_TOL, so the path keeps no segment
+        # there, and a restricted fit that reaches it raises.
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((6, 4))
+        X[:, 2] = X[:, 0] + X[:, 1] + 1e-12 * rng.standard_normal(6)
+        data = Dataset(standardize(X), rng.standard_normal(6))
+        path = lars_path(data)
+        assert [kn.entering for kn in path.knots] == [0, 3, 1, 2]
+        assert path.segments[-1] is None and None not in path.segments[:-1]
+        with pytest.raises(SingularDesignError,
+                           match=r"^columns \[0, 1, 2\] are rank deficient above lambda=0.0$"):
+            lasso_solve(data, 0.0, subset=[0, 1, 2], path=path)
 
     def test_segments_do_not_affect_equality(self):
         data = random_dataset(1, 30, 8)

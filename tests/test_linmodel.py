@@ -8,8 +8,10 @@ from sigtest import (
     BinaryDataset,
     Dataset,
     DegenerateColumnError,
+    DegenerateResponseError,
     DegenerateVarianceError,
     MissingVarianceError,
+    NoEventsError,
     NotEstimableError,
     PathTruncationWarning,
     SingularDesignError,
@@ -86,7 +88,73 @@ class TestDataset:
         assert np.all(np.abs(norms2(Dataset(2 * np.eye(3), np.zeros(3))) - 1.0) > 1e-8)
 
 
+# The arrays of each kind of dataset, X first.
+KINDS = {Dataset: ("X", "y"), BinaryDataset: ("X", "y"), SurvivalDataset: ("X", "time", "status")}
+
+
+def valid_arrays(kind, n=4, p=2):
+    """Arrays that a dataset of the given kind accepts, with n rows and p columns."""
+    arrays = {"X": np.random.default_rng(5).standard_normal((n, p)), "y": np.arange(n) % 2.0,
+              "time": np.arange(1.0, n + 1), "status": np.ones(n)}
+    return {name: arrays[name] for name in KINDS[kind]}
+
+
+class TestDatasetContract:
+    """The rules that every kind of dataset shares, and each kind's own."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_valid_arrays_accepted(self, kind):
+        data = kind(**valid_arrays(kind))
+        assert (data.n, data.p) == (4, 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_design_must_be_a_matrix(self, kind):
+        arrays = valid_arrays(kind)
+        arrays["X"] = arrays["X"][:, 0]
+        with pytest.raises(ValueError, match="^X must be a 2-d matrix$"):
+            kind(**arrays)
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (0, 3), (4, 0)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_need_two_rows_and_a_column(self, kind, n, p):
+        with pytest.raises(ValueError, match=f"^need n >= 2 and p >= 1, got n={n}, p={p}$"):
+            kind(**valid_arrays(kind, n, p))
+
+    @pytest.mark.parametrize("kind, name", [(k, a) for k, names in KINDS.items()
+                                            for a in names[1:]])
+    def test_every_other_array_has_n_entries(self, kind, name):
+        arrays = valid_arrays(kind)
+        arrays[name] = arrays[name][:3]
+        with pytest.raises(ValueError, match=f"^{name} has length 3, expected 4$"):
+            kind(**arrays)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind, name", [(k, a) for k, names in KINDS.items() for a in names])
+    def test_every_array_is_finite(self, kind, name, bad):
+        arrays = valid_arrays(kind)
+        arrays[name][-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            kind(**arrays)
+
+    @pytest.mark.parametrize("kind, name, values, error, message", [
+        (BinaryDataset, "y", [0, 2, 1, 0], ValueError, "y must contain only 0 and 1"),
+        (BinaryDataset, "y", [1, 1, 1, 1], DegenerateResponseError, "at least one 0 and one 1"),
+        (SurvivalDataset, "time", [1, 0, 2, 3], ValueError, "all times must be positive"),
+        (SurvivalDataset, "status", [1, 2, 0, 1], ValueError, "status must contain only 0 and 1"),
+        (SurvivalDataset, "status", [0, 0, 0, 0], NoEventsError, "no observed events"),
+    ])
+    def test_rules_of_each_kind(self, kind, name, values, error, message):
+        arrays = valid_arrays(kind)
+        arrays[name] = np.array(values, dtype=float)
+        with pytest.raises(error, match=message):
+            kind(**arrays)
+
+
 class TestStandardize:
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="^X must be a 2-d matrix$"):
+            standardize(np.ones(3))
+
     def test_unit_norm_scaling(self):
         out = standardize(np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(out[:, 0], [0.6, 0.8])

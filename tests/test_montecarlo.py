@@ -10,6 +10,8 @@ from oracles import gumbel_cdf_direct
 from sigtest import (
     InfeasibleDesignError,
     Scenario,
+    SeparationError,
+    SigtestError,
     gen_design,
     gen_response,
     ks_distance,
@@ -17,6 +19,7 @@ from sigtest import (
     preset_names,
     qq_points,
     run_scenario,
+    stepwise_path,
 )
 from sigtest import montecarlo
 from sigtest.montecarlo import replication_rng, resolve_threads
@@ -103,6 +106,11 @@ class TestGenResponse:
         X = np.zeros((200_000, 1))
         time, status = gen_response(s, X, rng_for(10))
         assert abs((1.0 - status.mean()) - 0.10) < 0.005
+
+    def test_unknown_family(self):
+        s = replace(preset("fig1-left"), family="poisson")
+        with pytest.raises(ValueError, match="^unknown family 'poisson'$"):
+            gen_response(s, gen_design("orthogonal", 100, 50, rng_for(0)), rng_for(0))
 
 
 class TestReplicationRng:
@@ -258,6 +266,39 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             s.validate()
 
+    @pytest.mark.parametrize("name, fields, message", [
+        ("fig1-left", {"family": "poisson"}, "unknown family 'poisson'"),
+        ("fig1-left", {"design": "toeplitz"}, "unknown design 'toeplitz'"),
+        ("fig1-left", {"test": "wald"}, "unknown test 'wald'"),
+        ("fig1-left", {"n": 1}, "need n >= 2 and p >= 1"),
+        ("fig1-left", {"p": 0}, "need n >= 2 and p >= 1"),
+        ("fig2-left", {"rho": 1.0}, r"rho must lie in \(-1, 1\)"),
+        ("fig1-left", {"k": 0}, "step index k must be at least 1"),
+        ("fig1-left", {"sigma": 0.0}, "sigma must be positive"),
+        ("fig3-right", {"censor_frac": 1.0}, r"censor_frac must lie in \[0, 1\)"),
+        ("fig1-left", {"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+        ("fig1-left", {"selector": "forward"}, "unknown selector 'forward'"),
+        ("fig1-left", {"test": "gumbel_glm"}, "gumbel_glm scenarios use the logistic or cox"),
+        ("fig1-right", {"beta": ((0, math.nan),)}, "beta values must be finite"),
+    ])
+    def test_rejections(self, name, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(preset(name), **fields).validate()
+
+    @pytest.mark.parametrize("name, fields, message", [
+        ("cov-null", {"selector": "lasso"}, "selector does not apply to the covariance test"),
+        ("cov-null", {"selector": "stepwise"}, "selector does not apply to the covariance test"),
+        ("fig1-left", {"censor_frac": 0.1}, "censor_frac applies only to the cox family"),
+        ("fig3-left", {"censor_frac": 0.1}, "censor_frac applies only to the cox family"),
+        ("fig1-left", {"rho": 0.7}, "rho applies only to the ar1 design"),
+        ("fig3-left", {"rho": 0.5}, "rho applies only to the ar1 design"),
+    ])
+    def test_fields_a_replication_never_reads_rejected(self, name, fields, message):
+        # Each would run with the field silently ignored.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(preset(name), **fields).validate()
+        preset(name).validate()
+
 
 class TestRunScenario:
     def test_determinism_serial(self):
@@ -339,6 +380,23 @@ class TestRunScenario:
                      n=3, p=50, test=test, k=k, reps=5, seed=1)
         with pytest.raises(ValueError, match="path entries"):
             s.validate()
+
+    def test_every_replication_failed(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise SeparationError("logistic fit: coefficients diverging")
+
+        monkeypatch.setattr(montecarlo, "lrt_path", diverging)
+        s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
+                     n=20, p=4, test="gumbel_glm", reps=3, seed=3)
+        with pytest.raises(SigtestError, match="^every replication failed; nothing to summarize$"):
+            run_scenario(s, threads=1)
+
+    def test_truncated_selection_path_is_a_failed_replication(self, monkeypatch):
+        # stepwise_path stops early once no candidate reduces the residual.
+        monkeypatch.setattr(montecarlo, "stepwise_path", lambda data, max_steps, selector:
+                            stepwise_path(data, max_steps=max_steps - 1, selector=selector))
+        outcome = montecarlo._replicate(preset("fig1-right"), 0)
+        assert outcome == montecarlo._RepOutcome(None, None, failure="selection path truncated")
 
     def test_programming_error_is_not_a_failed_replication(self, monkeypatch):
         def broken(*args, **kwargs):

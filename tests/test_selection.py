@@ -11,6 +11,7 @@ from sigtest import (
     BinaryDataset,
     Dataset,
     PathTruncationWarning,
+    SelectionStep,
     SigtestError,
     StalePathError,
     SurvivalDataset,
@@ -50,6 +51,11 @@ class TestStepwisePath:
         assert [(s.j, s.r_j) for s in steps] == [(0, 9.0), (2, 4.0), (1, 1.0)]
         assert [s.A for s in steps] == [(), (0,), (0, 2)]
         assert all(s.selector == "stepwise" for s in steps)
+
+    @pytest.mark.parametrize("selector", ["lasso", "forward"])
+    def test_unknown_selector_rejected(self, selector):
+        with pytest.raises(ValueError, match="^stepwise_path selector must be 'stepwise' or"):
+            stepwise_path(IDENTITY, selector=selector)
 
     def test_zero_response_truncates_immediately(self):
         data = Dataset(np.eye(3), np.zeros(3), sigma2=1.0)
@@ -330,6 +336,17 @@ PATHS = {
 
 
 class TestStepRecord:
+    @pytest.mark.parametrize("fields, message", [
+        ({"A": (0, 2)}, "^selected variable already in the model$"),
+        ({"selector": "forward"}, "^unknown selector 'forward'$"),
+    ])
+    def test_invalid_step_rejected(self, fields, message):
+        step = {"k": 2, "A": (0,), "j": 2, "drops": np.array([np.nan, 1.0, 2.0]),
+                "selector": "max_r"}
+        SelectionStep(**step)
+        with pytest.raises(ValueError, match=message):
+            SelectionStep(**{**step, **fields})
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_drops_are_an_array_over_all_columns(self, name):
         steps = PATHS[name]()

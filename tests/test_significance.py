@@ -250,6 +250,11 @@ class TestCovarianceTest:
         with pytest.raises(PathTooShortError):
             covariance_test(path, IDENTITY, 3)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            covariance_test(lars_path(IDENTITY), IDENTITY, 1, alpha=alpha)
+
     @pytest.mark.parametrize("k", [0, -1, -3])
     def test_step_index_below_one_rejected(self, k):
         # A k < 1 must not index the entry events from the end.
