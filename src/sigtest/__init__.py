@@ -1,5 +1,7 @@
 """Significance tests for variables entering lasso and stepwise regression paths."""
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     ConvergenceError,
     DegenerateColumnError,
@@ -59,57 +61,5 @@ from .significance import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryDataset",
-    "ConvergenceError",
-    "Dataset",
-    "DegenerateColumnError",
-    "DegenerateResponseError",
-    "DegenerateVarianceError",
-    "DuplicateColumnError",
-    "FitResult",
-    "InfeasibleDesignError",
-    "Knot",
-    "LassoPath",
-    "MissingVarianceError",
-    "MonteCarloSummary",
-    "NoEventsError",
-    "NotEstimableError",
-    "PathNonTerminationError",
-    "PathTooShortError",
-    "PathTruncationWarning",
-    "Scenario",
-    "SelectionStep",
-    "SeparationError",
-    "SigtestError",
-    "SingularDesignError",
-    "StalePathError",
-    "SubsetFit",
-    "SurvivalDataset",
-    "TestOutcome",
-    "TooFewRemainingError",
-    "UnreliableMaxError",
-    "UnsupportedStepError",
-    "covariance_test",
-    "estimate_sigma2",
-    "gen_design",
-    "gen_response",
-    "glm_fit",
-    "gumbel_cdf",
-    "gumbel_correction",
-    "gumbel_quantile",
-    "gumbel_sf",
-    "gumbel_test",
-    "kkt_check",
-    "ks_distance",
-    "lars_path",
-    "lasso_solve",
-    "lasso_steps",
-    "least_squares",
-    "preset",
-    "preset_names",
-    "qq_points",
-    "run_scenario",
-    "standardize",
-    "stepwise_path",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -25,7 +25,6 @@ from .dataio import (
 from .exceptions import (
     DegenerateVarianceError,
     MissingVarianceError,
-    NoEventsError,
     NotEstimableError,
     PathTooShortError,
     SigtestError,
@@ -35,14 +34,15 @@ from .exceptions import (
 from .glm import lrt_path
 from .lasso import lars_path
 from .linmodel import _check_max_steps, estimate_sigma2
-from .montecarlo import Scenario, preset, preset_names, qq_points, run_scenario
-from .selection import lasso_steps, stepwise_path
-from .significance import covariance_test, gumbel_test
+from .montecarlo import FAMILIES, Scenario, preset, preset_names, qq_points, run_scenario
+from .selection import SELECTORS, lasso_steps, stepwise_path
+from .significance import REFERENCES, _check_alpha, covariance_test, gumbel_test
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_VARIANCE = 4
+QQ_HEADER = ["theoretical", "empirical"]  # simulate's qq.csv and the qq verb
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -145,8 +145,7 @@ def _test_rows(args: argparse.Namespace):
 
 def cmd_test(args: argparse.Namespace) -> int:
     """Run the significance tests step by step over a CSV dataset."""
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(args.alpha)
     rows, records = _test_rows(args)
     if args.fmt == "json":
         _emit(args, json.dumps([r.to_json_dict() for r in records], indent=2) + "\n")
@@ -207,11 +206,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = run_scenario(scenario)
 
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     stats_text = "".join(repr(float(x)) + "\n" for x in summary.statistics)
     _atomic_write(os.path.join(out, "statistics.csv"), stats_text)
-    qq_rows = [[float(t), float(e)] for t, e in summary.qq]
-    _atomic_write(os.path.join(out, "qq.csv"), format_csv(["theoretical", "empirical"], qq_rows))
+    _atomic_write(os.path.join(out, "qq.csv"), format_csv(QQ_HEADER, summary.qq))
     _atomic_write(os.path.join(out, "summary.json"),
                   json.dumps(summary.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
@@ -219,10 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_qq(args: argparse.Namespace) -> int:
     """Emit reference-quantile / order-statistic pairs for a statistics file."""
-    stats = load_statistics(args.input)
-    pairs = qq_points(stats, args.reference)
-    rows = [[float(t), float(e)] for t, e in pairs]
-    _emit(args, format_csv(["theoretical", "empirical"], rows))
+    _emit(args, format_csv(QQ_HEADER, qq_points(load_statistics(args.input), args.reference)))
     return EXIT_OK
 
 
@@ -237,16 +231,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p_path.add_argument("--output", default=None)
     p_path.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    p_path.set_defaults(command=cmd_path)
 
     p_test = sub.add_parser("test", help="run the significance tests on a dataset")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--sigma2", type=float, default=None)
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--selector", choices=("max_r", "stepwise", "lasso"), default=None)
-    p_test.add_argument("--family", choices=("gaussian", "logistic", "cox"), default="gaussian")
+    p_test.add_argument("--selector", choices=SELECTORS, default=None)
+    p_test.add_argument("--family", choices=FAMILIES, default="gaussian")
     p_test.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p_test.add_argument("--output", default=None)
     p_test.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    p_test.set_defaults(command=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     group = p_sim.add_mutually_exclusive_group(required=True)
@@ -255,23 +251,22 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--inline", default=None, help="scenario as a JSON object")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=".", dest="out_dir")
+    p_sim.set_defaults(command=cmd_simulate)
 
     p_qq = sub.add_parser("qq", help="quantile pairs for a file of statistics")
     p_qq.add_argument("--input", required=True)
-    p_qq.add_argument("--reference", choices=("gumbel", "exp1"), required=True)
+    p_qq.add_argument("--reference", choices=REFERENCES, required=True)
     p_qq.add_argument("--output", default=None)
+    p_qq.set_defaults(command=cmd_qq)
     return parser
-
-
-_COMMANDS = {"path": cmd_path, "test": cmd_test, "simulate": cmd_simulate, "qq": cmd_qq}
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
-    except (ValueError, KeyError, NoEventsError, OSError) as exc:  # CsvFormatError too
+        return args.command(args)
+    except (ValueError, KeyError, OSError) as exc:  # CsvFormatError too
         print(f"sigtest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MissingVarianceError, NotEstimableError, DegenerateVarianceError) as exc:

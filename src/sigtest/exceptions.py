@@ -70,7 +70,7 @@ class ConvergenceError(SigtestError):
     """An iterative fit failed to converge."""
 
 
-class NoEventsError(SigtestError):
+class NoEventsError(SigtestError, ValueError):
     """A survival dataset contains no observed events."""
 
 

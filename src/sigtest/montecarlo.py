@@ -9,9 +9,10 @@ distribution, and a rejection rate at the 5% level.
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +21,8 @@ from .exceptions import InfeasibleDesignError, SigtestError
 from .glm import BinaryDataset, SurvivalDataset, lrt_path
 from .lasso import lars_path
 from .linmodel import Dataset
-from .selection import lasso_steps, stepwise_path
-from .significance import covariance_test, gumbel_test, reference_pair
+from .selection import SELECTORS, lasso_steps, stepwise_path
+from .significance import _check_alpha, covariance_test, gumbel_test, reference_pair
 
 FAMILIES = ("gaussian", "logistic", "cox")
 DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
@@ -65,13 +66,13 @@ class Scenario:
             raise ValueError("reps must be at least 1")
         if self.k < 1:
             raise ValueError("step index k must be at least 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # Not sigma ** 2, which raises OverflowError; an integer's square may exceed every float.
+        if not (self.sigma > 0 and 0.0 < self.sigma * self.sigma <= sys.float_info.max):
+            raise ValueError("sigma must be positive, with a finite and nonzero square")
         if not 0.0 <= self.censor_frac < 1.0:
             raise ValueError("censor_frac must lie in [0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.selector not in ("max_r", "stepwise", "lasso"):
+        _check_alpha(self.alpha)
+        if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.test in ("gumbel", "covariance") and self.family != "gaussian":
             raise ValueError(f"test {self.test!r} requires the gaussian family")
@@ -116,7 +117,8 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
-    """Aggregated empirical-distribution diagnostics of one scenario."""
+    """Aggregated empirical-distribution diagnostics of one scenario. The
+    fields after ``qq`` are the JSON record's, in its order."""
 
     scenario: Scenario
     statistics: np.ndarray
@@ -124,21 +126,17 @@ class MonteCarloSummary:
     ks: float
     rejection_rate_05: float
     failures: int
-    failure_reasons: dict[str, int] = field(default_factory=dict)
     unreliable: bool = False
+    failure_reasons: dict[str, int] = field(default_factory=dict)
     signal_missed: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.name,
-            "reps": self.scenario.reps,
-            "ks": self.ks,
-            "rejection_rate_05": self.rejection_rate_05,
-            "failures": self.failures,
-            "unreliable": self.unreliable,
-            "failure_reasons": dict(sorted(self.failure_reasons.items())),
-            "signal_missed": self.signal_missed,
-        }
+        """The record: the scenario's name and reps, then the fields after
+        ``qq``, with the failure reasons sorted by name."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("scenario", "statistics", "qq")}
+        return {"scenario": self.scenario.name, "reps": self.scenario.reps, **record,
+                "failure_reasons": dict(sorted(self.failure_reasons.items()))}
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:

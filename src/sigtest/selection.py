@@ -19,6 +19,8 @@ from .exceptions import PathTruncationWarning, StalePathError
 from .lasso import LassoPath
 from .linmodel import ActiveQR, Dataset, _check_max_steps
 
+# The Gaussian selectors, in the order the command line lists them.
+SELECTORS = ("max_r", "stepwise", "lasso")
 # Drops at or below this are treated as "residual orthogonal to the candidate".
 ZERO_DROP_TOL = 1e-12
 
@@ -47,7 +49,7 @@ class SelectionStep:
     def __post_init__(self):
         if self.j in self.A:
             raise ValueError("selected variable already in the model")
-        if self.selector not in ("stepwise", "lasso", "max_r", "logistic", "cox"):
+        if self.selector not in (*SELECTORS, "logistic", "cox"):
             raise ValueError(f"unknown selector {self.selector!r}")
 
     @property

@@ -98,6 +98,12 @@ def reference_pair(name: str):
         raise ValueError(f"unknown reference {name!r}") from None
 
 
+def _check_alpha(alpha: float) -> None:
+    """The one rule for a test level: alpha must lie in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of one significance test at one step. The fields before
@@ -133,8 +139,7 @@ def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
     none converges, the maximum is unreliable and the test aborts. Alpha is
     checked first, then m >= 3, then the failed fits.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     corr = gumbel_correction(step.m_remaining)
     if len(step.failures) > 0.10 * step.m_remaining or step.j is None:
         raise UnreliableMaxError(
@@ -167,8 +172,7 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     to 1 for negative statistics; a statistic more negative than round-off
     (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if k < 1:
         raise ValueError(f"step index k must be at least 1, got {k}")
     sigma2 = data.require_sigma2()

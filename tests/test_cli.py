@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sigtest import gen_design
-from sigtest.cli import run
+from sigtest.cli import _build_parser, run
 from sigtest.dataio import format_csv
 from sigtest.exceptions import PathTruncationWarning
 from sigtest.linmodel import ActiveQR
@@ -262,6 +263,13 @@ class TestTestVerb:
         assert run(["test", "--input", str(data), "--family", "logistic"]) == 2
         assert "at least one 0 and one 1" in capsys.readouterr().err
 
+    def test_no_events_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "censored.csv"
+        data.write_text("a,b,c,time,status\n1,0,2,1,0\n0,1,3,2,0\n2,2,1,3,0\n1,3,0,4,0\n")
+        assert run(["test", "--input", str(data), "--family", "cox"]) == 2
+        assert capsys.readouterr().err == (
+            "sigtest: error: survival data contains no observed events\n")
+
     def test_cox_family(self, tmp_path):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 4))
@@ -331,6 +339,21 @@ def family_csvs(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         paths[family] = str(path)
     return paths
+
+
+def option_choices(verb: str, option: str):
+    """The ``choices`` of a verb's option, as the parser holds them."""
+    subparsers = next(a for a in _build_parser()._actions if a.choices and verb in a.choices)
+    return next(a.choices for a in subparsers.choices[verb]._actions if option in a.option_strings)
+
+
+@pytest.mark.parametrize("verb, option, module, owner", [
+    ("test", "--family", "sigtest.montecarlo", "FAMILIES"),
+    ("test", "--selector", "sigtest.selection", "SELECTORS"),
+    ("qq", "--reference", "sigtest.significance", "REFERENCES"),
+])
+def test_option_choices_are_the_library_lists(verb, option, module, owner):
+    assert option_choices(verb, option) is getattr(importlib.import_module(module), owner)
 
 
 class TestOptionChecks:
@@ -502,6 +525,24 @@ class TestSimulateVerb:
                     "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == f"sigtest: error: {message}\n"
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-170", "0", "-1", "1" + "0" * 200],
+                             ids=["1e200", "1e-170", "0", "-1", "int-1e200"])
+    def test_inline_sigma_without_finite_positive_square_exit_2(self, tmp_path, capsys, sigma):
+        # 1e200 squared overflows to inf and 1e-170 squared underflows to 0;
+        # the square of the integer 10**200 is no float.
+        inline = ('{"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, '
+                  f'"test": "gumbel", "reps": 2, "sigma": {sigma}}}')
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            "sigtest: error: sigma must be positive, with a finite and nonzero square\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_inline_large_sigma_with_finite_square_runs(self, tmp_path):
+        inline = json.dumps({"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10,
+                             "test": "gumbel", "reps": 2, "sigma": 1e150})
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 0
+        assert len((tmp_path / "s" / "statistics.csv").read_text().splitlines()) == 2
 
     def test_inline_int_for_float_field_accepted(self, tmp_path):
         inline = json.dumps({"family": "gaussian", "design": "ar1", "rho": 0, "sigma": 2,

@@ -72,8 +72,9 @@ class TestSurvivalDataset:
             SurvivalDataset(np.eye(2), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_all_censored_is_no_events(self):
-        with pytest.raises(NoEventsError):
+        with pytest.raises(NoEventsError) as info:
             SurvivalDataset(np.eye(2), np.array([1.0, 2.0]), np.zeros(2))
+        assert isinstance(info.value, ValueError)  # an input error, caught as one
 
 
 @pytest.mark.parametrize("make, vectors", [

@@ -280,10 +280,18 @@ class TestScenarioValidation:
         ("fig1-left", {"selector": "forward"}, "unknown selector 'forward'"),
         ("fig1-left", {"test": "gumbel_glm"}, "gumbel_glm scenarios use the logistic or cox"),
         ("fig1-right", {"beta": ((0, math.nan),)}, "beta values must be finite"),
+        ("fig1-left", {"sigma": -1.0}, "sigma must be positive"),
+        ("fig1-left", {"sigma": 1e200}, "sigma must be positive, with a finite and nonzero"),
+        ("fig1-left", {"sigma": 1e-170}, "sigma must be positive, with a finite and nonzero"),
+        ("fig1-left", {"sigma": math.nan}, "sigma must be positive"),
     ])
     def test_rejections(self, name, fields, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             replace(preset(name), **fields).validate()
+
+    def test_large_sigma_with_finite_square_runs(self):
+        summary = run_scenario(replace(preset("fig1-left"), sigma=1e150, reps=2))
+        assert len(summary.statistics) == 2
 
     @pytest.mark.parametrize("name, fields, message", [
         ("cov-null", {"selector": "lasso"}, "selector does not apply to the covariance test"),

@@ -41,6 +41,7 @@ def test_all_equals_imported_names():
     ("sigtest.lasso", "KKTCoordinate"),
     ("sigtest.lasso", "solve_at"),
     ("sigtest.cli", "RunConfig"),
+    ("sigtest.cli", "_COMMANDS"),
     ("sigtest", "lrt_drop"),
     ("sigtest", "gumbel_test_glm"),
     ("sigtest.glm", "lrt_drop"),
