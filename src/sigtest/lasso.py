@@ -16,13 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import (
-    DuplicateColumnError,
     NonUniqueSolutionWarning,
     PathNonTerminationError,
     SingularDesignError,
     StalePathError,
 )
-from .linmodel import ActiveQR, Dataset, _check_max_steps, _check_subset
+from .linmodel import ActiveQR, Dataset, _check_max_steps, _check_subset, _columns
 
 # Penalty comparisons on standardized data use this absolute tolerance.
 LAMBDA_TOL = 1e-10
@@ -103,23 +102,6 @@ class KKTReport:
     violations: tuple[int, ...] = ()
 
 
-def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
-    """Validated column list: all columns when ``columns`` is None.
-
-    :class:`DuplicateColumnError` names the first column of the list that
-    repeats an earlier one, and that earlier one.
-    """
-    cols = list(range(data.p)) if columns is None else _check_subset(data, columns)
-    if data.copies:
-        seen: dict[int, int] = {}
-        for j in cols:
-            f = data.copies.get(j, j)
-            if f in seen:
-                raise DuplicateColumnError(seen[f], j)
-            seen[f] = j
-    return cols
-
-
 def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float) -> np.ndarray:
     """Penalty below ``lam_cur`` where each b0_i - lam*b1_i crosses zero, else -inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,54 +112,41 @@ def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float) -> np.ndarray:
 
 def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
            signs: Sequence[int], lam_cur: float, just_dropped: int | None,
-           segment: tuple[np.ndarray, np.ndarray], stop_lambda: float, max_active: int,
+           stop_lambda: float, max_active: int,
            max_steps: int | None = None) -> tuple[list[Knot], list[str], list]:
     """Continue the lasso path over ``cols`` from the state just below ``lam_cur``.
 
     ``active`` (entry order), ``signs`` (aligned with ``active``) and
-    ``just_dropped`` (deleted at ``lam_cur``) give that state, and ``segment``
-    its ``(b0, b1)``; the empty state at ``lam_cur = inf`` starts a path. One
-    :class:`ActiveQR` factor, built when a segment is first needed,
-    follows the events. The trace ends at ``max_active`` active variables or
-    after ``max_steps`` entries. Returns the knots down to ``stop_lambda``,
-    the entry-tie warnings, and the segments (see :class:`LassoPath`) of the
-    starting state and each knot.
+    ``just_dropped`` (deleted at ``lam_cur``) give that state; the empty
+    state at ``lam_cur = inf`` starts a path. One :class:`ActiveQR` factor,
+    built at that state and updated at each knot, gives every state's
+    segment, residual y - X_A b0 and direction X_A b1. The trace ends at
+    ``max_active`` active variables or after ``max_steps`` entries. Returns
+    the knots down to ``stop_lambda``, the entry-tie warnings, and the
+    segments (see :class:`LassoPath`) of the starting state and each knot.
     """
     active, signs = list(active), list(signs)
     inactive = np.zeros(X.shape[1], dtype=bool)
     inactive[cols] = True
     inactive[active] = False
     knots: list[Knot] = []
-    segments: list = [segment]
+    segments: list = []
     warnings_list: list[str] = []
     entries = 0
-    qr = None
+    try:
+        qr = ActiveQR(X, y, active)
+    except SingularDesignError:
+        return knots, warnings_list, [None]
 
     for _ in range(MAX_EVENTS_PER_COLUMN * len(cols)):
-        if len(segments) == len(knots):  # the current state has no segment yet
-            try:
-                if qr is None:
-                    qr = ActiveQR(X, y, active)
-                elif knots[-1].action == "enter":
-                    qr.add(knots[-1].entering)
-                else:
-                    qr.drop(knots[-1].entering)
-            except SingularDesignError:
-                segments.append(None)
-                break
-            b0, b1, fit_b1 = qr.segment(np.array(signs, float))
-            segments.append((b0, b1))
+        b0, b1, fit_b1 = qr.segment(np.array(signs, float))
+        segments.append((b0, b1))
         if len(active) >= max_active or (max_steps is not None and entries >= max_steps):
             break
         idx = np.flatnonzero(inactive)
-        b0, b1 = segments[-1]
         best_entry_lam = -np.inf
         if idx.size:
-            # The residual y - X_A b0 and the direction X_A b1 of the segment come
-            # from the factor; the starting segment has none yet.
-            if qr is None:
-                resid, fit_b1 = y - X[:, active] @ b0, X[:, active] @ b1
-            a, v = (np.array((resid if qr is None else qr.resid, fit_b1)) @ X)[:, idx]
+            a, v = (np.array((qr.resid, fit_b1)) @ X)[:, idx]
             # Entry candidates: the correlation a + lam*v of inactive m meets the
             # boundary +lam at a/(1-v) and -lam at -a/(1+v). Row m holds both
             # roots, so flat order is index order with the + root (_ROOT_SIGNS) first.
@@ -220,6 +189,11 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
         entries += action == "enter"
         lam_cur = lam_next
         just_dropped = j if action == "leave" else None
+        try:
+            (qr.add if action == "enter" else qr.drop)(j)
+        except SingularDesignError:
+            segments.append(None)
+            break
     else:
         raise PathNonTerminationError("path did not terminate; data may be degenerate")
     return knots, warnings_list, segments
@@ -239,7 +213,7 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     cols = _columns(data, None)
     _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     knots, warnings_list, segments = _trace(data.X, data.y, cols, [], [], np.inf, None,
-                                            _EMPTY_SEGMENT, 0.0, min(data.n, data.p), max_steps)
+                                            0.0, min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data_digest=data.digest,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
@@ -254,15 +228,16 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     makes all of ``subset`` active, up to n active) and evaluating the
     containing linear segment.
 
-    A supplied ``path`` from :func:`lars_path` warm-starts the trace from its
-    cached segments. Where its active set lies inside ``subset``, its
+    A supplied ``path`` from :func:`lars_path` warm-starts the trace from one
+    of its knots. Where its active set lies inside ``subset``, its
     solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
-    knot above ``lam`` (else from the empty state) and covers only the
-    stretch from there down to ``lam``. When the starting active set is all
-    of ``subset`` (always, for an empty one), the restricted path can only
-    delete: unless a deletion comes before ``lam``, the answer is the
-    starting segment at ``lam``, untraced.
+    knot above ``lam`` (else from the empty state), factors that starting
+    active set once, and covers only the stretch from there down to ``lam``.
+    When the starting active set is all of ``subset`` (always, for an empty
+    one), the restricted path can only delete: unless a deletion comes
+    before ``lam``, the answer is the path's cached segment at that knot,
+    evaluated at ``lam`` untraced and unfactored.
 
     A degenerate equicorrelation set (entry tie) makes the solution
     non-unique; the lowest-index representative is returned with a
@@ -291,7 +266,7 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     # With all of the subset active, the warm segment holds unless a deletion precedes lam.
     if segment is not None and (len(state[0]) < len(cols)
                                 or _drop_roots(*segment, state[2]).max(initial=-np.inf) >= lam):
-        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state, segment,
+        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state,
                                                 stop_lambda=lam, max_active=data.n)
     warnings_list = list(path.warnings) + warnings_list
     if warnings_list:

@@ -17,6 +17,7 @@ import numpy as np
 from .exceptions import (
     DegenerateColumnError,
     DegenerateVarianceError,
+    DuplicateColumnError,
     MissingVarianceError,
     NotEstimableError,
     SingularDesignError,
@@ -153,6 +154,23 @@ def _check_subset(data, M: Sequence[int]) -> list[int]:
         if not 0 <= m < p:
             raise IndexError(f"column index {m} out of range [0, {p})")
     return M
+
+
+def _columns(data: Dataset, columns: Sequence[int] | None) -> list[int]:
+    """Validated column list: all columns when ``columns`` is None.
+
+    :class:`DuplicateColumnError` names the first column of the list that
+    repeats an earlier one, and that earlier one.
+    """
+    cols = list(range(data.p)) if columns is None else _check_subset(data, columns)
+    if data.copies:
+        seen: dict[int, int] = {}
+        for j in cols:
+            f = data.copies.get(j, j)
+            if f in seen:
+                raise DuplicateColumnError(seen[f], j)
+            seen[f] = j
+    return cols
 
 
 def _check_max_steps(max_steps: int | None, bound: str, limit: int) -> None:
@@ -318,7 +336,7 @@ def estimate_sigma2(data: Dataset) -> float:
     """Plug-in noise variance RSS_full / (n - p); requires n > p."""
     if data.n <= data.p:
         raise NotEstimableError(f"cannot estimate sigma2 with n={data.n} <= p={data.p}")
-    fit = least_squares(data, list(range(data.p)))
+    fit = least_squares(data, _columns(data, None))
     est = fit.rss / (data.n - data.p)
     scale = float(data.y @ data.y)
     if est == 0.0 or est <= 1e-24 * max(scale, 1.0):

@@ -125,6 +125,7 @@ class MonteCarloSummary:
     qq: tuple[tuple[float, float], ...]
     ks: float
     rejection_rate_05: float
+    rejection_rate: float
     failures: int
     unreliable: bool = False
     failure_reasons: dict[str, int] = field(default_factory=dict)
@@ -309,6 +310,7 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
         qq=tuple(qq_points(statistics, scenario.reference)),
         ks=ks_distance(statistics, scenario.reference),
         rejection_rate_05=float(np.mean(pvals <= 0.05)),
+        rejection_rate=float(np.mean(pvals <= scenario.alpha)),
         failures=failures,
         failure_reasons=reasons,
         unreliable=bool(failures > 0.05 * scenario.reps),

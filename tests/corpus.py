@@ -25,8 +25,9 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
   (x1 = x0 + eps z, eps from 1e-3 to 1e-12);
 - logistic and Cox tables, separated ones, and tables with a duplicated or
   a zero column;
-- the ``simulate`` artifacts of all eight presets at 60 replications, the
-  ``qq`` tables of their statistics, and scenarios at extreme ``sigma``;
+- the ``simulate`` artifacts of all eight presets at 60 replications, and of
+  ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics, and
+  scenarios at extreme ``sigma``;
 - error paths and every verb's ``--help``.
 
 ``--compare A B`` lists the files that are byte-identical in both corpora.
@@ -240,6 +241,9 @@ def _scenario_runs() -> list[tuple[str, list[str]]]:
     for name in preset_names():
         inline = json.dumps({**asdict(preset(name)), "reps": REPS})
         runs.append((f"sim/{name}", ["simulate", "--inline", inline, "--out", f"sim/{name}"]))
+    inline = json.dumps({**asdict(preset("fig1-left")), "reps": REPS, "alpha": 0.5})
+    runs.append(("sim/fig1-left-alpha-0.5",
+                 ["simulate", "--inline", inline, "--out", "sim/fig1-left-alpha-0.5"]))
     for sigma in ("1e150", "1e200", "1e-170", "0", "-1"):
         text = ('{"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, '
                 f'"test": "gumbel", "reps": 2, "sigma": {sigma}}}')

@@ -143,6 +143,22 @@ class TestTestVerb:
         rows = read_csv(out)
         assert "plug-in-sigma2" in dict(zip(rows[0], rows[1]))["note"]
 
+    @pytest.mark.parametrize("selector", ["max_r", "stepwise", "lasso"])
+    def test_plug_in_sigma2_names_duplicate_columns(self, tmp_path, capsys, selector):
+        # The plug-in estimate fails on the same rule as a known sigma2: the
+        # duplicated pair is named, not every column up to the second copy.
+        rng = np.random.default_rng(4)
+        table = np.column_stack([rng.standard_normal((40, 6)), rng.standard_normal(40)])
+        table[:, 5] = table[:, 2]
+        data = tmp_path / "dup.csv"
+        data.write_text("a,b,c,d,e,f,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                   for row in table.tolist()))
+        base = ["test", "--input", str(data), "--selector", selector]
+        for extra in ([], ["--sigma2", "1"]):
+            assert run(base + extra) == 3
+            assert capsys.readouterr().err == (
+                "sigtest: error: columns 2 and 5 are exact duplicates\n")
+
     @pytest.mark.parametrize("selector", ["max_r", "lasso"])
     def test_plug_in_note_on_every_json_record(self, tmp_path, capsys, selector):
         rng = np.random.default_rng(5)
@@ -449,7 +465,7 @@ class TestSimulateVerb:
         assert run(["simulate", "--inline", inline, "--out", out]) == 0
         summary = json.loads((tmp_path / "s" / "summary.json").read_text())
         assert list(summary) == ["scenario", "reps", "ks", "rejection_rate_05",
-                                 "failures", "unreliable", "failure_reasons",
+                                 "rejection_rate", "failures", "unreliable", "failure_reasons",
                                  "signal_missed"]
         assert summary["reps"] == 5
         assert summary["failure_reasons"] == {} and summary["signal_missed"] == 0

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,9 +17,11 @@ from sigtest import (
     Dataset,
     DuplicateColumnError,
     Knot,
+    LassoPath,
     PathNonTerminationError,
     SingularDesignError,
     StalePathError,
+    gen_design,
     kkt_check,
     lars_path,
     lasso_solve,
@@ -217,6 +220,22 @@ class TestSegments:
                            match=r"^columns \[0, 1, 2\] are rank deficient above lambda=0.0$"):
             lasso_solve(data, 0.0, subset=[0, 1, 2], path=path)
 
+    def test_dependent_warm_start_raises(self):
+        # A restricted trace factors its starting active set afresh; when
+        # that factor fails the rank rule, the fit raises as it does below a
+        # knot without a segment. Column 2 is x0 + x1, and the hand-built
+        # path's one knot makes all three active.
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((6, 4))
+        X[:, 2] = X[:, 0] + X[:, 1]
+        data = Dataset(standardize(X), rng.standard_normal(6))
+        knot = Knot(k=1, lam=1.0, entering=2, active_before=(0, 1), signs_after=(1, 1, 1))
+        path = LassoPath(knots=(knot,), data_digest=data.digest,
+                         segments=((np.zeros(3), np.zeros(3)),))
+        with pytest.raises(SingularDesignError,
+                           match=r"^columns \[0, 1, 2, 3\] are rank deficient above lambda=0.5$"):
+            lasso_solve(data, 0.5, subset=[0, 1, 2, 3], path=path)
+
     def test_segments_do_not_affect_equality(self):
         data = random_dataset(1, 30, 8)
         path = lars_path(data)
@@ -409,3 +428,34 @@ class TestRestrictionConsistency:
         lam = frac * path.knots[0].lam
         np.testing.assert_allclose(lasso_solve(data, lam, subset=subset, path=path),
                                    lasso_solve(data, lam, subset=subset), rtol=0, atol=1e-10)
+
+
+class TestSpacingLaw:
+    """The spacing test of the first two knots (Tibshirani, Taylor, Lockhart &
+    Tibshirani 2016, *JASA* 111:600-620): with unit-norm columns, sigma = 1
+    and y ~ N(0, I), Phi-bar(lambda_1) / Phi-bar(lambda_2) is exactly U(0, 1)
+    at any design, so it checks the first two knots of lars_path against an
+    exact finite-sample law rather than an asymptotic one."""
+
+    REPS = 3000
+    KS_CRIT = 1.95 / math.sqrt(REPS)  # level 0.001
+
+    @staticmethod
+    def spacing_ks(X, seed, reps):
+        rng = np.random.default_rng(seed)
+        tail = lambda lam: 0.5 * math.erfc(lam / math.sqrt(2.0))
+        u = np.empty(reps)
+        for r in range(reps):
+            first, second = lars_path(Dataset(X, rng.standard_normal(X.shape[0])),
+                                      max_steps=2).entry_knots()
+            u[r] = tail(first.lam) / tail(second.lam)
+        u.sort()
+        i = np.arange(1, reps + 1)
+        return float(max((i / reps - u).max(), (u - (i - 1) / reps).max()))
+
+    @pytest.mark.parametrize("kind, n, p, rho", [
+        ("iid_gaussian", 50, 20, 0.0), ("ar1", 50, 20, 0.8), ("ar1", 30, 60, 0.8)])
+    def test_uniform_under_the_global_null(self, kind, n, p, rho):
+        X = gen_design(kind, n, p, np.random.default_rng(2024), rho)
+        ks = self.spacing_ks(X, 2024, self.REPS)
+        assert ks < self.KS_CRIT, (kind, n, p, rho, ks)

@@ -10,6 +10,7 @@ from sigtest import (
     DegenerateColumnError,
     DegenerateResponseError,
     DegenerateVarianceError,
+    DuplicateColumnError,
     MissingVarianceError,
     NoEventsError,
     NotEstimableError,
@@ -471,3 +472,12 @@ class TestEstimateSigma2:
         data = random_dataset(9, 5, 5)
         with pytest.raises(NotEstimableError):
             estimate_sigma2(data)
+
+    def test_duplicate_columns_are_named(self):
+        # A byte-identical pair fails as it does in every path and fit that
+        # takes a column list, not as a rank deficiency of the prefix.
+        data = random_dataset(9, 40, 6)
+        X = data.X.copy()
+        X[:, 5] = X[:, 2]
+        with pytest.raises(DuplicateColumnError, match=r"^columns 2 and 5 are exact duplicates$"):
+            estimate_sigma2(Dataset(X, data.y))

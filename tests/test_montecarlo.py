@@ -349,8 +349,19 @@ class TestRunScenario:
     def test_summary_json_fields(self):
         s = replace(preset("fig1-left"), reps=5)
         record = run_scenario(s).to_json_dict()
-        assert list(record) == ["scenario", "reps", "ks", "rejection_rate_05",
+        assert list(record) == ["scenario", "reps", "ks", "rejection_rate_05", "rejection_rate",
                                 "failures", "unreliable", "failure_reasons", "signal_missed"]
+
+    def test_rejection_rate_at_the_scenario_alpha(self):
+        default = replace(preset("fig1-left"), reps=40)
+        wide = replace(default, alpha=0.5)
+        pvals = np.array([montecarlo._replicate(wide, r).p_value for r in range(40)])
+        base, summ = run_scenario(default), run_scenario(wide)
+        assert summ.rejection_rate == float(np.mean(pvals <= 0.5))
+        assert base.rejection_rate == base.rejection_rate_05 == float(np.mean(pvals <= 0.05))
+        assert summ.rejection_rate != base.rejection_rate
+        assert summ.rejection_rate_05 == base.rejection_rate_05
+        assert summ.to_json_dict()["rejection_rate"] == summ.rejection_rate
 
     def test_unreliable_flag_when_failures_exceed_five_percent(self):
         # Tiny heavily-censored survival samples fail often (no events or
