@@ -145,15 +145,18 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
     ``(loglik, r, a, center)`` of ``_Problem``; a design Z of the stack has
     gradient Z'r and information Z'(a Z) - C'C, C = ``center(Z, rows)``. All
     rows start from one evaluation at ``design @ base`` (``_shared_start``);
-    then only rows that accepted their step and have not converged form the
-    information, with which a row's step solves ``info @ step = grad``.
-    Each row keeps the rules of a single fit under its own mask: the rank
-    check, convergence once the gradient norm is below GRAD_TOL, step halving
-    with its own scale (at most MAX_HALVINGS times) until the log-likelihood
-    falls by no more than round-off, 1e-12 * max(1, |ll|), SeparationError
-    once the coefficient norm passes DIVERGENCE_NORM, and ConvergenceError on
-    a singular information matrix, a failed line search or MAX_ITER
-    iterations. A failed row stops; the others go on unchanged.
+    then only rows that accepted their step and go on form the information,
+    with which a row's step solves ``info @ step = grad``. Each row keeps the
+    rules of a single fit under its own mask: the rank check, convergence once
+    the gradient norm is below GRAD_TOL (at the start or an accepted step),
+    and step halving until the log-likelihood falls by no more than round-off,
+    1e-12 * max(1, |ll|): at round h <= MAX_HALVINGS every pending row tries
+    its coefficients plus 0.5**h times its step. A row that accepts a step is
+    judged at once: first SeparationError once the coefficient norm passes
+    DIVERGENCE_NORM, then convergence, with the steps taken as its iterations.
+    ConvergenceError follows a singular information matrix, a failed line
+    search or MAX_ITER steps. A failed row stops with 0 iterations; the others
+    go on unchanged.
 
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
     exception a fit of row i alone raises, or None when the row converged.
@@ -165,51 +168,43 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
     beta = np.zeros((c, d + 1))
     beta[:, :d] = base
     errors = _rank_errors(design, columns, what)
-    live = np.array([e is None for e in errors], dtype=bool)
     iterations = np.zeros(c, dtype=int)
     ll, grad, info = _shared_start(objective, design, columns, base)
+    live = np.array([e is None for e in errors], bool) & ~(np.linalg.norm(grad, axis=1) < GRAD_TOL)
 
     def fail(rows, error, message):
         for i in rows:
             errors[i] = error(f"{what}: {message}")
         live[rows] = False
 
-    for it in range(MAX_ITER + 1):
+    for it in range(1, MAX_ITER + 1):
         rows = np.flatnonzero(live)
-        done = np.linalg.norm(grad[rows], axis=1) < GRAD_TOL
-        iterations[rows[done]] = it
-        live[rows[done]] = False
-        rows = rows[~done]
-        if it == MAX_ITER:
-            fail(rows, ConvergenceError, f"no convergence after {MAX_ITER} iterations")
-        if rows.size == 0 or it == MAX_ITER:
+        if rows.size == 0:
             break
         step, singular = _solve_rows(info[rows], grad[rows])
         fail(rows[singular], ConvergenceError, "singular information matrix")
         rows, step = rows[~singular], step[~singular]
-        scale = np.ones(rows.size)
-        pending = np.arange(rows.size)
-        for _ in range(MAX_HALVINGS + 1):
-            if pending.size == 0:
+        for h in range(MAX_HALVINGS + 1):
+            if rows.size == 0:
                 break
-            sub = rows[pending]
-            Zs = Z if sub.size == c else Z[sub]
-            cand = beta[sub] + scale[pending, None] * step[pending]
+            Zs = Z if rows.size == c else Z[rows]
+            cand = beta[rows] + 0.5**h * step
             ll_new, r, a, center = objective((Zs @ cand[:, :, None])[:, :, 0])
-            ok = np.isfinite(ll_new) & (ll_new >= ll[sub] - 1e-12 * np.maximum(1.0, abs(ll[sub])))
+            ok = np.isfinite(ll_new) & (ll_new >= ll[rows] - 1e-12 * np.maximum(1.0, abs(ll[rows])))
             g = (r[:, None] @ Zs)[:, 0]
-            took = sub[ok]
-            beta[took], ll[took], grad[took] = cand[ok], ll_new[ok], g[ok]
-            # A row that has converged never uses its information.
-            more = np.flatnonzero(ok & (np.linalg.norm(g, axis=1) >= GRAD_TOL))
-            Zm = Zs if more.size == sub.size else Zs[more]
-            info[sub[more]] = _information(Zm, a[more], center(Zm, more))
-            pending = pending[~ok]
-            scale[pending] *= 0.5
-        fail(rows[pending], ConvergenceError, "step halving failed to improve the likelihood")
-        moved = np.delete(rows, pending)
-        fail(moved[np.linalg.norm(beta[moved], axis=1) > DIVERGENCE_NORM], SeparationError,
-             "coefficients diverging; likelihood unbounded")
+            beta[rows[ok]], ll[rows[ok]], grad[rows[ok]] = cand[ok], ll_new[ok], g[ok]
+            fail(rows[ok & (np.linalg.norm(cand, axis=1) > DIVERGENCE_NORM)], SeparationError,
+                 "coefficients diverging; likelihood unbounded")
+            norm, going = np.linalg.norm(g, axis=1), ok & live[rows]
+            done = rows[going & (norm < GRAD_TOL)]
+            iterations[done], live[done] = it, False
+            # A row that has converged or failed never uses its information.
+            more = np.flatnonzero(going & (norm >= GRAD_TOL))
+            Zm = Zs if more.size == rows.size else Zs[more]
+            info[rows[more]] = _information(Zm, a[more], center(Zm, more))
+            rows, step = rows[~ok], step[~ok]
+        fail(rows, ConvergenceError, "step halving failed to improve the likelihood")
+    fail(np.flatnonzero(live), ConvergenceError, f"no convergence after {MAX_ITER} iterations")
     return beta, ll, iterations, errors
 
 

@@ -64,6 +64,8 @@ class Scenario:
             raise ValueError("rho must lie in (-1, 1)")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.k < 1:
             raise ValueError("step index k must be at least 1")
         # Not sigma ** 2, which raises OverflowError; an integer's square may exceed every float.
@@ -98,6 +100,10 @@ class Scenario:
         for idx, val in self.beta:
             if not 0 <= int(idx) < self.p:
                 raise ValueError(f"beta index {idx} out of range")
+            if idx != int(idx):
+                raise ValueError(f"beta index {idx} is not an integer")
+            if [i for i, _v in self.beta].count(idx) > 1:
+                raise ValueError(f"beta index {idx} is repeated")
             if not np.isfinite(val):
                 raise ValueError("beta values must be finite")
 

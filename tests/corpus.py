@@ -13,7 +13,9 @@ a ``.run.json`` record (arguments, exit code, standard error, warnings and
 any uncaught exception) and, when it printed one, its table as ``.csv``,
 ``.json`` or ``.txt``. What the command line does not print goes to
 ``lib/``: the knots, the covariance statistics and every drop of AR(1)
-paths, and every drop and failure note of the logistic and Cox paths.
+paths; every drop and failure note of the logistic and Cox paths, and the
+iterations, log-likelihood and coefficients (or the error) of ``glm_fit`` on
+each model those paths reach.
 Floats are written with ``repr``. The package is imported from ``src/`` of
 the checkout that holds this file. ``DIR`` must be new or empty.
 
@@ -24,11 +26,14 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
 - identity designs with exact entry ties, and near-copy designs
   (x1 = x0 + eps z, eps from 1e-3 to 1e-12);
 - logistic and Cox tables, separated ones, and tables with a duplicated or
-  a zero column;
+  a zero column; a (40, 4) logistic table whose column 0 separates the
+  classes but for two zeros, whose candidate fit diverges, and a (40, 4) Cox
+  table whose column 0 orders the event times, whose line search fails;
 - the ``simulate`` artifacts of all eight presets at 60 replications, and of
   ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics, and
   scenarios at extreme ``sigma``;
-- error paths and every verb's ``--help``.
+- error paths, among them a negative ``seed`` and a repeated ``beta`` index,
+  and every verb's ``--help``.
 
 ``--compare A B`` lists the files that are byte-identical in both corpora.
 For every other file it gives, per field, the largest absolute and relative
@@ -71,7 +76,7 @@ from sigtest import (  # noqa: E402
 )
 from sigtest.dataio import load_binary, load_dataset, load_survival  # noqa: E402
 from sigtest.exceptions import SigtestError  # noqa: E402
-from sigtest.glm import lrt_path  # noqa: E402
+from sigtest.glm import glm_fit, lrt_path  # noqa: E402
 
 SEEDS = (3, 7, 11)
 REPS = 60
@@ -159,6 +164,15 @@ def _inputs() -> dict[str, tuple[str, np.ndarray]]:
     monotone[:, -2] = np.exp(-3.0 * monotone[:, 0])  # events ordered by x0
     monotone[:, -1] = 1.0
     tables["cox-monotone"] = ("cox", monotone)
+    quasi = _rng(29)  # column 0 separates the classes but for one zero in each
+    X = quasi.standard_normal((40, 4))
+    y = (quasi.random(40) < 0.5).astype(float)
+    X[:, 0] = np.where(y == 1.0, 1.0, -1.0) * np.abs(X[:, 0])
+    X[[np.flatnonzero(y == 0.0)[0], np.flatnonzero(y == 1.0)[0]], 0] = 0.0
+    tables["logistic-quasi-separated"] = ("logistic", np.column_stack([X, y]))
+    X = _rng(3).standard_normal((40, 4))
+    tables["cox-monotone-40x4"] = ("cox", np.column_stack([X, np.exp(-3.0 * X[:, 0]),
+                                                           np.ones(40)]))
     no_events = surv.copy()
     no_events[:, -1] = 0.0
     tables["cox-no-events"] = ("cox", no_events)
@@ -231,6 +245,11 @@ def _cli_runs(tables: dict[str, tuple[str, np.ndarray]]) -> list[tuple[str, list
         ("errors/qq-non-finite", ["qq", "--input", "inputs/non-finite.txt",
                                   "--reference", "gumbel"]),
         ("errors/unknown-preset", ["simulate", "--scenario", "nope", "--out", "sim/nope"]),
+        ("errors/negative-seed", ["simulate", "--scenario", "fig1-left", "--seed", "-1",
+                                  "--out", "sim/negative-seed"]),
+        ("errors/repeated-beta", ["simulate", "--inline", json.dumps(
+            {"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, "test": "gumbel",
+             "reps": 2, "beta": [[0, 6], [0, 3]]}), "--out", "sim/repeated-beta"]),
     ]
     return runs
 
@@ -256,8 +275,19 @@ def _scenario_runs() -> list[tuple[str, list[str]]]:
     return runs
 
 
+def _fit_record(data, A: list[int]) -> dict:
+    """``glm_fit(data, A)``'s iterations, log-likelihood and coefficients, or its error."""
+    try:
+        fit = glm_fit(data, A)
+    except SigtestError as exc:
+        return {"A": A, "error": f"{type(exc).__name__}: {exc}"}
+    return {"A": A, "iterations": fit.iterations, "loglik": float(fit.loglik),
+            "coefficients": [float(b) for b in fit.coefficients]}
+
+
 def _library_record(family: str, path: Path) -> dict:
-    """Knots, covariance statistics and drops (AR(1)), or drops and failures (GLM)."""
+    """Knots, covariance statistics and drops (AR(1)), or drops and failures
+    and the fits from zero of each model on the path (GLM)."""
 
     def steps_record(steps):
         return [{"k": s.k, "A": list(s.A), "j": s.j, "conservative": s.conservative,
@@ -286,7 +316,12 @@ def _library_record(family: str, path: Path) -> dict:
                 record["lasso_steps"] = steps_record(lasso_steps(lasso, data))
             else:
                 load = load_binary if family == "logistic" else load_survival
-                record["lrt_path"] = steps_record(lrt_path(load(str(path))[0]))
+                data = load(str(path))[0]
+                steps = lrt_path(data)
+                record["lrt_path"] = steps_record(steps)
+                models = [list(s.A) for s in steps] + [
+                    [*s.A, s.j] for s in steps[-1:] if s.j is not None]
+                record["glm_fit"] = [_fit_record(data, A) for A in models]
         except (SigtestError, ValueError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
     record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]

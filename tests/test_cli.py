@@ -554,6 +554,23 @@ class TestSimulateVerb:
             "sigtest: error: sigma must be positive, with a finite and nonzero square\n")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "fig1-left", "--seed", "-1"], "seed must be a non-negative integer"),
+        (["--inline", '{"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, '
+                      '"test": "gumbel", "reps": 2, "seed": -3}'],
+         "seed must be a non-negative integer"),
+        (["--inline", '{"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, '
+                      '"test": "gumbel", "reps": 2, "beta": [[0, 6], [0, 3]]}'],
+         "beta index 0 is repeated"),
+    ], ids=["negative-seed", "inline-negative-seed", "repeated-beta-index"])
+    def test_scenario_rules_exit_2(self, tmp_path, capsys, argv, message):
+        # Unchecked, a negative seed fails inside numpy's SeedSequence with a
+        # message that names no field, and a repeated beta index runs with
+        # the last of its values.
+        assert run(["simulate", *argv, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"sigtest: error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
     def test_inline_large_sigma_with_finite_square_runs(self, tmp_path):
         inline = json.dumps({"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10,
                              "test": "gumbel", "reps": 2, "sigma": 1e150})

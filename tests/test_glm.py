@@ -511,6 +511,64 @@ class TestStepAcceptance:
         assert steps[0].drops[35] == pytest.approx(2.0 * (alone.loglik - empty), abs=1e-9)
 
 
+def quasi_separated_logistic():
+    """A (40, 4) logistic table whose column 0 separates the classes but for
+    two zeros, one in each class: the likelihood of x0 has no finite maximum.
+    Its fit diverges at steps 1 and 2 and stops as converged at step 3."""
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((40, 4))
+    y = (rng.random(40) < 0.5).astype(float)
+    X[:, 0] = np.where(y == 1.0, 1.0, -1.0) * np.abs(X[:, 0])
+    X[[np.flatnonzero(y == 0.0)[0], np.flatnonzero(y == 1.0)[0]], 0] = 0.0
+    return BinaryDataset(X, y)
+
+
+def monotone_cox():
+    """A (40, 4) Cox table whose column 0 orders the event times: the partial
+    likelihood of x0 rises without bound (a monotone likelihood)."""
+    X = np.random.default_rng(3).standard_normal((40, 4))
+    return SurvivalDataset(X, np.exp(-3.0 * X[:, 0]), np.ones(40))
+
+
+class TestStackIndependence:
+    """A row's fate does not depend on the stack it is fitted in: along
+    ``lrt_path``, every candidate fitted alone from the same base fails
+    alike (class and message), takes the same iterations, and gives the same
+    drop within 1e-9."""
+
+    @pytest.mark.parametrize("make, rows, failed", [
+        (lambda: glm_table("logistic", 7, 300, 48), 273, {}),
+        (lambda: glm_table("cox", 7, 300, 48), 273, {}),
+        (quasi_separated_logistic, 10,
+         {"logistic fit: coefficients diverging; likelihood unbounded": 2}),
+        (monotone_cox, 10, {"cox fit: step halving failed to improve the likelihood": 4}),
+    ], ids=["logistic-300x48", "cox-300x48", "quasi-separated", "monotone-cox"])
+    def test_lone_fits_match_the_stack(self, make, rows, failed, monkeypatch):
+        calls = []
+        newton = glm._newton_stack
+
+        def recording(*args):
+            out = newton(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(glm, "_newton_stack", recording)
+        data = make()
+        lrt_path(data, max_steps=min(6, data.p))
+        fate = lambda e: e and (type(e), str(e))
+        seen = {}
+        for (objective, design, columns, base, what), (_beta, ll, iterations, errors) in calls:
+            for i in range(columns.shape[1]):
+                _b, ll1, it1, (e1,) = newton(objective, design, columns[:, [i]], base, what)
+                assert fate(e1) == fate(errors[i]) and it1[0] == iterations[i]
+                if e1 is None:
+                    assert abs(2.0 * (ll1[0] - ll[i])) <= 1e-9
+                else:
+                    seen[str(e1)] = seen.get(str(e1), 0) + 1
+        assert sum(c.shape[1] for (_o, _d, c, _b, _w), _out in calls) == rows
+        assert seen == failed
+
+
 GLM_PIECES = {
     "logistic": lambda: random_binary(131, 40, 5, beta=np.array([0.8, -0.5, 0.0, 0.3, 0.0])),
     "logistic-no-intercept": lambda: random_binary(137, 40, 5, intercept=False),
