@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,16 @@ from .significance import _check_alpha, covariance_test, gumbel_test, reference_
 FAMILIES = ("gaussian", "logistic", "cox")
 DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
 TESTS = ("gumbel", "covariance", "gumbel_glm")
+_TYPES = {"int": Integral, "float": Real, "str": str}  # a bool is no number here
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a value fits a Scenario annotation ``kind``, or else beta's pairs."""
+    if kind in _TYPES:
+        return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+    return isinstance(value, Sequence) and not isinstance(value, str) and all(
+        isinstance(b, Sequence) and len(b) == 2 and _has_type(b[0], "int")
+        and _has_type(b[1], "float") for b in value)
 
 
 @dataclass(frozen=True)
@@ -49,7 +60,14 @@ class Scenario:
     alpha: float = 0.05
     name: str = "custom"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """The one contract: each field's type from its annotation, then the value rules."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ValueError(f"scenario field {f.name!r} must be {f.type}, got {value!r}")
+            if f.type == "int":  # a numpy integer too, so that the JSON record takes it
+                object.__setattr__(self, f.name, int(value))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.design not in DESIGNS:
@@ -98,14 +116,18 @@ class Scenario:
             raise ValueError(
                 f"step k={self.k} leaves fewer than 3 candidates out of p={self.p}")
         for idx, val in self.beta:
-            if not 0 <= int(idx) < self.p:
+            if not 0 <= idx < self.p:
                 raise ValueError(f"beta index {idx} out of range")
-            if idx != int(idx):
-                raise ValueError(f"beta index {idx} is not an integer")
             if [i for i, _v in self.beta].count(idx) > 1:
                 raise ValueError(f"beta index {idx} is repeated")
-            if not np.isfinite(val):
+            if not abs(val) <= sys.float_info.max:  # nan, inf and an int beyond every float fail
                 raise ValueError("beta values must be finite")
+        # Unit-norm columns give |eta_i| <= S = sum |beta_j|. numpy's Exp(1) draws E lie in
+        # [7.09e-18, 44.43] (or are 0, with chance below 2^-53), so each cox time E / exp(eta_i)
+        # is in (0, inf) iff 44.43 e^S < 2^1024 (S < 705.99) and 7.09e-18 e^-S > 2^-1075 (705.645).
+        if self.family == "cox" and sum(abs(val) for _idx, val in self.beta) > 705:
+            raise ValueError("cox beta needs sum |beta_j| <= 705 for finite, positive event times")
+        object.__setattr__(self, "beta", tuple((int(i), float(v)) for i, v in self.beta))
 
     @property
     def reference(self) -> str:
@@ -114,11 +136,11 @@ class Scenario:
     def beta_dense(self) -> np.ndarray:
         out = np.zeros(self.p)
         for idx, val in self.beta:
-            out[int(idx)] = float(val)
+            out[idx] = val
         return out
 
     def support(self) -> frozenset[int]:
-        return frozenset(int(i) for i, v in self.beta if v != 0.0)
+        return frozenset(i for i, v in self.beta if v != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,18 +219,17 @@ def gen_response(scenario: Scenario, X: np.ndarray, rng: np.random.Generator):
     if scenario.family == "gaussian":
         return eta + scenario.sigma * rng.standard_normal(scenario.n)
     if scenario.family == "logistic":
-        prob = 1.0 / (1.0 + np.exp(-eta))
+        with np.errstate(over="ignore"):  # exp overflows to inf: prob is exactly 0
+            prob = 1.0 / (1.0 + np.exp(-eta))
         return (rng.random(scenario.n) < prob).astype(float)
-    if scenario.family == "cox":
-        event = rng.exponential(1.0, scenario.n) / np.exp(eta)
-        if scenario.censor_frac == 0.0:
-            return event, np.ones(scenario.n)
-        censor_rate = scenario.censor_frac / (1.0 - scenario.censor_frac)
-        censor = rng.exponential(1.0 / censor_rate, scenario.n)
-        time = np.minimum(event, censor)
-        status = (event <= censor).astype(float)
-        return time, status
-    raise ValueError(f"unknown family {scenario.family!r}")
+    event = rng.exponential(1.0, scenario.n) / np.exp(eta)  # cox
+    if scenario.censor_frac == 0.0:
+        return event, np.ones(scenario.n)
+    censor_rate = scenario.censor_frac / (1.0 - scenario.censor_frac)
+    censor = rng.exponential(1.0 / censor_rate, scenario.n)
+    time = np.minimum(event, censor)
+    status = (event <= censor).astype(float)
+    return time, status
 
 
 @dataclass(frozen=True)
@@ -249,13 +270,15 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else SIGTEST_THREADS (0 = all cores), else 1."""
+    """Worker count: explicit argument, else SIGTEST_THREADS (0 = all cores), else 1;
+    a ValueError naming its source when that is not a non-negative integer."""
+    source = "threads"
     if threads is None:
-        env = os.environ.get("SIGTEST_THREADS", "").strip()
-        threads = int(env) if env else 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+        source, env = "SIGTEST_THREADS", os.environ.get("SIGTEST_THREADS", "").strip() or "1"
+        threads = int(env) if env.isdecimal() else env
+    if not _has_type(threads, "int") or threads < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {threads!r}")
+    return threads or os.cpu_count() or 1
 
 
 def _order_statistics(statistics: Sequence[float]) -> np.ndarray:
@@ -292,7 +315,6 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
     stream depends only on (seed, rep), and aggregation follows replication
     order regardless of worker count.
     """
-    scenario.validate()
     workers = resolve_threads(threads)
     if workers == 1 or scenario.reps == 1:
         outcomes = [_replicate(scenario, r) for r in range(scenario.reps)]
@@ -357,10 +379,6 @@ def preset_names() -> list[str]:
 
 def preset(name: str, seed: int | None = None) -> Scenario:
     """Look up a named scenario, optionally overriding its seed."""
-    try:
-        s = PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
-    if seed is not None:
-        s = replace(s, seed=seed)
-    return s
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return PRESETS[name] if seed is None else replace(PRESETS[name], seed=seed)

@@ -30,10 +30,12 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
   classes but for two zeros, whose candidate fit diverges, and a (40, 4) Cox
   table whose column 0 orders the event times, whose line search fails;
 - the ``simulate`` artifacts of all eight presets at 60 replications, and of
-  ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics, and
-  scenarios at extreme ``sigma``;
-- error paths, among them a negative ``seed`` and a repeated ``beta`` index,
-  and every verb's ``--help``.
+  ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics,
+  scenarios at extreme ``sigma``, and a logistic scenario whose signal
+  overflows ``exp``;
+- error paths, among them a negative ``seed``, a repeated and a non-integer
+  ``beta`` index and a Cox signal too large to draw event times for, and
+  every verb's ``--help``.
 
 ``--compare A B`` lists the files that are byte-identical in both corpora.
 For every other file it gives, per field, the largest absolute and relative
@@ -250,6 +252,12 @@ def _cli_runs(tables: dict[str, tuple[str, np.ndarray]]) -> list[tuple[str, list
         ("errors/repeated-beta", ["simulate", "--inline", json.dumps(
             {"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, "test": "gumbel",
              "reps": 2, "beta": [[0, 6], [0, 3]]}), "--out", "sim/repeated-beta"]),
+        ("errors/mistyped-beta-index", ["simulate", "--inline", json.dumps(
+            {"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10, "test": "gumbel",
+             "reps": 2, "beta": [[1.5, 6]]}), "--out", "sim/mistyped-beta-index"]),
+        ("errors/cox-large-signal", ["simulate", "--inline", json.dumps(
+            {"family": "cox", "design": "iid_gaussian", "n": 40, "p": 10, "test": "gumbel_glm",
+             "reps": 5, "beta": [[0, 2000]]}), "--out", "sim/cox-large-signal"]),
     ]
     return runs
 
@@ -268,6 +276,10 @@ def _scenario_runs() -> list[tuple[str, list[str]]]:
                 f'"test": "gumbel", "reps": 2, "sigma": {sigma}}}')
         out = f"sim/sigma-{sigma}"
         runs.append((out, ["simulate", "--inline", text, "--out", out]))
+    inline = json.dumps({"family": "logistic", "design": "iid_gaussian", "n": 40, "p": 10,
+                         "test": "gumbel_glm", "reps": 5, "beta": [[0, 2000]]})
+    runs.append(("sim/logistic-large-signal",
+                 ["simulate", "--inline", inline, "--out", "sim/logistic-large-signal"]))
     for name in ("fig1-left", "cov-null"):
         for reference in ("gumbel", "exp1"):
             runs.append((f"qq/{name}-{reference}", ["qq", "--input", f"sim/{name}/statistics.csv",

@@ -512,7 +512,7 @@ class TestSimulateVerb:
         inline = json.dumps({**scenario, field: value})
         assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"sigtest: error: inline scenario field {field!r} must be ")
+        assert err.startswith(f"sigtest: error: scenario field {field!r} must be ")
         assert err.endswith(f", got {value!r}\n")
         assert not (tmp_path / "s").exists()
 
@@ -569,6 +569,31 @@ class TestSimulateVerb:
         # the last of its values.
         assert run(["simulate", *argv, "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == f"sigtest: error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("size", [2000, 5000, -5000])
+    def test_inline_cox_signal_beyond_bound_exit_2(self, tmp_path, capsys, size):
+        # Unchecked, the event times underflowed to 0 or overflowed to inf.
+        inline = json.dumps({"family": "cox", "design": "iid_gaussian", "n": 40, "p": 10,
+                             "test": "gumbel_glm", "reps": 5, "beta": [[0, size]]})
+        assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == ("sigtest: error: cox beta needs sum |beta_j| <= 705 "
+                                           "for finite, positive event times\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_inline_logistic_large_signal_runs_without_warning(self, tmp_path):
+        inline = json.dumps({"family": "logistic", "design": "iid_gaussian", "n": 40, "p": 10,
+                             "test": "gumbel_glm", "reps": 5, "beta": [[0, 5000]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 0
+
+    @pytest.mark.parametrize("env", ["abc", "-3"])
+    def test_bad_sigtest_threads_exit_2(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("SIGTEST_THREADS", env)
+        assert run(["simulate", "--scenario", "fig1-left", "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            f"sigtest: error: SIGTEST_THREADS must be a non-negative integer, got {env!r}\n")
         assert not (tmp_path / "s").exists()
 
     def test_inline_large_sigma_with_finite_square_runs(self, tmp_path):

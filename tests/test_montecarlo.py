@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -101,16 +103,29 @@ class TestGenResponse:
 
     def test_cox_censoring_rate_calibration(self):
         # P(censoring wins) = rate_c / (1 + rate_c) must equal censor_frac.
-        s = Scenario(family="cox", design="iid_gaussian", n=200_000, p=1,
+        s = Scenario(family="cox", design="iid_gaussian", n=200_000, p=3,
                      test="gumbel_glm", censor_frac=0.10, seed=10)
-        X = np.zeros((200_000, 1))
+        X = np.zeros((200_000, 3))
         time, status = gen_response(s, X, rng_for(10))
         assert abs((1.0 - status.mean()) - 0.10) < 0.005
 
     def test_unknown_family(self):
-        s = replace(preset("fig1-left"), family="poisson")
+        # No scenario with another family exists for gen_response to draw for.
         with pytest.raises(ValueError, match="^unknown family 'poisson'$"):
-            gen_response(s, gen_design("orthogonal", 100, 50, rng_for(0)), rng_for(0))
+            replace(preset("fig1-left"), family="poisson")
+
+    def test_logistic_overflow_is_silent_and_exact(self):
+        # exp(-eta) overflows where eta < -709.8: there the probability is exactly 0.
+        s = Scenario(family="logistic", design="iid_gaussian", n=40, p=10, test="gumbel_glm",
+                     beta=((0, 5000.0), (1, -5000.0)))
+        X = gen_design("iid_gaussian", 40, 10, rng_for(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = gen_response(s, X, rng_for(4))
+        with np.errstate(over="ignore"):
+            prob = 1.0 / (1.0 + np.exp(-(X @ s.beta_dense())))
+        assert prob.min() == 0.0 and prob.max() == 1.0
+        np.testing.assert_array_equal(y, (rng_for(4).random(40) < prob).astype(float))
 
 
 class TestReplicationRng:
@@ -228,10 +243,57 @@ class TestVectorisedReferences:
             qq_points([1.0], "normal")
 
 
+class TestCoxSignalBound:
+    """A cox scenario needs sum |beta_j| <= 705, so that every event time
+    E / exp(eta_i) stays in (0, inf) for every Exp(1) draw E numpy can make."""
+
+    @staticmethod
+    def exponential_after(first: int, second: int) -> float:
+        """Generator.exponential's draw when PCG64's next two outputs are first and
+        second: a state whose high half is 0 outputs its low half, and the
+        increment of the step from one state to the next is free to choose."""
+        mult = (2549297995355413924 << 64) + 4865540595714422341
+        inc = (second - first * mult) % 2**128
+        bits = np.random.PCG64()
+        start = (first - inc) * pow(mult, -1, 2**128) % 2**128
+        bits.state = {**bits.state, "state": {"state": start, "inc": inc}}
+        return float(np.random.Generator(bits).exponential(1.0, 1)[0])
+
+    def test_extreme_draws_fit_the_bound(self):
+        # The largest draw is the ziggurat tail's (layer 0, 1 - U = 2^-53); the
+        # smallest positive one is a layer's width times 1.
+        top = self.exponential_after(((1 << 53) - 1) << 11, (1 << 64) - 1)
+        low = min(self.exponential_after((256 | layer) << 3, 1) for layer in range(256))
+        assert (low, top) == pytest.approx((7.09e-18, 44.43), rel=1e-3)
+        with np.errstate(over="ignore", under="ignore"):
+            for eta in (705.0, -705.0):
+                assert 0.0 < low / np.exp(eta) and top / np.exp(eta) < np.inf
+            assert low / np.exp(745.7) == 0.0 and top / np.exp(-706.0) == np.inf
+
+    @pytest.mark.parametrize("beta", [((0, 2000.0),), ((0, 5000.0),), ((0, -5000.0),),
+                                      ((0, 400.0), (1, -305.5))])
+    def test_larger_signal_rejected(self, beta):
+        # Unchecked, these ran into "all times must be positive" or "time
+        # contains non-finite entries", fields the scenario never set.
+        with pytest.raises(ValueError, match=r"^cox beta needs sum \|beta_j\| <= 705 "):
+            replace(preset("fig3-right"), beta=beta)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_signal_at_the_bound_draws_positive_finite_times(self, sign):
+        s = replace(preset("fig3-right"), beta=((0, sign * 400.0), (1, sign * 305.0)),
+                    censor_frac=0.0)  # a censoring time would hide an infinite event time
+        X = np.eye(100)[:, :50]
+        X[:, 1] = X[:, 0]  # unit columns with eta_0 = +-705, the bound
+        for seed in range(20):
+            time, _status = gen_response(s, X, rng_for(seed))
+            assert np.all((time > 0) & np.isfinite(time))
+        replace(preset("fig3-left"), beta=((0, sign * 5000.0),))  # logistic: not bounded
+
+
 class TestScenarioValidation:
     def test_presets_all_validate(self):
         for name in preset_names():
-            preset(name).validate()
+            assert replace(preset(name)) == preset(name)  # rebuilt, so checked again
 
     def test_preset_seed_override(self):
         assert preset("fig1-left", seed=99).seed == 99
@@ -241,30 +303,26 @@ class TestScenarioValidation:
             preset("fig9-left")
 
     def test_zero_reps_rejected(self):
-        s = replace(preset("fig1-left"), reps=0)
         with pytest.raises(ValueError):
-            s.validate()
+            replace(preset("fig1-left"), reps=0)
 
     def test_family_test_compatibility(self):
-        s = replace(preset("fig1-left"), family="logistic")
         with pytest.raises(ValueError):
-            s.validate()
+            replace(preset("fig1-left"), family="logistic")
 
     @pytest.mark.parametrize("fields", [{"selector": "lasso"}, {"sigma": 5.0},
                                         {"selector": "lasso", "sigma": 5.0}])
     @pytest.mark.parametrize("family", ["logistic", "cox"])
     def test_gaussian_fields_rejected_for_glm_families(self, family, fields):
         # _replicate would ignore both for the likelihood-ratio path.
-        s = Scenario(family=family, design="iid_gaussian", n=40, p=10, test="gumbel_glm",
-                     reps=3, **fields)
+        base = dict(family=family, design="iid_gaussian", n=40, p=10, test="gumbel_glm", reps=3)
         with pytest.raises(ValueError, match="only to the gaussian family"):
-            s.validate()
-        replace(s, selector="max_r", sigma=1.0).validate()
+            Scenario(**base, **fields)
+        Scenario(**base, **{**fields, "selector": "max_r", "sigma": 1.0})
 
     def test_beta_index_range(self):
-        s = replace(preset("fig1-left"), beta=((60, 1.0),))
         with pytest.raises(ValueError):
-            s.validate()
+            replace(preset("fig1-left"), beta=((60, 1.0),))
 
     @pytest.mark.parametrize("name, fields, message", [
         ("fig1-left", {"family": "poisson"}, "unknown family 'poisson'"),
@@ -286,11 +344,39 @@ class TestScenarioValidation:
         ("fig1-left", {"sigma": math.nan}, "sigma must be positive"),
         ("fig1-left", {"seed": -1}, "seed must be a non-negative integer$"),
         ("fig1-right", {"beta": ((0, 6.0), (1, 6.0), (0, 3.0))}, "beta index 0 is repeated$"),
-        ("fig1-right", {"beta": ((1.5, 6.0),)}, "beta index 1.5 is not an integer$"),
     ])
     def test_rejections(self, name, fields, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            replace(preset(name), **fields).validate()
+            replace(preset(name), **fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5),
+        ("reps", 2.5),
+        ("n", True),
+        ("name", 3),
+        ("beta", ((math.inf, 6.0),)),
+        ("beta", ((1.5, 6.0),)),
+        ("beta", ((0, "6"),)),
+        ("beta", (0, 6.0)),
+        ("rho", "0.2"),
+        ("sigma", False),
+    ], ids=["seed-1.5", "reps-2.5", "n-True", "name-3", "beta-index-inf", "beta-index-1.5",
+            "beta-value-str", "beta-flat", "rho-str", "sigma-False"])
+    def test_mistyped_field_rejected(self, field, value):
+        # Unchecked, seed=1.5 and reps=2.5 fail as a TypeError deep in numpy or range,
+        # and an index of inf as an OverflowError.
+        with pytest.raises(ValueError, match=rf"^scenario field {field!r} must be .+, "
+                                             rf"got {re.escape(repr(value))}$"):
+            replace(preset("fig1-right"), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        s = replace(preset("fig1-right"), n=np.int64(100), seed=np.int64(3),
+                    beta=((np.int64(0), np.float64(6.0)), (1, 6)))
+        assert (s.n, s.seed, s.beta) == (100, 3, ((0, 6.0), (1, 6.0)))
+        assert all(type(v) is int for v in (s.n, s.seed, s.beta[0][0], s.beta[1][0]))
+        assert all(type(v) is float for _i, v in s.beta)
+        assert s.beta_dense()[:3].tolist() == [6.0, 6.0, 0.0] and s.support() == {0, 1}
+        assert s == replace(preset("fig1-right"), seed=3, beta=((0, 6.0), (1, 6.0)))
 
     def test_large_sigma_with_finite_square_runs(self):
         summary = run_scenario(replace(preset("fig1-left"), sigma=1e150, reps=2))
@@ -307,8 +393,8 @@ class TestScenarioValidation:
     def test_fields_a_replication_never_reads_rejected(self, name, fields, message):
         # Each would run with the field silently ignored.
         with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(preset(name), **fields).validate()
-        preset(name).validate()
+            replace(preset(name), **fields)
+        replace(preset(name))
 
 
 class TestRunScenario:
@@ -389,19 +475,17 @@ class TestRunScenario:
         np.testing.assert_allclose(summ.statistics, summ2.statistics, atol=1e-10)
 
     def test_step_too_deep_for_p_rejected(self):
-        s = Scenario(name="bad", family="gaussian", design="orthogonal",
-                     n=40, p=5, test="gumbel", k=4, reps=5, seed=1)
         with pytest.raises(ValueError):
-            s.validate()
+            Scenario(name="bad", family="gaussian", design="orthogonal",
+                     n=40, p=5, test="gumbel", k=4, reps=5, seed=1)
 
     @pytest.mark.parametrize("test, k", [("covariance", 3), ("gumbel", 4)])
     def test_step_beyond_path_length_rejected(self, test, k):
         # min(n, p) = 3: the path has 3 entries, too few for covariance
         # step 3 (which needs entry 4) and for gumbel step 4.
-        s = Scenario(name="bad", family="gaussian", design="iid_gaussian",
-                     n=3, p=50, test=test, k=k, reps=5, seed=1)
         with pytest.raises(ValueError, match="path entries"):
-            s.validate()
+            Scenario(name="bad", family="gaussian", design="iid_gaussian",
+                     n=3, p=50, test=test, k=k, reps=5, seed=1)
 
     def test_every_replication_failed(self, monkeypatch):
         def diverging(*args, **kwargs):
@@ -509,3 +593,25 @@ class TestResolveThreads:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("SIGTEST_THREADS", raising=False)
         assert resolve_threads() == 1
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "2.5", "1e3"])
+    def test_env_not_a_count_rejected(self, monkeypatch, env):
+        # Unchecked, "abc" failed in int() naming no source and "-3" ran serially.
+        monkeypatch.setenv("SIGTEST_THREADS", env)
+        with pytest.raises(ValueError, match=rf"^SIGTEST_THREADS must be a non-negative "
+                                             rf"integer, got {re.escape(repr(env))}$"):
+            resolve_threads()
+        with pytest.raises(ValueError, match="^SIGTEST_THREADS"):
+            run_scenario(replace(preset("fig1-left"), reps=2))
+
+    @pytest.mark.parametrize("threads", [-3, 2.5, "2", True])
+    def test_argument_not_a_count_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv("SIGTEST_THREADS", "1")
+        with pytest.raises(ValueError, match=rf"^threads must be a non-negative integer, "
+                                             rf"got {re.escape(repr(threads))}$"):
+            run_scenario(replace(preset("fig1-left"), reps=2), threads=threads)
+
+    def test_numpy_integer_and_padded_env_accepted(self, monkeypatch):
+        assert resolve_threads(np.int64(2)) == 2
+        monkeypatch.setenv("SIGTEST_THREADS", " 2 ")
+        assert resolve_threads() == 2

@@ -65,6 +65,11 @@ def test_removed_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
+def test_scenario_validate_is_gone():
+    # A Scenario checks itself when it is built.
+    assert not hasattr(sigtest.Scenario, "validate")
+
+
 @pytest.mark.parametrize("function, parameter", [
     ("load_dataset", "unit_norm"),
     ("load_binary", "include_intercept"),
