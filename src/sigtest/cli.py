@@ -120,8 +120,9 @@ def _test_rows(args: argparse.Namespace):
             elif step.j is None:
                 raise UnreliableMaxError("every candidate fit failed")
         except UnreliableMaxError as exc:
+            notes.append(f"test-failed:{type(exc).__name__}")
             rows.append([step.k, "", ";".join(str(i) for i in step.A), "", step.selector, False,
-                         *[""] * 7, ";".join(notes + [f"test-failed:{type(exc).__name__}"])])
+                         *[""] * 7, ";".join(notes + list(step.failures))])
             break
         if path is not None:
             try:
@@ -247,15 +248,12 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.command(args)
-    except (ValueError, KeyError, OSError) as exc:  # CsvFormatError too
+    except (ValueError, KeyError, OSError, SigtestError) as exc:  # CsvFormatError too
         print(f"sigtest: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MissingVarianceError, NotEstimableError, DegenerateVarianceError) as exc:
-        print(f"sigtest: error: {exc}", file=sys.stderr)
-        return EXIT_VARIANCE
-    except SigtestError as exc:
-        print(f"sigtest: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, (ValueError, KeyError, OSError)):
+            return EXIT_INPUT
+        variance = (MissingVarianceError, NotEstimableError, DegenerateVarianceError)
+        return EXIT_VARIANCE if isinstance(exc, variance) else EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -78,25 +78,6 @@ class FitResult:
     iterations: int
 
 
-def _rank_errors(design: np.ndarray, columns: np.ndarray, what: str) -> list[SigtestError | None]:
-    """Rank check of each model [design, columns[:, i]] by ActiveQR.add's rule:
-    its triangular factor has the design's diagonal, from one QR, then the
-    norm r of column i after projecting the design out (twice); it fails when
-    r is 0 or the least diagonal entry is below RANK_TOL times the largest."""
-    (n, d), c = design.shape, columns.shape[1]
-    if d >= n:
-        return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
-    Q, R = np.linalg.qr(design)
-    v = columns.copy()
-    for _ in range(2):
-        v -= Q @ (Q.T @ v)
-    shared, last = np.abs(np.diagonal(R)), np.linalg.norm(v, axis=0)
-    deficient = (last == 0.0) | (np.minimum(shared.min(initial=np.inf), last)
-                                 < RANK_TOL * np.maximum(shared.max(initial=0.0), last))
-    return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
-            for bad in deficient]
-
-
 def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps ``info[i] @ step[i] = grad[i]`` and a mask of singular rows."""
     try:
@@ -111,25 +92,25 @@ def _solve_rows(info: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _information(Z: np.ndarray, a: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Z'(a Z) - C'C for a design Z (n, d) or each design of a stack (c, n, d)."""
-    return Z.swapaxes(-1, -2) @ (a[..., None] * Z) - C.swapaxes(-1, -2) @ C
+    """(a Z) Z' - C C' for a design Z (d, n) or each design of a stack (c, d, n)."""
+    return (a[..., None, :] * Z) @ Z.swapaxes(-1, -2) - C @ C.swapaxes(-1, -2)
 
 
 def _shared_start(objective, design: np.ndarray, columns: np.ndarray, base: np.ndarray):
     """Log-likelihood, gradient and information of every model [design, x_m]
-    at (base, 0), from the one evaluation at design @ base they share: the
-    design's block once, the cross blocks from one (d, n) x (n, c) product,
+    at (base, 0), from the one evaluation at base @ design they share: the
+    design's block once, the cross blocks from one (c, n) x (n, d) product,
     in O(n c d + n d^2) with no Gram matrix of [design, columns]."""
-    ll, r, a, center = objective((design @ base)[None])
+    ll, r, a, center = objective((base @ design)[None])
     r, a = r[0], a[0]
     cd, cx = center(design, 0), center(columns, 0)
-    c, d = columns.shape[1], design.shape[1]
+    c, d = len(columns), len(design)
     grad = np.empty((c, d + 1))
-    grad[:, :d], grad[:, d] = design.T @ r, columns.T @ r
+    grad[:, :d], grad[:, d] = design @ r, columns @ r
     info = np.empty((c, d + 1, d + 1))
     info[:, :d, :d] = _information(design, a, cd)
-    info[:, :d, d] = info[:, d, :d] = columns.T @ (a[:, None] * design) - cx.T @ cd
-    info[:, d, d] = a @ columns**2 - (cx**2).sum(axis=0)
+    info[:, :d, d] = info[:, d, :d] = (a * columns) @ design.T - cx @ cd.T
+    info[:, d, d] = columns**2 @ a - (cx**2).sum(axis=1)
     return np.full(c, ll[0]), grad, info
 
 
@@ -137,17 +118,19 @@ def _shared_start(objective, design: np.ndarray, columns: np.ndarray, base: np.n
 # rows are rejected by the line search or fail alone, so numpy stays quiet.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.ndarray,
-                  what: str):
-    """Damped Newton ascent on the c models [design, columns[:, m]], each
-    started from ``base`` on ``design`` (n, d) and 0 on its own column.
+                  what: str, errors: Sequence[SigtestError | None]):
+    """Damped Newton ascent on the c models [design, columns[m]], each
+    started from ``base`` on ``design`` (d, n) and 0 on its own column,
+    observations last; a row whose rank check failed (``errors[m]``, else
+    None) is not fitted.
 
     ``objective(eta)`` maps a (c, n) stack of linear predictors to the pieces
     ``(loglik, r, a, center)`` of ``_Problem``; a design Z of the stack has
-    gradient Z'r and information Z'(a Z) - C'C, C = ``center(Z, rows)``. All
-    rows start from one evaluation at ``design @ base`` (``_shared_start``);
+    gradient Z r and information (a Z) Z' - C C', C = ``center(Z, rows)``. All
+    rows start from one evaluation at ``base @ design`` (``_shared_start``);
     then only rows that accepted their step and go on form the information,
     with which a row's step solves ``info @ step = grad``. Each row keeps the
-    rules of a single fit under its own mask: the rank check, convergence once
+    rules of a single fit under its own mask: convergence once
     the gradient norm is below GRAD_TOL (at the start or an accepted step),
     and step halving until the log-likelihood falls by no more than round-off,
     1e-12 * max(1, |ll|): at round h <= MAX_HALVINGS every pending row tries
@@ -161,13 +144,12 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
     exception a fit of row i alone raises, or None when the row converged.
     """
-    (n, d), c = design.shape, columns.shape[1]
-    Z = np.empty((c, n, d + 1))
-    Z[:, :, :d] = design
-    Z[:, :, d] = columns.T
+    (d, n), c = design.shape, len(columns)
+    Z = np.empty((c, d + 1, n))
+    Z[:, :d], Z[:, d] = design, columns
     beta = np.zeros((c, d + 1))
     beta[:, :d] = base
-    errors = _rank_errors(design, columns, what)
+    errors = list(errors)
     iterations = np.zeros(c, dtype=int)
     ll, grad, info = _shared_start(objective, design, columns, base)
     live = np.array([e is None for e in errors], bool) & ~(np.linalg.norm(grad, axis=1) < GRAD_TOL)
@@ -189,9 +171,9 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
                 break
             Zs = Z if rows.size == c else Z[rows]
             cand = beta[rows] + 0.5**h * step
-            ll_new, r, a, center = objective((Zs @ cand[:, :, None])[:, :, 0])
+            ll_new, r, a, center = objective((cand[:, None] @ Zs)[:, 0])
             ok = np.isfinite(ll_new) & (ll_new >= ll[rows] - 1e-12 * np.maximum(1.0, abs(ll[rows])))
-            g = (r[:, None] @ Zs)[:, 0]
+            g = (Zs @ r[:, :, None])[:, :, 0]
             beta[rows[ok]], ll[rows[ok]], grad[rows[ok]] = cand[ok], ll_new[ok], g[ok]
             fail(rows[ok & (np.linalg.norm(cand, axis=1) > DIVERGENCE_NORM)], SeparationError,
                  "coefficients diverging; likelihood unbounded")
@@ -214,11 +196,12 @@ class _Problem(NamedTuple):
 
     At a stack of linear predictors (c, n) the objective gives the
     log-likelihood, a residual r and weights a, and center(Z, rows): a design
-    Z has gradient Z'r and information Z'(a Z) - C'C with C = center(Z, rows),
-    none for logistic and the risk-set means of Z at each event for Cox."""
+    Z (d, n), observations last, has gradient Z r and information (a Z) Z' -
+    C C' with C = center(Z, rows), none for logistic and the risk-set means
+    of Z at each event for Cox."""
 
-    lead: np.ndarray  # (n, 0) or (n, 1): the columns every model has (the intercept)
-    columns: np.ndarray  # (n, p): every column of X
+    lead: np.ndarray  # (0, n) or (1, n): the columns every model has (the intercept)
+    columns: np.ndarray  # (p, n): every column of X
     objective: Callable  # eta (c, n) -> loglik, r, a, center, as _newton_stack reads them
     empty: tuple[np.ndarray, float]  # coefficients and log-likelihood of the model on A = []
     family: str  # "logistic" or "cox"
@@ -229,8 +212,8 @@ class _Problem(NamedTuple):
         return f"{self.family} fit"
 
     def design(self, M: list[int]) -> np.ndarray:
-        """The (n, d) design of the model on M, lead columns first."""
-        return np.hstack([self.lead, self.columns[:, M]])
+        """The (d, n) design of the model on M, lead columns first."""
+        return np.vstack([self.lead, self.columns[M]])
 
 
 def _logistic_problem(data: BinaryDataset) -> _Problem:
@@ -241,7 +224,7 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
         e = np.exp(-np.abs(eta))
         ll = eta @ y - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=1)
         prob = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
-        return ll, y - prob, prob * (1.0 - prob), lambda X, rows: X[..., :0, :]  # C'C = 0
+        return ll, y - prob, prob * (1.0 - prob), lambda X, rows: X[..., :0]  # C C' = 0
 
     # With an intercept the maximum fits p = k/n to every observation, for
     # k ones (0 < k < n in a BinaryDataset); with no parameters, p = 1/2.
@@ -249,8 +232,8 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
     empty = ((np.array([math.log(k / (n - k))]),
               k * math.log(k / n) + (n - k) * math.log((n - k) / n))
              if data.include_intercept else (np.zeros(0), -n * math.log(2.0)))
-    return _Problem(np.ones((n, int(data.include_intercept))), data.X, objective, empty,
-                    "logistic")
+    return _Problem(np.ones((int(data.include_intercept), n)), data.X.T.copy(), objective,
+                    empty, "logistic")
 
 
 def _cox_problem(data: SurvivalDataset) -> _Problem:
@@ -280,13 +263,13 @@ def _cox_problem(data: SurvivalDataset) -> _Problem:
         cw = w * inv[:, starts]
 
         def center(X, rows):
-            """C_e of the columns of X, per event: S1(first_e) / denom_e."""
-            s1 = np.cumsum((w[rows, :, None] * X)[..., ::-1, :], axis=-2)[..., ::-1, :]
-            return s1[..., first, :] / denom[rows, :, None]
+            """C_e of each row of X, a design's column, per event: S1(first_e) / denom_e."""
+            s1 = np.cumsum((w[rows, None] * X)[..., ::-1], axis=-1)[..., ::-1]
+            return s1[..., first] / denom[rows, None]
 
         return ll, status - cw, cw, center
 
-    return _Problem(np.empty((data.n, 0)), data.X[order], objective,
+    return _Problem(np.empty((0, data.n)), data.X[order].T.copy(), objective,
                     (np.zeros(0), -float(np.log(data.n - first).sum())), "cox")
 
 
@@ -300,6 +283,39 @@ def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
                      f"not {type(data).__name__}")
 
 
+class _Residuals:
+    """Every column of X, as a row, with a model's columns (lead first)
+    projected out in turn, twice each; and the model's triangular-factor
+    diagonal, each added column's residual norm. O(n p) per added column."""
+
+    def __init__(self, problem: _Problem, A: Sequence[int]):
+        self.V, self.diag = problem.columns.copy(), []
+        for x in problem.lead:
+            self.add(x)
+        for j in A:
+            self.add(self.V[j])
+
+    def add(self, x: np.ndarray):
+        """Add to the model a column whose residual on it is x."""
+        r = float(np.linalg.norm(x))
+        self.diag.append(r)
+        q = x / (r or 1.0)  # a residual of norm 0 is 0 and projects nothing out
+        for _ in range(2):
+            self.V -= np.outer(self.V @ q, q)
+
+    def errors(self, candidates: list[int], what: str) -> list[SigtestError | None]:
+        """ActiveQR.add's rule for the model plus each candidate, an error or None:
+        it fails with n model columns or more, when the candidate's residual
+        norm r is 0, or when min(diag, r) < RANK_TOL max(diag, r)."""
+        if len(self.diag) >= self.V.shape[1]:
+            return [SingularDesignError(f"{what}: more columns than rows") for _ in candidates]
+        last = np.linalg.norm(self.V[candidates], axis=1)
+        lo, hi = min(self.diag, default=np.inf), max(self.diag, default=0.0)
+        deficient = (last == 0.0) | (np.minimum(lo, last) < RANK_TOL * np.maximum(hi, last))
+        return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
+                for bad in deficient]
+
+
 def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResult:
     """Maximize the log-likelihood on columns M by damped Newton from zero, as
     a stack of one: logistic regression (with the dataset's intercept) for a
@@ -310,8 +326,8 @@ def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResul
         return FitResult((), *problem.empty, iterations=0)
     design = problem.design(M)
     beta, ll, iterations, errors = _newton_stack(
-        problem.objective, design[:, :-1], design[:, -1:], np.zeros(design.shape[1] - 1),
-        problem.what)
+        problem.objective, design[:-1], design[-1:], np.zeros(len(design) - 1), problem.what,
+        _Residuals(problem, M[:-1]).errors(M[-1:], problem.what))
     if errors[0] is not None:
         raise errors[0]
     return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
@@ -334,23 +350,24 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     length p, NaN on A and on a candidate whose fit failed, which is
     reported as ``"fit failed for candidate m: <error>"``.
     """
-    base = glm_fit(data, A)
-    _fits, logliks, failures = _candidate_fits(_problem(data), list(base.subset),
-                                               base.coefficients)
+    base, problem = glm_fit(data, A), _problem(data)
+    _fits, logliks, failures = _candidate_fits(problem, list(base.subset), base.coefficients,
+                                               _Residuals(problem, base.subset))
     return np.maximum(2.0 * (logliks - base.loglik), 0.0), failures
 
 
-def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray):
-    """Fit the model on A plus each column m outside A, each fit started
-    from the base coefficients and 0. Returns the coefficients and the
-    log-likelihoods of these fits indexed by m, NaN for m in A and where a
-    fit failed, and a failure note per failed fit."""
-    p = problem.columns.shape[1]
+def _candidate_fits(problem: _Problem, A: list[int], base: np.ndarray, residuals: _Residuals):
+    """Fit the model on A plus each column m outside A that passes the rank
+    check of ``residuals`` on A, from the base coefficients and 0. Returns
+    the coefficients and log-likelihoods of these fits indexed by m, NaN for
+    m in A and where a fit failed, and a failure note per failed fit."""
+    p = len(problem.columns)
     candidates = [m for m in range(p) if m not in A]
     design = problem.design(A)
-    fits, logliks = np.full((p, design.shape[1] + 1), np.nan), np.full(p, np.nan)
+    fits, logliks = np.full((p, len(design) + 1), np.nan), np.full(p, np.nan)
     fits[candidates], logliks[candidates], _iterations, errors = _newton_stack(
-        problem.objective, design, problem.columns[:, candidates], base, problem.what)
+        problem.objective, design, problem.columns[candidates], base, problem.what,
+        residuals.errors(candidates, problem.what))
     failed = [(m, e) for m, e in zip(candidates, errors) if e is not None]
     logliks[[m for m, _e in failed]] = np.nan
     return fits, logliks, [f"fit failed for candidate {m}: {e}" for m, e in failed]
@@ -374,9 +391,12 @@ def lrt_path(data: BinaryDataset | SurvivalDataset,
     _check_max_steps(max_steps, "p", data.p)
     A: list[int] = []
     beta, loglik = problem.empty
+    residuals = _Residuals(problem, A)
     steps: list[SelectionStep] = []
     while len(steps) < (data.p if max_steps is None else max_steps):
-        fits, logliks, failures = _candidate_fits(problem, A, beta)
+        if A:  # the last pick joins the residuals' model only when another step follows
+            residuals.add(residuals.V[A[-1]])
+        fits, logliks, failures = _candidate_fits(problem, A, beta, residuals)
         drops = np.maximum(2.0 * (logliks - loglik), 0.0)
         j = None if np.isnan(drops).all() else best_candidate(drops)[0]
         steps.append(SelectionStep(k=len(steps) + 1, A=tuple(A), j=j, drops=drops,

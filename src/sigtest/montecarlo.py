@@ -68,12 +68,10 @@ class Scenario:
                 raise ValueError(f"scenario field {f.name!r} must be {f.type}, got {value!r}")
             if f.type == "int":  # a numpy integer too, so that the JSON record takes it
                 object.__setattr__(self, f.name, int(value))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}")
-        if self.test not in TESTS:
-            raise ValueError(f"unknown test {self.test!r}")
+        for name, allowed in (("family", FAMILIES), ("design", DESIGNS), ("test", TESTS),
+                              ("selector", SELECTORS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.n < 2 or self.p < 1:
             raise ValueError("need n >= 2 and p >= 1")
         if self.design == "orthogonal" and self.n < self.p:
@@ -92,8 +90,6 @@ class Scenario:
         if not 0.0 <= self.censor_frac < 1.0:
             raise ValueError("censor_frac must lie in [0, 1)")
         _check_alpha(self.alpha)
-        if self.selector not in SELECTORS:
-            raise ValueError(f"unknown selector {self.selector!r}")
         if self.test in ("gumbel", "covariance") and self.family != "gaussian":
             raise ValueError(f"test {self.test!r} requires the gaussian family")
         if self.test == "gumbel_glm" and self.family == "gaussian":
@@ -125,8 +121,16 @@ class Scenario:
         # Unit-norm columns give |eta_i| <= S = sum |beta_j|. numpy's Exp(1) draws E lie in
         # [7.09e-18, 44.43] (or are 0, with chance below 2^-53), so each cox time E / exp(eta_i)
         # is in (0, inf) iff 44.43 e^S < 2^1024 (S < 705.99) and 7.09e-18 e^-S > 2^-1075 (705.645).
-        if self.family == "cox" and sum(abs(val) for _idx, val in self.beta) > 705:
+        S = sum(abs(val) for _idx, val in self.beta)
+        if self.family == "cox" and S > 705:
             raise ValueError("cox beta needs sum |beta_j| <= 705 for finite, positive event times")
+        # Gaussian: ||X beta|| <= S and numpy's normal draws lie in +-12.23 (the ziggurat tail's
+        # 3.654 + x, x^2 < 106 log 2), so ||y|| <= S + 12.23 sqrt(n) sigma, and every drop and
+        # statistic, at most 2 ||y||^2 / min(1, sigma)^2, stays below 2^1015, 2^9 under overflow.
+        if self.family == "gaussian" and not (S + 13 * self.n**0.5 * self.sigma) / min(
+                1.0, self.sigma) <= 2.0**507:
+            raise ValueError("gaussian beta and sigma need (sum |beta_j| + 13 sqrt(n) sigma)"
+                             " / min(1, sigma) <= 2^507 for finite statistics")
         object.__setattr__(self, "beta", tuple((int(i), float(v)) for i, v in self.beta))
 
     @property

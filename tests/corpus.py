@@ -34,8 +34,9 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
   scenarios at extreme ``sigma``, and a logistic scenario whose signal
   overflows ``exp``;
 - error paths, among them a negative ``seed``, a repeated and a non-integer
-  ``beta`` index and a Cox signal too large to draw event times for, and
-  every verb's ``--help``.
+  ``beta`` index, a Cox signal too large to draw event times for and
+  Gaussian response scales whose statistics would overflow, and every
+  verb's ``--help``.
 
 ``--compare A B`` lists the files that are byte-identical in both corpora.
 For every other file it gives, per field, the largest absolute and relative
@@ -259,6 +260,15 @@ def _cli_runs(tables: dict[str, tuple[str, np.ndarray]]) -> list[tuple[str, list
             {"family": "cox", "design": "iid_gaussian", "n": 40, "p": 10, "test": "gumbel_glm",
              "reps": 5, "beta": [[0, 2000]]}), "--out", "sim/cox-large-signal"]),
     ]
+    for name, test, fields in (("gumbel-sigma", "gumbel", {"sigma": 1e154}),
+                               ("gumbel-beta", "gumbel", {"beta": [[0, 1e200]]}),
+                               ("covariance-beta-sigma", "covariance",
+                                {"beta": [[0, 1e155]], "sigma": 1e153}),
+                               ("covariance-sigma", "covariance", {"sigma": 1e154})):
+        inline = json.dumps({"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10,
+                             "test": test, "reps": 3, **fields})
+        runs.append((f"errors/gaussian-scale-{name}",
+                     ["simulate", "--inline", inline, "--out", f"sim/gaussian-scale-{name}"]))
     return runs
 
 

@@ -333,7 +333,29 @@ class TestGlmTableEnd:
         first, last = dict(zip(header, first)), dict(zip(header, last))
         assert first["gumbel_statistic"] != "" and first["note"] == ""
         assert (last["k"], last["j"], last["A"], last["r_j"]) == ("2", "", first["j"], "")
-        assert last["note"] == "too-few-remaining;test-failed:UnreliableMaxError"
+        why = {"separated": "coefficients diverging; likelihood unbounded",
+               "copies": "design is rank deficient"}[case]
+        assert last["note"] == ("too-few-remaining;test-failed:UnreliableMaxError;"
+                                + ";".join(f"fit failed for candidate {m}: logistic fit: {why}"
+                                           for m in (1, 2)))
+
+    def test_failed_test_row_notes_each_failed_fit(self, tmp_path):
+        # A constant column beside the intercept is a failed fit at step 1,
+        # one of four: more than 10%, so the test itself fails there.
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((30, 4))
+        X[:, 2] = 1.5
+        lines = ["a,b,c,d,y"] + [",".join(repr(float(v)) for v in [*X[i], i % 2])
+                                 for i in range(30)]
+        data = tmp_path / "bin.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "t.csv")
+        assert run(["test", "--input", str(data), "--family", "logistic", "--output", out]) == 0
+        header, *rows = read_csv(out)
+        assert len(rows) == 1
+        assert dict(zip(header, rows[0]))["note"] == (
+            "test-failed:UnreliableMaxError;"
+            "fit failed for candidate 2: logistic fit: design is rank deficient")
 
 
 @pytest.fixture
@@ -487,6 +509,26 @@ class TestSimulateVerb:
                              "n": 5, "p": 10, "test": "gumbel", "reps": 2})
         assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 3
         assert capsys.readouterr().err == "sigtest: error: orthogonal design requires n >= p\n"
+        assert not (tmp_path / "s").exists()
+
+    # Each of these once overflowed: the first three exited 2 with "statistics must
+    # be finite", the last exited 0 after an overflow in the covariance test.
+    @pytest.mark.parametrize("test, fields", [
+        ("gumbel", {"sigma": 1e154}),
+        ("gumbel", {"beta": [[0, 1e200]]}),
+        ("covariance", {"beta": [[0, 1e155]], "sigma": 1e153}),
+        ("covariance", {"sigma": 1e154}),
+    ], ids=["gumbel-sigma", "gumbel-beta", "covariance-beta-sigma", "covariance-sigma"])
+    def test_inline_gaussian_scale_beyond_the_bound_exit_2(self, tmp_path, capsys, test,
+                                                           fields):
+        inline = json.dumps({"family": "gaussian", "design": "orthogonal", "n": 30, "p": 10,
+                             "test": test, "reps": 3, **fields})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--inline", inline, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            "sigtest: error: gaussian beta and sigma need (sum |beta_j| + 13 sqrt(n) sigma)"
+            " / min(1, sigma) <= 2^507 for finite statistics\n")
         assert not (tmp_path / "s").exists()
 
     def test_inline_unknown_field_exit_2(self):

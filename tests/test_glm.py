@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,8 +158,8 @@ class TestLogisticFit:
         data = BinaryDataset(rng.standard_normal((n, 1)), y)
         fit = glm_fit(data, [])
         beta, ll, _iterations, errors = glm._newton_stack(
-            glm._logistic_problem(data).objective, np.ones((n, 0)), np.ones((n, 1)), np.zeros(0),
-            "logistic fit")
+            glm._logistic_problem(data).objective, np.ones((0, n)), np.ones((1, n)), np.zeros(0),
+            "logistic fit", [None])
         assert errors == [None]
         assert (fit.subset, fit.iterations) == ((), 0)
         np.testing.assert_allclose(fit.coefficients, beta[0], rtol=0, atol=1e-9)
@@ -176,7 +177,7 @@ class TestLogisticFit:
         betas = np.stack([eta, -eta])
         Z = np.tile(np.eye(n), (2, 1, 1))
         ll, r, a, center = objective(betas)
-        grad = (r[:, None] @ Z)[:, 0]
+        grad = (Z @ r[:, :, None])[:, :, 0]
         info = glm._information(Z, a, center(Z, np.arange(2)))
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad)) and np.all(np.isfinite(info))
         prob = y - grad
@@ -379,13 +380,12 @@ class TestLrtDropsAll:
         # A NaN in row 1's design makes its first Newton step fail, while
         # rows 0 and 2 still need several steps to converge.
         data = random_binary(109, 60, 4, beta=np.array([2.0, 1.0, 0.0, -1.0]))
-        Z = np.stack([np.column_stack([np.ones(60), np.asarray(data.X)[:, [0, j]]])
-                      for j in (1, 2, 3)])
-        Z[1, 5, 2] = np.nan
+        Z = np.stack([np.vstack([np.ones(60), np.asarray(data.X).T[[0, j]]]) for j in (1, 2, 3)])
+        Z[1, 2, 5] = np.nan
         objective = glm._logistic_problem(data).objective
         with np.errstate(invalid="ignore"):
             _beta, ll, iterations, errors = glm._newton_stack(
-                objective, Z[0, :, :2], Z[:, :, 2].T, np.zeros(2), "logistic fit")
+                objective, Z[0, :2], Z[:, 2], np.zeros(2), "logistic fit", [None] * 3)
         assert isinstance(errors[1], ConvergenceError)
         for row, j in ((0, 1), (2, 3)):
             single = glm_fit(data, [0, j])
@@ -398,8 +398,8 @@ class TestLrtDropsAll:
         starts = []
         newton = glm._newton_stack
 
-        def counting(objective, design, columns, base, what):
-            out = newton(objective, design, columns, base, what)
+        def counting(objective, design, columns, base, what, errors):
+            out = newton(objective, design, columns, base, what, errors)
             starts.append(stack_start(columns, base))
             assert out[0].shape == starts[-1].shape
             return out
@@ -455,8 +455,8 @@ class TestIterationCap:
         counts = []
         newton = glm._newton_stack
 
-        def recording(objective, design, columns, base, what):
-            out = newton(objective, design, columns, base, what)
+        def recording(objective, design, columns, base, what, errors):
+            out = newton(objective, design, columns, base, what, errors)
             counts.append(out[2].copy())
             return out
 
@@ -557,15 +557,17 @@ class TestStackIndependence:
         lrt_path(data, max_steps=min(6, data.p))
         fate = lambda e: e and (type(e), str(e))
         seen = {}
-        for (objective, design, columns, base, what), (_beta, ll, iterations, errors) in calls:
-            for i in range(columns.shape[1]):
-                _b, ll1, it1, (e1,) = newton(objective, design, columns[:, [i]], base, what)
+        for args, (_beta, ll, iterations, errors) in calls:
+            objective, design, columns, base, what, rank = args
+            for i in range(len(columns)):
+                _b, ll1, it1, (e1,) = newton(objective, design, columns[[i]], base, what,
+                                             rank[i:i + 1])
                 assert fate(e1) == fate(errors[i]) and it1[0] == iterations[i]
                 if e1 is None:
                     assert abs(2.0 * (ll1[0] - ll[i])) <= 1e-9
                 else:
                     seen[str(e1)] = seen.get(str(e1), 0) + 1
-        assert sum(c.shape[1] for (_o, _d, c, _b, _w), _out in calls) == rows
+        assert sum(len(c) for (_o, _d, c, _b, _w, _r), _out in calls) == rows
         assert seen == failed
 
 
@@ -588,8 +590,8 @@ def oracle_loglik_at(data, M):
 
 def stacked_pieces(problem, Z, beta):
     """Log-likelihood, gradient and information of each design of the stack Z at beta."""
-    ll, r, a, center = problem.objective((Z @ beta[:, :, None])[:, :, 0])
-    return ll, (r[:, None] @ Z)[:, 0], glm._information(Z, a, center(Z, np.arange(len(Z))))
+    ll, r, a, center = problem.objective((beta[:, None] @ Z)[:, 0])
+    return ll, (Z @ r[:, :, None])[:, :, 0], glm._information(Z, a, center(Z, np.arange(len(Z))))
 
 
 class TestNewtonPieces:
@@ -598,7 +600,7 @@ class TestNewtonPieces:
         data = GLM_PIECES[case]()
         problem, M = glm._problem(data), [0, 2, 3]
         design = problem.design(M)
-        d = design.shape[1]
+        d = len(design)
         beta = np.random.default_rng(149).uniform(-0.6, 0.6, d)
         ll, grad, info = (x[0] for x in stacked_pieces(problem, design[None], beta[None]))
         f = oracle_loglik_at(data, M)
@@ -619,9 +621,9 @@ class TestNewtonPieces:
         data = GLM_PIECES[case]()
         problem = glm._problem(data)
         design, candidates = problem.design(A), [m for m in range(5) if m not in A]
-        columns = problem.columns[:, candidates]
-        base = np.random.default_rng(151).uniform(-0.6, 0.6, design.shape[1])
-        Z = np.stack([np.column_stack([design, x]) for x in columns.T])
+        columns = problem.columns[candidates]
+        base = np.random.default_rng(151).uniform(-0.6, 0.6, len(design))
+        Z = np.stack([np.vstack([design, x]) for x in columns])
         ours = glm._shared_start(problem.objective, design, columns, base)
         theirs = stacked_pieces(problem, Z, stack_start(columns, base))
         for x, y in zip(ours, theirs):
@@ -806,7 +808,7 @@ def same_steps(ours, theirs, tol=1e-9):
 
 def stack_start(columns, base):
     """The (c, d + 1) starting points of a ``_newton_stack`` call: base, then 0."""
-    return np.column_stack([np.tile(base, (columns.shape[1], 1)), np.zeros(columns.shape[1])])
+    return np.column_stack([np.tile(base, (len(columns), 1)), np.zeros(len(columns))])
 
 
 def recording_newton(monkeypatch):
@@ -814,8 +816,8 @@ def recording_newton(monkeypatch):
     calls = []
     newton = glm._newton_stack
 
-    def recording(objective, design, columns, base, what):
-        out = newton(objective, design, columns, base, what)
+    def recording(objective, design, columns, base, what, errors):
+        out = newton(objective, design, columns, base, what, errors)
         calls.append((stack_start(columns, base), out[0].copy()))
         return out
 
@@ -879,20 +881,20 @@ class TestLrtPath:
                                                                  (len(start), 1)))
             np.testing.assert_array_equal(start[:, -1], 0.0)
 
-    def test_rank_check_factors_only_the_base(self, monkeypatch):
-        shapes = []
+    def test_no_qr_inside_the_path(self, monkeypatch):
+        calls = []
         qr = np.linalg.qr
 
         def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            calls.append(np.shape(a))
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recording)
-        data = random_binary(101, 50, 12)
-        steps = list(lrt_path(data))
-        # One QR of the (n, d) base design per Newton solve, one solve per
-        # step, never a stack of designs; the model on A = [] needs none.
-        assert shapes == [(50, 1 + len(step.A)) for step in steps]
+        for data in (random_binary(101, 50, 12), tied_survival(103, 50, 12)):
+            steps = lrt_path(data)
+            assert len(steps) == 12
+        # The rank check carries the candidates' residuals from step to step.
+        assert calls == []
 
     def test_ends_after_a_step_where_every_fit_fails(self):
         # Three copies of one column: after the first pick the other two are
@@ -928,9 +930,62 @@ class TestLrtPath:
             next(lrt_path(Dataset(np.eye(3), np.ones(3), sigma2=1.0)))
 
 
+def qr_rank_errors(design, x):
+    """The rank rule of the model [design, x] (observations first) by an
+    independent route: the diagonal of a QR of the design and the norm of x
+    with that factor's Q projected out twice. It fails when the model has
+    more columns than rows, when that norm r is 0, or when the least of
+    |diag R| and r is below RANK_TOL times the largest; else None."""
+    n, d = design.shape
+    if d >= n:
+        return "more columns than rows"
+    Q, R = np.linalg.qr(design)
+    v = x.copy()
+    for _ in range(2):
+        v -= Q @ (Q.T @ v)
+    sizes = np.append(np.abs(np.diagonal(R)), np.linalg.norm(v))
+    if sizes[-1] == 0.0 or sizes.min() < RANK_TOL * sizes.max():
+        return "design is rank deficient"
+    return None
+
+
+RANK_EPS = [10.0**-k for k in range(3, 13)]
+
+
+def near_copy_data(family, eps, n=30, p=6):
+    """A table whose column 4 is column 1 plus eps times noise and whose
+    column 5 is a constant, or for Cox 0.3 x0 - 1.7 x2, plus eps times noise."""
+    rng = np.random.default_rng(173)
+    X = rng.standard_normal((n, p))
+    X[:, 4] = X[:, 1] + eps * rng.standard_normal(n)
+    X[:, 5] = (2.5 if family == "logistic" else 0.3 * X[:, 0] - 1.7 * X[:, 2]) \
+        + eps * rng.standard_normal(n)
+    if family == "cox":
+        return SurvivalDataset(X, rng.exponential(1.0, n), np.ones(n))
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = 0.0, 1.0
+    return BinaryDataset(X, y, include_intercept=family == "logistic")
+
+
+def rank_failures(step):
+    """The candidates a step notes as failing the rank rule, with the rule's reason."""
+    pattern = (r"fit failed for candidate (\d+): \w+ fit: "
+               r"(design is rank deficient|more columns than rows)")
+    matches = (re.fullmatch(pattern, note) for note in step.failures)
+    return {int(match[1]): match[2] for match in matches if match}
+
+
+def lead_design(data, M):
+    """The design of the model on M, lead columns first, observations first."""
+    X = np.asarray(data.X)[:, M]
+    if isinstance(data, BinaryDataset) and data.include_intercept:
+        X = np.column_stack([np.ones(data.n), X])
+    return X
+
+
 def stacked_rank_errors(Z, what):
-    """The rank check by a QR of every stacked design, which the check from
-    the shared columns' factor replaced."""
+    """The rank check by a QR of every stacked design, which the residuals
+    carried from column to column replaced."""
     c, n, d = Z.shape
     if d > n:
         return [SingularDesignError(f"{what}: more columns than rows") for _ in range(c)]
@@ -968,13 +1023,41 @@ def rank_case(name):
 
 
 class TestRankCheck:
+    @pytest.mark.parametrize("family", ["logistic", "logistic-no-intercept", "cox"])
+    def test_carried_rule_matches_an_independent_qr(self, family):
+        seen = set()
+        for eps in RANK_EPS:
+            data = near_copy_data(family, eps)
+            X = np.asarray(data.X)
+            for step in lrt_path(data):
+                design = lead_design(data, list(step.A))
+                theirs = {}
+                for m in sorted(set(range(data.p)) - set(step.A)):
+                    why = qr_rank_errors(design, X[:, m])
+                    if why is not None:
+                        theirs[m] = why
+                    # glm_fit builds the same state from zero, one column at a time.
+                    try:
+                        glm_fit(data, list(step.A) + [m])
+                        fit_why = None
+                    except SingularDesignError as exc:
+                        fit_why = str(exc).split(": ", 1)[1]
+                    except SigtestError:
+                        fit_why = None
+                    assert fit_why == why, (eps, step.A, m)
+                assert rank_failures(step) == theirs, (eps, step.A)
+                seen |= {(m, eps) for m in theirs}
+        # Not vacuous: a near copy fails at the smallest eps and passes at the largest.
+        assert any(eps == 1e-12 for _m, eps in seen)
+        assert not any(eps == 1e-3 for _m, eps in seen)
+
     @pytest.mark.parametrize("name", ["duplicate", "combination", "constant-under-intercept",
                                       "zero-column-cox", "more-columns-than-rows"])
     def test_matches_qr_of_each_stacked_design(self, name):
         problem, A, candidates, deficient = rank_case(name)
         design = problem.design(A)
-        Z = np.stack([np.column_stack([design, problem.columns[:, m]]) for m in candidates])
-        ours = glm._rank_errors(design, problem.columns[:, candidates], problem.what)
+        Z = np.stack([np.vstack([design, problem.columns[m]]).T for m in candidates])
+        ours = glm._Residuals(problem, A).errors(candidates, problem.what)
         theirs = stacked_rank_errors(Z, problem.what)
         assert [(type(e), str(e)) if e else None for e in ours] == [
             (type(e), str(e)) if e else None for e in theirs]
@@ -982,10 +1065,23 @@ class TestRankCheck:
         if name == "more-columns-than-rows":
             assert all("more columns than rows" in str(e) for e in ours)
 
+    def test_more_columns_than_rows_once_the_model_fills_the_rows(self):
+        data = glm_table("logistic", 5, 8, 12)
+        steps = lrt_path(data)
+        for step in steps:
+            full = 1 + len(step.A) >= data.n
+            assert (set(rank_failures(step).values()) == {"more columns than rows"}) == full
+            if full:
+                assert len(step.failures) == data.p - len(step.A) and step.j is None
+        assert 1 + len(steps[-1].A) == data.n
+        left = next(m for m in range(data.p) if m not in steps[-1].A)
+        with pytest.raises(SingularDesignError, match="^logistic fit: more columns than rows$"):
+            glm_fit(data, list(steps[-1].A) + [left])
+
     def test_rank_deficient_base_is_caught(self):
-        # A base with two equal columns: every stack is deficient.
+        # A base with two equal columns: every model beside it is deficient.
         problem, _A, _candidates, _bad = rank_case("duplicate")
-        errors = glm._rank_errors(problem.design([1, 4]), problem.columns[:, [0, 2]], "fit")
+        errors = glm._Residuals(problem, [1, 4]).errors([0, 2], "fit")
         assert all(isinstance(e, SingularDesignError) for e in errors)
 
     @pytest.mark.parametrize("family", ["cox", "logistic"])

@@ -290,6 +290,28 @@ class TestCoxSignalBound:
         replace(preset("fig3-left"), beta=((0, sign * 5000.0),))  # logistic: not bounded
 
 
+class TestGaussianScaleBound:
+    """A gaussian scenario needs (sum |beta_j| + 13 sqrt(n) sigma) / min(1, sigma)
+    <= 2^507, so that every drop and statistic is finite."""
+
+    @pytest.mark.parametrize("fields", [
+        {"sigma": 1e152}, {"beta": ((0, 5e152),)}, {"beta": ((0, 1e100),), "sigma": 1e-100},
+        {"beta": ((0, 1e10),), "sigma": 1e-150}])
+    def test_beyond_the_bound_rejected(self, fields):
+        with pytest.raises(ValueError, match=r"^gaussian beta and sigma need \(sum \|beta_j\| "):
+            replace(preset("fig1-right"), **fields)
+
+    def test_largest_scale_runs_without_overflow(self):
+        # n = 100: 13 sqrt(n) sigma + 18 is 4.16e152, just below 2^507 = 4.19e152.
+        s = replace(preset("fig1-right"), sigma=3.2e150, reps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = run_scenario(s)
+        assert summary.failures == 0 and np.all(np.isfinite(summary.statistics))
+        with pytest.raises(ValueError, match="^gaussian beta and sigma need"):
+            replace(s, sigma=3.3e150)
+
+
 class TestScenarioValidation:
     def test_presets_all_validate(self):
         for name in preset_names():
