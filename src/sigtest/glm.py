@@ -126,20 +126,20 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
 
     ``objective(eta)`` maps a (c, n) stack of linear predictors to the pieces
     ``(loglik, r, a, center)`` of ``_Problem``; a design Z of the stack has
-    gradient Z r and information (a Z) Z' - C C', C = ``center(Z, rows)``. All
-    rows start from one evaluation at ``base @ design`` (``_shared_start``);
-    then only rows that accepted their step and go on form the information,
-    with which a row's step solves ``info @ step = grad``. Each row keeps the
-    rules of a single fit under its own mask: convergence once
-    the gradient norm is below GRAD_TOL (at the start or an accepted step),
-    and step halving until the log-likelihood falls by no more than round-off,
-    1e-12 * max(1, |ll|): at round h <= MAX_HALVINGS every pending row tries
-    its coefficients plus 0.5**h times its step. A row that accepts a step is
-    judged at once: first SeparationError once the coefficient norm passes
-    DIVERGENCE_NORM, then convergence, with the steps taken as its iterations.
-    ConvergenceError follows a singular information matrix, a failed line
-    search or MAX_ITER steps. A failed row stops with 0 iterations; the others
-    go on unchanged.
+    gradient Z r and information (a Z) Z' - C C', C = ``center(Z, rows)``
+    (for Cox, sqrt(m_k) S1_k / D_k at each position k). All rows start from
+    one evaluation at ``base @ design`` (``_shared_start``); then only rows
+    that accepted their step and go on form the information, with which a
+    row's step solves ``info @ step = grad``. Each row keeps the rules of a
+    single fit under its own mask: convergence once the gradient norm is
+    below GRAD_TOL (at the start or an accepted step), and step halving until
+    the log-likelihood falls by no more than round-off, 1e-12 * max(1, |ll|):
+    at round h <= MAX_HALVINGS every pending row tries its coefficients plus
+    0.5**h times its step. A row that accepts a step is judged at once: first
+    SeparationError once the coefficient norm passes DIVERGENCE_NORM, then
+    convergence, with the steps taken as its iterations. ConvergenceError
+    follows a singular information matrix, a failed line search or MAX_ITER
+    steps. A failed row stops with 0 iterations; the others go on unchanged.
 
     Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
     exception a fit of row i alone raises, or None when the row converged.
@@ -176,7 +176,7 @@ def _newton_stack(objective, design: np.ndarray, columns: np.ndarray, base: np.n
             g = (Zs @ r[:, :, None])[:, :, 0]
             beta[rows[ok]], ll[rows[ok]], grad[rows[ok]] = cand[ok], ll_new[ok], g[ok]
             fail(rows[ok & (np.linalg.norm(cand, axis=1) > DIVERGENCE_NORM)], SeparationError,
-                 "coefficients diverging; likelihood unbounded")
+                 "coefficients diverging, likelihood unbounded")
             norm, going = np.linalg.norm(g, axis=1), ok & live[rows]
             done = rows[going & (norm < GRAD_TOL)]
             iterations[done], live[done] = it, False
@@ -197,8 +197,9 @@ class _Problem(NamedTuple):
     At a stack of linear predictors (c, n) the objective gives the
     log-likelihood, a residual r and weights a, and center(Z, rows): a design
     Z (d, n), observations last, has gradient Z r and information (a Z) Z' -
-    C C' with C = center(Z, rows), none for logistic and the risk-set means
-    of Z at each event for Cox."""
+    C C' with C = center(Z, rows). C is empty for logistic. For Cox, with rows
+    latest first, C_k = sqrt(m_k) S1_k / D_k at each position k, where m_k
+    events have the risk set 0..k and S1_k, D_k sum w Z and w = e^eta on it."""
 
     lead: np.ndarray  # (0, n) or (1, n): the columns every model has (the intercept)
     columns: np.ndarray  # (p, n): every column of X
@@ -237,40 +238,39 @@ def _logistic_problem(data: BinaryDataset) -> _Problem:
 
 
 def _cox_problem(data: SurvivalDataset) -> _Problem:
-    # Rows sorted by follow-up time. The risk set of an event at position i
-    # is positions first(i)..n-1, first(i) the first index sharing its time.
-    order = np.argsort(data.time, kind="stable")
+    # Rows latest first (the stable ascending sort, reversed), so the risk set
+    # of every event is a prefix: positions 0..k, k the last sharing its time.
+    order = np.argsort(data.time, kind="stable")[::-1]
     time, status = data.time[order], data.status[order]
-    event_pos = np.flatnonzero(status == 1.0)
-    first = np.searchsorted(time, time[event_pos], side="left")
-    # Number of events whose risk set starts at or before each position.
-    starts = np.searchsorted(first, np.arange(data.n), side="right")
+    # Each event's risk-set size k + 1, latest first: m_k events have the risk set 0..k.
+    size = np.searchsorted(-time, -time[status == 1.0], side="right")
+    m = np.bincount(size - 1, minlength=data.n).astype(float)
+    root, idle = np.sqrt(m), (m == 0.0).astype(float)
 
     def objective(eta):
         shift = eta.max(axis=1, keepdims=True)
         w = np.exp(eta - shift)
-        # Suffix sums over the sorted order: sum of w from each position to the end.
-        denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1][:, first]
-        ll = eta[:, event_pos].sum(axis=1) - (np.log(denom) + shift).sum(axis=1)
-        # The gradient sums x_e - C_e and the information S2(first_e) / denom_e
-        # - C_e C_e' over the events e, with C_e = S1(first_e) / denom_e and S1,
-        # S2 the suffix sums of w x and w x x'. Swapping the sums gives r =
-        # status - c w and a = c w, where c_i sums 1/denom_e over the events
-        # whose risk set starts at or before i: one prefix sum, no (n, d, d)
-        # array. Tied events share first_e but each keeps its own 1/denom_e
-        # term on both sides, so the identity is exact with ties.
-        inv = np.concatenate([np.zeros((len(eta), 1)), np.cumsum(1.0 / denom, axis=1)], axis=1)
-        cw = w * inv[:, starts]
+        # Prefix sums D_k of w over each risk set. Where m_k = 0, D_k only
+        # meets a factor m_k; adding 1 there keeps an underflowed D_k from 0/0.
+        D = np.cumsum(w, axis=1) + idle
+        ll = eta @ status - (np.log(D) + shift) @ m
+        # The gradient sums x_e - C_e and the information S2_k / D_k - C_e C_e'
+        # over the events e, with k where e's risk set ends, C_e = S1_k / D_k
+        # and S1, S2 the prefix sums of w x and w x x'. Swapping the sums gives
+        # r = status - c w and a = c w, where c_i = sum over k >= i of m_k / D_k:
+        # one suffix sum, no (n, d, d) array. Tied events add m_k equal terms.
+        cw = w * np.cumsum((m / D)[:, ::-1], axis=1)[:, ::-1]
 
         def center(X, rows):
-            """C_e of each row of X, a design's column, per event: S1(first_e) / denom_e."""
-            s1 = np.cumsum((w[rows, None] * X)[..., ::-1], axis=-1)[..., ::-1]
-            return s1[..., first] / denom[rows, None]
+            """sqrt(m_k) S1_k / D_k of each row of X, a design's column: C C' sums C_e C_e'."""
+            s1 = w[rows, None] * X
+            np.cumsum(s1, axis=-1, out=s1)
+            return np.multiply(s1, root / D[rows, None], out=s1)
 
         return ll, status - cw, cw, center
 
     return _Problem(np.empty((0, data.n)), data.X[order].T.copy(), objective,
-                    (np.zeros(0), -float(np.log(data.n - first).sum())), "cox")
+                    (np.zeros(0), -float(np.log(size[::-1]).sum())), "cox")  # earliest event first
 
 
 def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:

@@ -40,9 +40,11 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
 
 ``--compare A B`` lists the files that are byte-identical in both corpora.
 For every other file it gives, per field, the largest absolute and relative
-difference of the floats, and each change in a discrete value (an integer,
-a string or a bool: ``j``, ``A``, an action, a note, an exit code). It exits
-0 when every file is byte-identical and 1 otherwise.
+difference of the floats, and the largest |a - b| / max(1, |a|, |b|), which
+stays small where a value near 0 moves by round-off; and each change in a
+discrete value (an integer, a string or a bool: ``j``, ``A``, an action, a
+note, an exit code). It exits 0 when every file is byte-identical and 1
+otherwise.
 
 The name does not start with ``test_``, so pytest never collects this file.
 """
@@ -426,7 +428,7 @@ def _leaves(path: Path) -> dict[str, tuple[str, object]]:
 def _diff(a: Path, b: Path) -> list[str]:
     """The report lines of one file that is not byte-identical."""
     left, right = _leaves(a), _leaves(b)
-    numeric: dict[str, list[float]] = {}  # field -> [max abs, max rel, count]
+    numeric: dict[str, list[float]] = {}  # field -> [max abs, max rel, scaled, count]
     changes = []
     for where in list(left) + [w for w in right if w not in left]:  # file order
         if where not in right:
@@ -439,14 +441,16 @@ def _diff(a: Path, b: Path) -> list[str]:
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
             if repr(x) != repr(y):
                 size = abs(x - y)
-                entry = numeric.setdefault(field, [0.0, 0.0, 0])
+                entry = numeric.setdefault(field, [0.0, 0.0, 0.0, 0])
                 entry[0] = max(entry[0], size)
                 entry[1] = max(entry[1], size / max(abs(x), abs(y)) if size else 0.0)
-                entry[2] += 1
+                entry[2] = max(entry[2], size / max(1.0, abs(x), abs(y)))
+                entry[3] += 1
         elif type(x) is not type(y) or repr(x) != repr(y):
             changes.append(f"{where}: {x!r} -> {y!r}")
-    lines = [f"  {field}: {count} values differ, max abs {size:.3g}, max rel {rel:.3g}"
-             for field, (size, rel, count) in sorted(numeric.items())]
+    lines = [f"  {field}: {count} values differ, max abs {size:.3g}, max rel {rel:.3g}, "
+             f"max abs/max(1,|x|) {scaled:.3g}"
+             for field, (size, rel, scaled, count) in sorted(numeric.items())]
     lines += [f"  changed {line}" for line in changes[:MAX_CHANGES]]
     if len(changes) > MAX_CHANGES:
         lines.append(f"  ... and {len(changes) - MAX_CHANGES} more changes")

@@ -3,15 +3,18 @@ import importlib
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import corpus
 from sigtest import gen_design
 from sigtest.cli import _build_parser, run
 from sigtest.dataio import format_csv
 from sigtest.exceptions import PathTruncationWarning
+from sigtest.glm import MAX_ITER
 from sigtest.linmodel import ActiveQR
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
@@ -333,7 +336,7 @@ class TestGlmTableEnd:
         first, last = dict(zip(header, first)), dict(zip(header, last))
         assert first["gumbel_statistic"] != "" and first["note"] == ""
         assert (last["k"], last["j"], last["A"], last["r_j"]) == ("2", "", first["j"], "")
-        why = {"separated": "coefficients diverging; likelihood unbounded",
+        why = {"separated": "coefficients diverging, likelihood unbounded",
                "copies": "design is rank deficient"}[case]
         assert last["note"] == ("too-few-remaining;test-failed:UnreliableMaxError;"
                                 + ";".join(f"fit failed for candidate {m}: logistic fit: {why}"
@@ -356,6 +359,35 @@ class TestGlmTableEnd:
         assert dict(zip(header, rows[0]))["note"] == (
             "test-failed:UnreliableMaxError;"
             "fit failed for candidate 2: logistic fit: design is rank deficient")
+
+    FIT_FAILED = ("coefficients diverging, likelihood unbounded", "design is rank deficient",
+                  "more columns than rows", "singular information matrix",
+                  "step halving failed to improve the likelihood",
+                  f"no convergence after {MAX_ITER} iterations")
+
+    def test_note_cells_split_back_into_their_notes(self, tmp_path):
+        # The corpus tables whose fits fail: every note cell splits on ";"
+        # into whole notes, so no message may contain the separator.
+        note = re.compile(r"too-few-remaining|test-failed:[A-Za-z]+Error|"
+                          r"fit failed for candidate \d+: (logistic|cox) fit: (.*)")
+        seen = set()
+        for name, (family, table) in corpus._inputs().items():
+            if family not in ("logistic", "cox") or not re.search(
+                    "separated|monotone|duplicated|zero-column", name):
+                continue
+            data, out = tmp_path / f"{name}.csv", str(tmp_path / f"{name}-test.csv")
+            corpus._write_table(data, table, ("time", "status") if family == "cox" else ("y",))
+            assert run(["test", "--input", str(data), "--family", family, "--output", out]) == 0
+            header, *rows = read_csv(out)
+            for row in rows:
+                cell = dict(zip(header, row))["note"]
+                for part in cell.split(";") if cell else []:
+                    match = note.fullmatch(part)
+                    assert match and match[2] in (None, *self.FIT_FAILED), (name, cell)
+                    seen.add(match[2] or part.partition(":")[0])
+        assert seen == {"too-few-remaining", "test-failed", "design is rank deficient",
+                        "coefficients diverging, likelihood unbounded",
+                        "step halving failed to improve the likelihood"}
 
 
 @pytest.fixture

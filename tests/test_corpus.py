@@ -31,7 +31,7 @@ def test_last_ulp_change_in_a_statistic(tmp_path, capsys):
     same, reports = corpus.compare(a, b)
     assert same == ["path/ties.csv"]
     assert reports == {"cov.json": ["  statistic: 1 values differ, max abs 5.55e-17, "
-                                    "max rel 1.83e-16"]}
+                                    "max rel 1.83e-16, max abs/max(1,|x|) 5.55e-17"]}
     assert corpus.main(["--compare", str(a), str(b)]) == 1
     assert "differs: cov.json" in capsys.readouterr().out
 
@@ -55,3 +55,12 @@ def test_discrete_json_change_and_one_sided_file(tmp_path):
     _same, reports = corpus.compare(a, b)
     assert reports["only-a.run.txt"] == ["  only in A"]
     assert reports["cov.json"] == ["  changed [0].j: 0 -> 3", "  changed [0].A[0]: only in B: 2"]
+
+
+def test_round_off_on_a_value_near_zero(tmp_path):
+    # Near 0 a move of 1e-13 reads as 50% relative, and as 1e-13 against max(1, |x|).
+    a = write_corpus(tmp_path / "a", record=[{**RECORD[0], "statistic": 1e-13}])
+    b = write_corpus(tmp_path / "b", record=[{**RECORD[0], "statistic": 2e-13}])
+    _same, reports = corpus.compare(a, b)
+    assert reports == {"cov.json": ["  statistic: 1 values differ, max abs 1e-13, "
+                                    "max rel 0.5, max abs/max(1,|x|) 1e-13"]}

@@ -56,6 +56,27 @@ def random_survival(seed, n, p, censor=0.1):
     return SurvivalDataset(X, event, np.ones(n))
 
 
+def cox_layout(kind, seed=157, n=40, p=5):
+    """A Cox table on times rounded to 0.1 whose risk sets have one layout:
+    ``censored-tail``, the latest rows censored after every event;
+    ``censored-90``, 4 events in 40 rows; ``ties``, tied events and events
+    tied with censored rows."""
+    rng = np.random.default_rng(seed)
+    X = standardize(rng.standard_normal((n, p)))
+    time = np.round(rng.exponential(1.0, n), 1) + 0.1
+    if kind == "censored-tail":
+        status = (time < np.sort(time)[-6]).astype(float)
+    elif kind == "censored-90":
+        status = np.zeros(n)
+        status[rng.choice(n, n // 10, replace=False)] = 1.0
+    else:
+        status = (rng.random(n) < 0.6).astype(float)
+        tied = [t for t in np.unique(time[status == 1.0]) if (time == t).sum() > 1]
+        assert any(status[time == t].sum() > 1 for t in tied)
+        assert any(status[time == t].min() == 0.0 for t in tied)
+    return SurvivalDataset(X, time, status)
+
+
 class TestBinaryDataset:
     def test_rejects_constant_response(self):
         with pytest.raises(DegenerateResponseError) as info:
@@ -237,6 +258,18 @@ class TestCoxFit:
                   - cox_partial_loglik(np.asarray(data.X)[:, :3], np.asarray(data.time),
                                        np.asarray(data.status), dn)) / (2 * eps)
             assert fd == pytest.approx(0.0, abs=1e-4)
+
+    @pytest.mark.parametrize("kind", ["censored-tail", "censored-90", "ties"])
+    def test_risk_set_layouts_match_the_oracle(self, kind):
+        data = cox_layout(kind)
+        empty = cox_partial_loglik(data.X[:, :0], data.time, data.status, np.zeros(0))
+        assert glm_fit(data, []).loglik == pytest.approx(empty, rel=1e-14)
+        fit = glm_fit(data, [0, 1])
+        assert fit.loglik == pytest.approx(oracle_loglik("cox", data, [0, 1]), abs=1e-6)
+        f, h = oracle_loglik_at(data, [0, 1]), 1e-6
+        central = [(f(fit.coefficients + h * e) - f(fit.coefficients - h * e)) / (2 * h)
+                   for e in np.eye(2)]
+        np.testing.assert_allclose(central, 0.0, rtol=0, atol=1e-4)
 
     def test_monotone_likelihood_detected(self):
         # A covariate perfectly ordered with event times and a tiny spread
@@ -540,7 +573,7 @@ class TestStackIndependence:
         (lambda: glm_table("logistic", 7, 300, 48), 273, {}),
         (lambda: glm_table("cox", 7, 300, 48), 273, {}),
         (quasi_separated_logistic, 10,
-         {"logistic fit: coefficients diverging; likelihood unbounded": 2}),
+         {"logistic fit: coefficients diverging, likelihood unbounded": 2}),
         (monotone_cox, 10, {"cox fit: step halving failed to improve the likelihood": 4}),
     ], ids=["logistic-300x48", "cox-300x48", "quasi-separated", "monotone-cox"])
     def test_lone_fits_match_the_stack(self, make, rows, failed, monkeypatch):
@@ -575,6 +608,8 @@ GLM_PIECES = {
     "logistic": lambda: random_binary(131, 40, 5, beta=np.array([0.8, -0.5, 0.0, 0.3, 0.0])),
     "logistic-no-intercept": lambda: random_binary(137, 40, 5, intercept=False),
     "cox-ties-censored": lambda: tied_survival(139, 40, 5),
+    **{f"cox-{kind}": lambda kind=kind: cox_layout(kind)
+       for kind in ("censored-tail", "censored-90", "ties")},
 }
 
 
@@ -631,6 +666,30 @@ class TestNewtonPieces:
             for row in range(len(candidates)):
                 np.testing.assert_allclose(x[row], y[row], rtol=0,
                                            atol=1e-12 * np.abs(y[row]).max())
+
+    def test_underflowed_risk_sets(self):
+        # At beta = 1, e^eta underflows to 0 where x = -1000. Row 0 sets that on
+        # the censored tail, where no risk set ends: its pieces stay finite and
+        # exact. Row 1 sets it on the whole risk set of the latest event: its
+        # log-likelihood is not finite, so the line search rejects that row.
+        data = cox_layout("censored-tail")
+        last = data.time[data.status == 1.0].max()
+        tables = []
+        for tail in (data.time > last, data.time >= last):
+            x = data.X[:, :1].copy()
+            x[tail] = -1000.0
+            tables.append(SurvivalDataset(x, data.time, data.status))
+        problem = glm._problem(tables[0])
+        ll, grad, info = (x[0] for x in stacked_pieces(problem, problem.columns[None],
+                                                       np.ones((1, 1))))
+        assert np.isfinite(ll) and np.isfinite(grad).all() and np.isfinite(info).all()
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0, as in _newton_stack
+            Z = np.stack([problem.columns, glm._problem(tables[1]).columns])
+            assert stacked_pieces(problem, Z, np.ones((2, 1)))[0][1] == np.inf
+        f, h = oracle_loglik_at(tables[0], [0]), 1e-5
+        assert ll == pytest.approx(f(np.ones(1)), rel=1e-12)
+        assert grad[0] == pytest.approx((f(np.ones(1) + h) - f(np.ones(1) - h)) / (2 * h),
+                                        rel=0, abs=1e-6)
 
     # Forming the information at every row evaluation, with the start of
     # each candidate evaluated on its own, would form 1,265 and 1,162 rows.
