@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 from .dataio import (
     format_csv,
@@ -99,7 +99,7 @@ def _test_rows(args: argparse.Namespace):
             data = replace(data, sigma2=estimate_sigma2(data))
         path = lars_path(data)  # uncapped: the covariance test needs the next knot
         if args.selector == "lasso":
-            steps = lasso_steps(path, data, args.max_steps)
+            steps = lasso_steps(path, max_steps=args.max_steps)
         else:
             steps = stepwise_path(data, max_steps=args.max_steps, selector=args.selector or "max_r")
     else:
@@ -126,7 +126,7 @@ def _test_rows(args: argparse.Namespace):
             break
         if path is not None:
             try:
-                cov = covariance_test(path, data, step.k, alpha=args.alpha)
+                cov = covariance_test(path, step.k, alpha=args.alpha)
                 records.append(cov)
             except PathTooShortError:
                 notes.append("no-next-knot")
@@ -168,7 +168,7 @@ def _parse_inline_scenario(text: str) -> Scenario:
     unknown = raw.keys() - {f.name for f in fields(Scenario)}
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    for req in ("family", "design", "n", "p", "test"):
+    for req in (f.name for f in fields(Scenario) if f.default is MISSING):
         if req not in raw:
             raise ValueError(f"inline scenario missing required field {req!r}")
     return Scenario(**{**{"name": "inline"}, **raw})

@@ -64,18 +64,18 @@ class Knot:
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Ordered knots of one lasso path plus the digest of its dataset.
+    """Ordered knots of one lasso path plus the dataset it was traced from.
 
     ``segments[i]`` is the ``(b0, b1)`` of the segment below ``knots[i]``,
     also below the last knot of a capped path (None if rank deficient): the
     solution there is b0 - lam * b1 on ``knots[i].active_after``, with b0 the
     least-squares coefficients and b1 = (X_A' X_A)^{-1} s for the signs s.
     ``entry_positions`` indexes the entry knots in ``knots``; it is built on
-    first use and kept.
+    first use and kept. Equality compares the knots and warnings, not ``data``.
     """
 
     knots: tuple[Knot, ...]
-    data_digest: str
+    data: Dataset = field(repr=False, compare=False)
     warnings: tuple[str, ...] = ()
     segments: tuple[tuple[np.ndarray, np.ndarray] | None, ...] = field(
         default=(), repr=False, compare=False)
@@ -214,7 +214,7 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     knots, warnings_list, segments = _trace(data.X, data.y, cols, [], [], np.inf, None,
                                             0.0, min(data.n, data.p), max_steps)
-    return LassoPath(knots=tuple(knots), data_digest=data.digest,
+    return LassoPath(knots=tuple(knots), data=data,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
 
@@ -229,8 +229,9 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     containing linear segment.
 
     A supplied ``path`` from :func:`lars_path` warm-starts the trace from one
-    of its knots. Where its active set lies inside ``subset``, its
-    solution also meets the restricted KKT conditions, so both paths share
+    of its knots; its ``data`` must be ``data`` or hold the same X and y,
+    else :class:`StalePathError`. Where its active set lies inside ``subset``,
+    its solution also meets the restricted KKT conditions, so both paths share
     the state just below such a knot. The trace starts at the lowest such
     knot above ``lam`` (else from the empty state), factors that starting
     active set once, and covers only the stretch from there down to ``lam``.
@@ -248,8 +249,9 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     cols = _columns(data, subset)
     if path is None:
-        path = LassoPath(knots=(), data_digest=data.digest)
-    elif path.data_digest != data.digest:
+        path = LassoPath(knots=(), data=data)
+    elif path.data is not data and not (np.array_equal(path.data.X, data.X)
+                                        and np.array_equal(path.data.y, data.y)):
         raise StalePathError("path was computed from different data")
     inside = set(cols)
     state, segment = ((), (), np.inf, None), _EMPTY_SEGMENT

@@ -6,7 +6,6 @@ and the scaled RSS-drop statistics that the significance tests consume.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,15 +80,6 @@ class Dataset(_Shape):
             raise ValueError("sigma2 must be finite and positive when supplied")
 
     @cached_property
-    def digest(self) -> str:
-        """Checksum identifying (X, y) so solution paths can detect staleness."""
-        h = hashlib.sha256()
-        h.update(str(self.X.shape).encode())
-        h.update(self.X.tobytes())
-        h.update(self.y.tobytes())
-        return h.hexdigest()
-
-    @cached_property
     def copies(self) -> dict[int, int]:
         """Each column identical (byte for byte) to an earlier one, mapped to
         the first column of its kind; empty when all columns differ."""
@@ -135,7 +125,8 @@ def standardize(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d matrix")
-    out = X.copy()
+    # Exact power-of-two rescale to max |x| in [0.5, 1): col @ col cannot under- or overflow.
+    out = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0, initial=0.0))[1], order="C")
     for j in range(out.shape[1]):
         col = out[:, j]
         scale2 = float(col @ col)

@@ -257,9 +257,9 @@ def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
             data = Dataset(X, response, sigma2=scenario.sigma ** 2)
             if scenario.test == "covariance":
                 path = lars_path(data, max_steps=scenario.k + 1)
-                outcome = covariance_test(path, data, scenario.k, alpha=scenario.alpha)
+                outcome = covariance_test(path, scenario.k, alpha=scenario.alpha)
             elif scenario.selector == "lasso":
-                steps = lasso_steps(lars_path(data, max_steps=scenario.k), data)
+                steps = lasso_steps(lars_path(data, max_steps=scenario.k))
             else:
                 steps = stepwise_path(data, max_steps=scenario.k, selector=scenario.selector)
         if scenario.test != "covariance":

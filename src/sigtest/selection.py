@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import PathTruncationWarning, StalePathError
+from .exceptions import PathTruncationWarning
 from .lasso import LassoPath
 from .linmodel import ActiveQR, Dataset, _check_max_steps
 
@@ -103,16 +103,14 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     return steps
 
 
-def lasso_steps(path: LassoPath, data: Dataset,
-                max_steps: int | None = None) -> list[SelectionStep]:
-    """One step per lasso entry event, with the drop of the entering variable,
-    for the first ``max_steps`` entry events (default all).
+def lasso_steps(path: LassoPath, *, max_steps: int | None = None) -> list[SelectionStep]:
+    """One step per lasso entry event, with the drop on ``path.data`` of the
+    entering variable, for the first ``max_steps`` entry events (default all).
 
     Steps where the entering variable does not maximize the drop over the
     remaining candidates are flagged conservative.
     """
-    if path.data_digest != data.digest:
-        raise StalePathError("path was computed from different data")
+    data = path.data
     _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     sigma2 = data.require_sigma2()
     steps: list[SelectionStep] = []

@@ -22,7 +22,6 @@ from .exceptions import (
     UnsupportedStepError,
 )
 from .lasso import LassoPath, lasso_solve
-from .linmodel import Dataset
 from .selection import SelectionStep
 
 GUMBEL_LOCATION = -math.log(math.pi)
@@ -154,8 +153,7 @@ def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
                        warnings=tuple(step.failures))
 
 
-def covariance_test(path: LassoPath, data: Dataset, k: int,
-                    alpha: float = 0.05) -> TestOutcome:
+def covariance_test(path: LassoPath, k: int, *, alpha: float = 0.05) -> TestOutcome:
     """Covariance test of the variable entering at the path's kth entry event.
 
     The statistic is the drop in fitted inner product, at the next knot,
@@ -167,17 +165,19 @@ def covariance_test(path: LassoPath, data: Dataset, k: int,
     value. The restricted solution (:func:`lasso_solve`, warm-started from
     ``path``) is the segment above the kth entry at the next knot, unless
     the restricted path deletes a variable of A first; then it is traced.
-    Both routes take y'X beta from the cached X'y of ``data``. The
-    p-value is the standard exponential upper tail exp(-statistic), clamped
+    Both routes take y'X beta from the cached X'y of ``path.data``;
+    ``replace(path, data=replace(path.data, sigma2=s))`` tests another sigma2.
+    The p-value is the standard exponential upper tail exp(-statistic), clamped
     to 1 for negative statistics; a statistic more negative than round-off
     (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.
     """
     _check_alpha(alpha)
     if k < 1:
         raise ValueError(f"step index k must be at least 1, got {k}")
+    data = path.data
     sigma2 = data.require_sigma2()
-    if path.data_digest != data.digest or len(path.segments) != len(path.knots):
-        raise StalePathError("path was not traced by lars_path from this data")
+    if len(path.segments) != len(path.knots):
+        raise StalePathError("path was not traced by lars_path")
 
     entries = path.entry_positions
     if len(entries) < k + 1:

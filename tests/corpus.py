@@ -331,13 +331,13 @@ def _library_record(family: str, path: Path) -> dict:
                 tests = []
                 for k in range(1, len(lasso.entry_positions)):
                     try:
-                        out = covariance_test(lasso, data, k)
+                        out = covariance_test(lasso, k)
                         tests.append({**out.to_json_dict(), "decomposition": out.decomposition})
                     except SigtestError as exc:
                         tests.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
                 record["covariance"] = tests
                 record["stepwise"] = steps_record(stepwise_path(data))
-                record["lasso_steps"] = steps_record(lasso_steps(lasso, data))
+                record["lasso_steps"] = steps_record(lasso_steps(lasso))
             else:
                 load = load_binary if family == "logistic" else load_survival
                 data = load(str(path))[0]

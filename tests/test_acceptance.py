@@ -91,7 +91,7 @@ def test_criterion_1_statistic_route_identity():
         entries = len(path.entry_knots())
         for k in range(1, entries):
             try:
-                out = covariance_test(path, data, k)
+                out = covariance_test(path, k)
             except UnsupportedStepError:
                 continue
             worst = max(worst, abs(out.statistic - out.decomposition))
@@ -121,7 +121,7 @@ def test_criterion_2_orthogonal_closed_forms():
             soft = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0)
             ok &= np.allclose(lasso_solve(data, lam), soft, atol=1e-8)
         for k in range(1, len(lams)):
-            out = covariance_test(path, data, k)
+            out = covariance_test(path, k)
             ok &= abs(out.statistic - lams[k - 1] * (lams[k - 1] - lams[k])) < 1e-8
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 1.0

@@ -186,6 +186,22 @@ class TestTestVerb:
         rows = read_csv(out)
         assert dict(zip(rows[0], rows[1]))["selector"] == "lasso"
 
+    @pytest.mark.parametrize("selector", ["max_r", "lasso"])
+    def test_tiny_column_keeps_the_picks(self, family_csvs, tmp_path, capsys, selector):
+        # At 1e-212 the column's squares underflow: standardize must not read
+        # it as a zero column (exit 3).
+        rows = read_csv(family_csvs["gaussian"])
+        for row in rows[1:]:
+            row[0] = repr(float(row[0]) * 1e-212)
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        picks = []
+        for path in (family_csvs["gaussian"], str(scaled)):
+            assert run(["test", "--input", path, "--sigma2", "1", "--selector", selector]) == 0
+            table = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+            picks.append([(r["j"], r["A"]) for r in table])
+        assert picks[0] == picks[1] and picks[0][0][0] == "0"
+
     def test_lasso_max_steps_computes_only_the_steps_asked_for(self, family_csvs, capsys,
                                                                 monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ class TestLarsPath:
             with pytest.raises(StalePathError):
                 lasso_solve(other, 0.1, subset=subset, path=path)
 
+    def test_equal_content_dataset_warm_starts(self, monkeypatch):
+        # The check compares X and y, not identity or sigma2: a copy with
+        # another sigma2 warm-starts from the path and gets the cold answer.
+        data = random_dataset(4, 20, 5)
+        other = replace(data, sigma2=2.0)
+        path = lars_path(data)
+        starts = []
+        trace = lasso_module._trace
+
+        def spy(X, y, cols, active, signs, lam_cur, *args, **kwargs):
+            starts.append(lam_cur)
+            return trace(X, y, cols, active, signs, lam_cur, *args, **kwargs)
+
+        monkeypatch.setattr(lasso_module, "_trace", spy)
+        lam = 0.5 * (path.knots[1].lam + path.knots[2].lam)
+        warm = lasso_solve(other, lam, path=path)
+        assert starts == [path.knots[1].lam]
+        np.testing.assert_allclose(warm, lasso_solve(other, lam), rtol=0, atol=1e-10)
+
     def test_entry_tie_breaks_low_and_warns(self):
         data = Dataset(np.eye(3), np.array([2.0, 2.0, 1.0]), sigma2=1.0)
         path = lars_path(data)
@@ -230,7 +250,7 @@ class TestSegments:
         X[:, 2] = X[:, 0] + X[:, 1]
         data = Dataset(standardize(X), rng.standard_normal(6))
         knot = Knot(k=1, lam=1.0, entering=2, active_before=(0, 1), signs_after=(1, 1, 1))
-        path = LassoPath(knots=(knot,), data_digest=data.digest,
+        path = LassoPath(knots=(knot,), data=data,
                          segments=((np.zeros(3), np.zeros(3)),))
         with pytest.raises(SingularDesignError,
                            match=r"^columns \[0, 1, 2, 3\] are rank deficient above lambda=0.5$"):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,12 @@ def test_scenario_validate_is_gone():
     assert not hasattr(sigtest.Scenario, "validate")
 
 
+def test_dataset_digest_is_gone():
+    # A path carries the dataset it was traced from instead of a checksum of it.
+    assert not hasattr(sigtest.Dataset, "digest")
+    assert "data_digest" not in {f.name for f in fields(sigtest.LassoPath)}
+
+
 @pytest.mark.parametrize("function, parameter", [
     ("load_dataset", "unit_norm"),
     ("load_binary", "include_intercept"),
@@ -84,6 +91,8 @@ def test_removed_parameter_is_gone(function, parameter):
     ("sigtest.glm", "lrt_drops_all", "family"),
     ("sigtest.linmodel", "standardize", "center"),
     ("sigtest.glm", "FitResult", "converged"),  # a fit that fails raises
+    ("sigtest.significance", "covariance_test", "data"),  # the path carries its dataset
+    ("sigtest.selection", "lasso_steps", "data"),
 ])
 def test_removed_argument_is_gone(module, function, parameter):
     fn = getattr(importlib.import_module(module), function)

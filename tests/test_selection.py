@@ -13,7 +13,6 @@ from sigtest import (
     PathTruncationWarning,
     SelectionStep,
     SigtestError,
-    StalePathError,
     SurvivalDataset,
     covariance_test,
     lars_path,
@@ -105,7 +104,7 @@ class TestStepwisePath:
 class TestLassoSteps:
     def test_orthonormal_matches_stepwise(self):
         path = lars_path(IDENTITY)
-        lsteps = lasso_steps(path, IDENTITY)
+        lsteps = lasso_steps(path)
         ssteps = stepwise_path(IDENTITY)
         assert [(s.A, s.j) for s in lsteps] == [(s.A, s.j) for s in ssteps]
         assert all(s.selector == "lasso" for s in lsteps)
@@ -115,31 +114,26 @@ class TestLassoSteps:
         rng = np.random.default_rng(17)
         Q, _ = np.linalg.qr(rng.standard_normal((20, 7)))
         data = Dataset(Q, rng.standard_normal(20), sigma2=1.0)
-        lsteps = lasso_steps(lars_path(data), data)
+        lsteps = lasso_steps(lars_path(data))
         ssteps = stepwise_path(data)
         assert [(s.A, s.j) for s in lsteps] == [(s.A, s.j) for s in ssteps]
 
     def test_empty_path_gives_empty_list(self):
         data = Dataset(np.eye(3), np.zeros(3), sigma2=1.0)
-        assert lasso_steps(lars_path(data), data) == []
-
-    def test_digest_mismatch(self):
-        other = random_dataset(1, 3, 3)
-        with pytest.raises(StalePathError):
-            lasso_steps(lars_path(IDENTITY), other)
+        assert lasso_steps(lars_path(data)) == []
 
     def test_r_j_bounded_by_max(self):
         for seed in range(20):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
-            for step in lasso_steps(lars_path(data), data):
+            for step in lasso_steps(lars_path(data)):
                 assert step.r_j <= np.nanmax(step.drops) + 1e-10
 
     def test_max_steps_gives_the_first_steps(self):
         data = random_dataset(4, 30, 8, rho=0.8, signal=((0, 2.0),))
         path = lars_path(data)
-        full = lasso_steps(path, data)
+        full = lasso_steps(path)
         for m in (0, 1, 3, len(full)):
-            head = lasso_steps(path, data, max_steps=m)
+            head = lasso_steps(path, max_steps=m)
             assert [(s.k, s.A, s.j, s.conservative) for s in head] == [
                 (s.k, s.A, s.j, s.conservative) for s in full[:m]]
             assert all(np.array_equal(s.drops, t.drops, equal_nan=True)
@@ -148,7 +142,7 @@ class TestLassoSteps:
     @pytest.mark.parametrize("max_steps", [-1, 4])
     def test_max_steps_outside_range_rejected(self, max_steps):
         with pytest.raises(ValueError, match=r"must lie in \[0, min\(n, p\)=3\]"):
-            lasso_steps(lars_path(IDENTITY), IDENTITY, max_steps=max_steps)
+            lasso_steps(lars_path(IDENTITY), max_steps=max_steps)
 
     def test_null_drops_are_chisq1_on_orthogonal_design(self):
         # Conditional on an orthogonal design and a null response, the
@@ -169,7 +163,7 @@ class TestLassoSteps:
         found = False
         for seed in range(200):
             data = random_dataset(seed, 30, 8, rho=0.8, signal=((0, 2.0),))
-            for step in lasso_steps(lars_path(data), data):
+            for step in lasso_steps(lars_path(data)):
                 if step.r_j < np.nanmax(step.drops) - 1e-10:
                     assert step.conservative
                     found = True
@@ -219,7 +213,7 @@ class TestDropsAgainstRefits:
                 data = random_dataset(seed, 40, 20, rho=rho, signal=((0, 2.0), (3, -1.5)))
                 path = lars_path(data)
                 deletions += sum(kn.action == "leave" for kn in path.knots)
-                for step in stepwise_path(data) + lasso_steps(path, data):
+                for step in stepwise_path(data) + lasso_steps(path):
                     assert np.flatnonzero(np.isnan(step.drops)).tolist() == sorted(step.A)
                     for m in np.flatnonzero(~np.isnan(step.drops)):
                         assert step.drops[m] == pytest.approx(normal_equation_drop(
@@ -243,7 +237,7 @@ def glm_data(family, seed, n, p, copy=None):
 
 
 def gaussian_path(selector, data):
-    return lasso_steps(lars_path(data), data) if selector == "lasso" else stepwise_path(data)
+    return lasso_steps(lars_path(data)) if selector == "lasso" else stepwise_path(data)
 
 
 def no_near_tie(steps):
@@ -275,7 +269,7 @@ def covariance_statistics(path, data):
     out = []
     for k in range(1, len(path.entry_positions)):
         try:
-            out.append(covariance_test(path, data, k).statistic)
+            out.append(covariance_test(path, k).statistic)
         except SigtestError as exc:
             out.append(type(exc).__name__)
     return out
@@ -409,7 +403,7 @@ class TestMetamorphic:
             return
         path = lars_path(data)
         assume(not path.warnings)
-        for run in (stepwise_path, lambda d: lasso_steps(lars_path(d), d)):
+        for run in (stepwise_path, lambda d: lasso_steps(lars_path(d))):
             steps = run(data)
             assume(no_near_tie(steps))
             assert_same_steps(run(other), steps)

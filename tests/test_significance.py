@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestGumbelTest:
 class TestCovarianceTest:
     def test_identity_step1(self):
         path = lars_path(IDENTITY)
-        out = covariance_test(path, IDENTITY, 1)
+        out = covariance_test(path, 1)
         assert out.statistic == pytest.approx(3.0, abs=1e-10)
         assert out.decomposition == pytest.approx(3.0, abs=1e-10)
         assert out.p_value == pytest.approx(math.exp(-3), abs=1e-10)
@@ -230,7 +231,7 @@ class TestCovarianceTest:
 
     def test_identity_step2(self):
         path = lars_path(IDENTITY)
-        out = covariance_test(path, IDENTITY, 2)
+        out = covariance_test(path, 2)
         assert out.statistic == pytest.approx(2.0, abs=1e-10)
         assert out.decomposition == pytest.approx(2.0, abs=1e-10)
 
@@ -241,26 +242,26 @@ class TestCovarianceTest:
         path = lars_path(data)
         lams = [kn.lam for kn in path.knots]
         for k in range(1, len(lams)):
-            out = covariance_test(path, data, k)
+            out = covariance_test(path, k)
             assert out.statistic == pytest.approx(
                 lams[k - 1] * (lams[k - 1] - lams[k]), abs=1e-8)
 
     def test_path_too_short(self):
         path = lars_path(IDENTITY)
         with pytest.raises(PathTooShortError):
-            covariance_test(path, IDENTITY, 3)
+            covariance_test(path, 3)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
-            covariance_test(lars_path(IDENTITY), IDENTITY, 1, alpha=alpha)
+            covariance_test(lars_path(IDENTITY), 1, alpha=alpha)
 
     @pytest.mark.parametrize("k", [0, -1, -3])
     def test_step_index_below_one_rejected(self, k):
         # A k < 1 must not index the entry events from the end.
         path = lars_path(IDENTITY)
         with pytest.raises(ValueError, match=f"step index k must be at least 1, got {k}"):
-            covariance_test(path, IDENTITY, k)
+            covariance_test(path, k)
 
     def test_two_routes_agree_on_random_instances(self):
         for seed in range(30):
@@ -274,7 +275,7 @@ class TestCovarianceTest:
             n_entries = len(path.entry_knots())
             for k in range(1, n_entries):
                 try:
-                    out = covariance_test(path, data, k)
+                    out = covariance_test(path, k)
                 except UnsupportedStepError:
                     continue
                 assert out.statistic == pytest.approx(out.decomposition, abs=1e-8)
@@ -302,7 +303,7 @@ class TestCovarianceTest:
             for k in range(1, len(entry_pos)):
                 if entry_pos[k] != entry_pos[k - 1] + 1:
                     with pytest.raises(UnsupportedStepError):
-                        covariance_test(path, data, k)
+                        covariance_test(path, k)
                     found = True
                     break
             if found:
@@ -318,8 +319,8 @@ class TestCovarianceTest:
             b = Dataset(X, c * y, sigma2=c * c)
             pa, pb = lars_path(a), lars_path(b)
             for k in (1, 2):
-                ta = covariance_test(pa, a, k)
-                tb = covariance_test(pb, b, k)
+                ta = covariance_test(pa, k)
+                tb = covariance_test(pb, k)
                 assert ta.statistic == pytest.approx(tb.statistic, abs=1e-8)
                 assert ta.p_value == pytest.approx(tb.p_value, abs=1e-8)
 
@@ -339,9 +340,29 @@ class TestCovarianceTest:
 
     def test_path_without_segments_rejected(self):
         path = lars_path(IDENTITY)
-        bare = LassoPath(knots=path.knots, data_digest=path.data_digest)
+        bare = LassoPath(knots=path.knots, data=path.data)
         with pytest.raises(StalePathError):
-            covariance_test(bare, IDENTITY, 1)
+            covariance_test(bare, 1)
+
+    def test_path_under_another_sigma2(self):
+        # Swapping the dataset a path carries for one with another sigma2 is
+        # the same test, bit for bit, as tracing that dataset's path.
+        data = ar1_dataset(0, 100, 50, 0.5)
+        path = lars_path(data)
+        for s in (0.25, 3.0):
+            moved = replace(path, data=replace(path.data, sigma2=s))
+            traced = lars_path(replace(data, sigma2=s))
+            for k in range(1, 6):
+                assert repr(covariance_test(moved, k)) == repr(covariance_test(traced, k))
+                assert covariance_test(moved, k).statistic != covariance_test(path, k).statistic
+
+    def test_dataset_argument_is_rejected(self):
+        # The path carries its dataset; an old positional call cannot pass it as k.
+        path = lars_path(IDENTITY)
+        with pytest.raises(TypeError):
+            covariance_test(path, IDENTITY, 1)
+        with pytest.raises(TypeError):
+            lasso_steps(path, IDENTITY)
 
     def test_missing_sigma2(self):
         data = Dataset(np.eye(3), np.array([3.0, -1.0, 2.0]))
@@ -349,7 +370,7 @@ class TestCovarianceTest:
         from sigtest import MissingVarianceError
 
         with pytest.raises(MissingVarianceError):
-            covariance_test(path, data, 1)
+            covariance_test(path, 1)
 
 
 def tie_design(seed):
@@ -368,7 +389,7 @@ class TestNegativeStatistic:
     def statistics(self, data):
         with pytest.warns(NonUniqueSolutionWarning):
             path = lars_path(data)
-            return [covariance_test(path, data, k) for k in range(1, len(path.entry_knots()))]
+            return [covariance_test(path, k) for k in range(1, len(path.entry_knots()))]
 
     def test_round_off_at_ties_does_not_warn(self):
         # Six designs on which a statistic that is 0 in exact arithmetic (a
@@ -383,7 +404,7 @@ class TestNegativeStatistic:
     def test_clearly_negative_statistic_warns(self, monkeypatch):
         data = ar1_dataset(0, 100, 50, 0.5)
         path = lars_path(data)
-        outcome = covariance_test(path, data, 1)
+        outcome = covariance_test(path, 1)
         assert self.NEGATIVE not in outcome.warnings
         restricted = significance_module.lasso_solve
 
@@ -395,7 +416,7 @@ class TestNegativeStatistic:
             return beta
 
         monkeypatch.setattr(significance_module, "lasso_solve", larger_fit)
-        shifted = covariance_test(path, data, 1)
+        shifted = covariance_test(path, 1)
         assert shifted.statistic == pytest.approx(-5.0, abs=1e-9)
         assert self.NEGATIVE in shifted.warnings
         assert shifted.p_value == 1.0
@@ -417,7 +438,7 @@ class TestWarmStartedRestrictedFit:
                 entries = path.entry_knots()
                 for k in range(1, len(entries)):
                     try:
-                        out = covariance_test(path, data, k)
+                        out = covariance_test(path, k)
                     except UnsupportedStepError:
                         continue
                     A, lam = list(out.A), entries[k].lam
@@ -455,7 +476,7 @@ class TestWarmStartedRestrictedFit:
                 for k in range(1, len(entries)):
                     traces.clear()
                     try:
-                        out = covariance_test(path, data, k)
+                        out = covariance_test(path, k)
                     except UnsupportedStepError:
                         continue
                     warm_traces = len(traces)
@@ -535,7 +556,7 @@ class TestWarmStartedRestrictedFit:
             assert leaves and calls.count("drop") == len(leaves)
             assert calls.count("add") == len(path.entry_knots())
             calls.clear()
-            lasso_steps(path, data)
+            lasso_steps(path)
             assert 0 < calls.count("drop") <= len(leaves)
             assert calls.count("add") <= len(path.entry_knots())
 
@@ -557,7 +578,7 @@ class TestWarmStartedRestrictedFit:
             calls.clear()
             restricted_leaves.clear()
             try:
-                covariance_test(path, data, k)
+                covariance_test(path, k)
             except UnsupportedStepError:
                 continue
             steps += 1
