@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -93,6 +94,12 @@ def _test_rows(args: argparse.Namespace):
     plug_in, path = (), None
     if args.family == "gaussian":
         data, _names = load_dataset(args.input, sigma2=args.sigma2)
+        # Scenario's Gaussian bound: each drop and statistic is at most 2 ||y||^2 / min(1, sigma2),
+        # so below 2^1015. An unknown sigma2 counts as 1 (the plug-in estimate is at least
+        # 1e-24 ||y||^2). math.hypot rescales as it sums, so ||y|| cannot overflow on the way.
+        if math.hypot(*data.y) / math.sqrt(min(1.0, data.sigma2 or 1.0)) > 2.0**507:
+            raise ValueError("response y and --sigma2 need ||y|| / min(1, sqrt(sigma2)) <= 2^507"
+                             " for finite statistics")
         _check_max_steps(args.max_steps, "min(n, p)", min(data.n, data.p))
         if data.sigma2 is None:  # estimate_sigma2 raises NotEstimableError when n <= p
             plug_in = ("plug-in-sigma2",)

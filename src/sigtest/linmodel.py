@@ -282,14 +282,15 @@ class ActiveQR:
         *Numer. Math.* 7, 1965; Quintana-Orti, Sun & Bischof, *SIAM J. Sci.
         Comput.* 19(5), 1998): computed exactly at the first call, then
         each :meth:`add` subtracts (x_m'q)^2 and each :meth:`drop` adds it
-        back. A kept value carries an error of about eps ||x_m||^2 per
-        update, so a column outside A whose value falls below 1e-3 of its
-        own ||x_m||^2 is recomputed exactly: a column nearly in the span of
-        A then stays as accurate as a fresh projection.
+        back. With A empty that exact first value is ||x_m||^2, and no
+        projection runs. A kept value carries an error of about
+        eps ||x_m||^2 per update, so a column outside A whose value falls
+        below 1e-3 of its own ||x_m||^2 is recomputed exactly: a column
+        nearly in the span of A then stays as accurate as a fresh projection.
         """
         if self._den is None:
             self._norms = np.einsum("ij,ij->j", self.X, self.X)
-            self._den = np.zeros_like(self._norms)
+            self._den = np.zeros_like(self._norms) if self.cols else self._norms.copy()
             self._refresh()
         num = (self.X.T @ self.resid) ** 2
         drops = np.zeros(num.size)

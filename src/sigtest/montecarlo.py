@@ -29,6 +29,7 @@ FAMILIES = ("gaussian", "logistic", "cox")
 DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
 TESTS = ("gumbel", "covariance", "gumbel_glm")
 _TYPES = {"int": Integral, "float": Real, "str": str}  # a bool is no number here
+AR1_BLOCK = 64  # columns per triangular product in gen_design("ar1")
 
 
 def _has_type(value, kind: str) -> bool:
@@ -187,10 +188,15 @@ def gen_design(kind: str, n: int, p: int, rng: np.random.Generator,
 
     orthogonal: exactly orthonormal columns (QR of a Gaussian matrix).
     ar1: rows i.i.d. mean-zero Gaussian with coordinate covariance
-    rho^|i-j| (built by the stationary AR recursion, in place on the normal
-    draw), columns rescaled to unit norm. iid_gaussian is the rho = 0 case of
-    the same construction, where the recursion leaves the draw as it is and
-    is skipped.
+    rho^|i-j|, columns rescaled to unit norm. The stationary AR recursion
+    x_0 = z_0, x_j = rho x_{j-1} + s z_j (s = sqrt(1 - rho^2)) unrolls to
+    x_j = rho^j z_0 + s sum_{1<=k<=j} rho^(j-k) z_k: a triangular Toeplitz
+    product T[k, j] = rho^(j-k) (k <= j) on the draw with columns 1.. scaled
+    by s, taken in blocks of at most AR1_BLOCK columns. A later block's
+    product also takes the last column of the block before, as its first
+    column, whose row of T holds rho^1..rho^b. iid_gaussian is the rho = 0
+    case of the same construction, where the product leaves the draw as it
+    is and is skipped.
     """
     if kind == "orthogonal":
         if n < p:
@@ -203,9 +209,13 @@ def gen_design(kind: str, n: int, p: int, rng: np.random.Generator,
             rho = 0.0
         X = rng.standard_normal((n, p))
         if rho != 0.0:
-            scale = np.sqrt(1.0 - rho * rho)
-            for j in range(1, p):  # column j still holds its own draw z_j
-                X[:, j] = rho * X[:, j - 1] + scale * X[:, j]
+            X[:, 1:] *= np.sqrt(1.0 - rho * rho)
+            b = min(p, AR1_BLOCK)
+            lags = np.arange(b + 1) - np.arange(b + 1)[:, None]  # j - k; T is 0 below the diagonal
+            T = np.concatenate([np.zeros(b), rho ** np.arange(b + 1)])[lags + b]
+            for s in range(0, p, b):
+                w, c = min(b, p - s), int(s > 0)  # c: the carried column x_{s-1} comes first
+                X[:, s:s + w] = X[:, s - c:s + w] @ T[:w + c, c:w + c]
         norms = np.sqrt(np.einsum("ij,ij->j", X, X))
         return X / norms
     raise ValueError(f"unknown design kind {kind!r}")

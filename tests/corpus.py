@@ -31,8 +31,9 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
   table whose column 0 orders the event times, whose line search fails;
 - the ``simulate`` artifacts of all eight presets at 60 replications, and of
   ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics,
-  scenarios at extreme ``sigma``, and a logistic scenario whose signal
-  overflows ``exp``;
+  scenarios at extreme ``sigma``, a logistic scenario whose signal
+  overflows ``exp``, and a (100, 130) AR(1) scenario whose design spans
+  three blocks of ``gen_design``'s triangular product;
 - error paths, among them a negative ``seed``, a repeated and a non-integer
   ``beta`` index, a Cox signal too large to draw event times for and
   Gaussian response scales whose statistics would overflow, and every
@@ -292,6 +293,10 @@ def _scenario_runs() -> list[tuple[str, list[str]]]:
                          "test": "gumbel_glm", "reps": 5, "beta": [[0, 2000]]})
     runs.append(("sim/logistic-large-signal",
                  ["simulate", "--inline", inline, "--out", "sim/logistic-large-signal"]))
+    # p = 130 spans three blocks of gen_design's AR(1) product, so two block carries.
+    inline = json.dumps({"family": "gaussian", "design": "ar1", "rho": -0.6, "n": 100,
+                         "p": 130, "test": "gumbel", "k": 2, "reps": 20, "beta": [[70, 6.0]]})
+    runs.append(("sim/ar1-p130", ["simulate", "--inline", inline, "--out", "sim/ar1-p130"]))
     for name in ("fig1-left", "cov-null"):
         for reference in ("gumbel", "exp1"):
             runs.append((f"qq/{name}-{reference}", ["qq", "--input", f"sim/{name}/statistics.csv",

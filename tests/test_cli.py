@@ -202,6 +202,61 @@ class TestTestVerb:
             picks.append([(r["j"], r["A"]) for r in table])
         assert picks[0] == picks[1] and picks[0][0][0] == "0"
 
+    @staticmethod
+    def scaled_response_csv(tmp_path, norm):
+        """A (10, 4) Gaussian table whose response has Euclidean norm ``norm``."""
+        rng = np.random.default_rng(12)
+        X, y = rng.standard_normal((10, 4)), rng.standard_normal(10)
+        y *= norm / np.linalg.norm(y)
+        path = tmp_path / "scaled-y.csv"
+        path.write_text(format_csv(["x0", "x1", "x2", "x3", "y"],
+                                   np.column_stack([X, y]).tolist()))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("selector", ["max_r", "lasso"])
+    @pytest.mark.parametrize("norm, sigma2", [
+        (1e212, ["--sigma2", "1e-216"]),  # ||y|| / sqrt(sigma2) = 1e320
+        (2.0 ** 507 * 1.01, ["--sigma2", "1"]),
+        (1e160, []),  # the plug-in estimate would square ||y|| past every float
+    ])
+    def test_statistics_past_overflow_exit_2(self, tmp_path, capsys, norm, sigma2, selector,
+                                            fmt):
+        # Unchecked, r_j and the statistics would read inf (Infinity in JSON) and
+        # cov_statistic NaN, with the row rejected and exit 0.
+        path = self.scaled_response_csv(tmp_path, norm)
+        assert run(["test", "--input", path, *sigma2, "--selector", selector,
+                    "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("sigtest: error: response y and --sigma2 need ||y|| / min(1, "
+                       "sqrt(sigma2)) <= 2^507 for finite statistics\n")
+
+    @pytest.mark.parametrize("selector", ["max_r", "lasso"])
+    @pytest.mark.parametrize("norm, sigma2", [
+        (2.0 ** 507 * 0.99, ["--sigma2", "1"]),
+        (2.0 ** 400, ["--sigma2", repr(2.0 ** -212)]),  # ||y|| / sqrt(sigma2) = 2^506
+        (2.0 ** 507 * 0.99, []),
+    ])
+    def test_statistics_inside_the_bound_are_finite(self, tmp_path, capsys, norm, sigma2,
+                                                    selector):
+        path = self.scaled_response_csv(tmp_path, norm)
+        base = ["test", "--input", path, *sigma2, "--selector", selector]
+        assert run(base) == 0
+        header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        numeric = ["r_j", "gumbel_statistic", "correction", "gumbel_p", "cov_statistic",
+                   "cov_p"]
+        cells = [float(row[header.index(name)]) for row in rows for name in numeric
+                 if row[header.index(name)]]
+        assert rows and cells and all(math.isfinite(c) for c in cells)
+        assert run(base + ["--format", "json"]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"JSON output holds {name}")
+
+        records = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert records and all(math.isfinite(r["statistic"]) for r in records)
+
     def test_lasso_max_steps_computes_only_the_steps_asked_for(self, family_csvs, capsys,
                                                                 monkeypatch):
         calls = []

@@ -462,6 +462,15 @@ class TestKeptResidualNorms:
                 qr.drop(int(j))
                 assert_drops_match_refits(data, qr.cols, qr.drops(1.0))
 
+    @pytest.mark.parametrize("sigma2", [1.0, 0.37])
+    def test_first_drops_with_empty_A_start_at_column_norms(self, sigma2):
+        # With A empty the kept norm is ||x_m||^2 exactly, with no projection.
+        base = near_copies(1, 30, 12, 1e-5)
+        data = Dataset(base.X * np.linspace(0.5, 3.0, 12), base.y, sigma2=sigma2)
+        X, y = data.X, data.y
+        want = (X.T @ y) ** 2 / np.einsum("ij,ij->j", X, X) / sigma2
+        assert np.array_equal(stepwise_path(data, max_steps=1)[0].drops, want)
+
     def test_no_n_by_p_state(self):
         # On a wide design the factor buffer is smaller than X, so any kept
         # n x p array would show.

@@ -52,6 +52,18 @@ class TestGenDesign:
         b = gen_design("iid_gaussian", 40, 8, rng_for(3))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("rho", [-0.9, 0.2, 0.8, 0.99])
+    @pytest.mark.parametrize("p", [1, 2, 64, 65, 130])
+    def test_ar1_matches_the_column_recursion(self, p, rho):
+        # Independent of the blocked product: x_0 = z_0, x_j = rho x_{j-1} +
+        # sqrt(1 - rho^2) z_j column by column, on the same stream, then unit norms.
+        X = gen_design("ar1", 40, p, rng_for(9), rho=rho)
+        Z = rng_for(9).standard_normal((40, p))
+        for j in range(1, p):
+            Z[:, j] = rho * Z[:, j - 1] + math.sqrt(1.0 - rho * rho) * Z[:, j]
+        Z /= np.linalg.norm(Z, axis=0)
+        assert np.abs(X - Z).max() <= 1e-14 * np.abs(Z).max()
+
     def test_unit_norm_columns(self):
         for kind, rho in (("ar1", 0.5), ("iid_gaussian", 0.0), ("orthogonal", 0.0)):
             X = gen_design(kind, 60, 10, rng_for(4), rho=rho)
