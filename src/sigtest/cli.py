@@ -9,6 +9,7 @@ variance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -209,6 +210,7 @@ def cmd_qq(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once: parse_args leaves a parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigtest",

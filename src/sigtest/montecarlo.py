@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import InfeasibleDesignError, SigtestError
-from .glm import BinaryDataset, SurvivalDataset, lrt_path
+from .glm import BinaryDataset, SurvivalDataset, _lrt_paths
 from .lasso import lars_path
 from .linmodel import Dataset
 from .selection import SELECTORS, lasso_steps, stepwise_path
@@ -30,6 +30,7 @@ DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
 TESTS = ("gumbel", "covariance", "gumbel_glm")
 _TYPES = {"int": Integral, "float": Real, "str": str}  # a bool is no number here
 AR1_BLOCK = 64  # columns per triangular product in gen_design("ar1")
+GLM_STACK_ELEMENTS = 40_000  # the elements a block of GLM replications may stack in one fit
 
 
 def _has_type(value, kind: str) -> bool:
@@ -254,33 +255,50 @@ class _RepOutcome:
     signal_missed: bool = False
 
 
-def _replicate(scenario: Scenario, rep: int) -> _RepOutcome:
-    rng = replication_rng(scenario.seed, rep)
-    X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
-    try:
-        response = gen_response(scenario, X, rng)
-        if scenario.family == "logistic":
-            steps = lrt_path(BinaryDataset(X, response), max_steps=scenario.k)
-        elif scenario.family == "cox":
-            steps = lrt_path(SurvivalDataset(X, *response), max_steps=scenario.k)
-        else:
-            data = Dataset(X, response, sigma2=scenario.sigma ** 2)
-            if scenario.test == "covariance":
-                path = lars_path(data, max_steps=scenario.k + 1)
-                outcome = covariance_test(path, scenario.k, alpha=scenario.alpha)
-            elif scenario.selector == "lasso":
-                steps = lasso_steps(lars_path(data, max_steps=scenario.k))
+def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
+    """The outcomes of replications reps, each drawn from its own stream; the
+    likelihood-ratio paths of the logistic or Cox draws are traced in one
+    lockstep walk, each as ``lrt_path`` traces it alone."""
+    outcomes, drawn, k = {}, {}, scenario.k
+    for rep in reps:
+        rng = replication_rng(scenario.seed, rep)
+        X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
+        try:
+            response = gen_response(scenario, X, rng)
+            if scenario.family == "logistic":
+                drawn[rep] = BinaryDataset(X, response)
+            elif scenario.family == "cox":
+                drawn[rep] = SurvivalDataset(X, *response)
             else:
-                steps = stepwise_path(data, max_steps=scenario.k, selector=scenario.selector)
+                data = Dataset(X, response, sigma2=scenario.sigma ** 2)
+                if scenario.test == "covariance":
+                    result = covariance_test(lars_path(data, max_steps=k + 1), k,
+                                             alpha=scenario.alpha)
+                elif scenario.selector == "lasso":
+                    result = lasso_steps(lars_path(data, max_steps=k))
+                else:
+                    result = stepwise_path(data, max_steps=k, selector=scenario.selector)
+                outcomes[rep] = _outcome(scenario, result)
+        except SigtestError as exc:
+            outcomes[rep] = _RepOutcome(None, None, failure=type(exc).__name__)
+    if drawn:
+        for rep, steps in zip(drawn, _lrt_paths(list(drawn.values()), max_steps=k)):
+            outcomes[rep] = _outcome(scenario, steps)
+    return [outcomes[rep] for rep in reps]
+
+
+def _outcome(scenario: Scenario, result) -> _RepOutcome:
+    """A replication's outcome from its selection steps or covariance test outcome."""
+    try:
         if scenario.test != "covariance":
-            if len(steps) < scenario.k:
+            if len(result) < scenario.k:
                 return _RepOutcome(None, None, failure="selection path truncated")
-            outcome = gumbel_test(steps[scenario.k - 1], alpha=scenario.alpha)
+            result = gumbel_test(result[scenario.k - 1], alpha=scenario.alpha)
     except SigtestError as exc:
         return _RepOutcome(None, None, failure=type(exc).__name__)
     support = scenario.support()
-    missed = bool(support) and not support <= set(outcome.A)
-    return _RepOutcome(outcome.statistic, outcome.p_value, signal_missed=missed)
+    missed = bool(support) and not support <= set(result.A)
+    return _RepOutcome(result.statistic, result.p_value, signal_missed=missed)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -327,16 +345,27 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
 
     Deterministic given the scenario (seed included): each replication's
     stream depends only on (seed, rep), and aggregation follows replication
-    order regardless of worker count.
+    order regardless of worker count. Logistic and Cox replications are
+    fitted in fixed blocks of consecutive replications, as many as keep a
+    step's Newton stack within GLM_STACK_ELEMENTS, whatever the worker count;
+    the candidates of a block share one stack per step, and workers take
+    whole blocks. A dataset's rows compute in a block what they compute
+    alone, so each statistic is the one ``lrt_path`` gives on the same draw.
+    Gaussian replications go in blocks of the pool's chunk size.
     """
     workers = resolve_threads(threads)
-    if workers == 1 or scenario.reps == 1:
-        outcomes = [_replicate(scenario, r) for r in range(scenario.reps)]
+    # A GLM step stacks at most p candidates of k + 1 columns of n observations each; Gaussian
+    # replications share nothing, so they go in the pool's chunks.
+    size = max(1, scenario.reps // (workers * 8) if scenario.family == "gaussian" else
+               GLM_STACK_ELEMENTS // (scenario.n * scenario.p * (scenario.k + 1)))
+    blocks = [range(r, min(r + size, scenario.reps)) for r in range(0, scenario.reps, size)]
+    if workers == 1 or len(blocks) == 1:
+        outcomes = [o for block in blocks for o in _replicate(scenario, block)]
     else:
-        chunk = max(1, scenario.reps // (workers * 8))
+        chunk = max(1, len(blocks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate, [scenario] * scenario.reps,
-                                     range(scenario.reps), chunksize=chunk))
+            outcomes = [o for block in pool.map(_replicate, [scenario] * len(blocks), blocks,
+                                                chunksize=chunk) for o in block]
 
     stats = [o.statistic for o in outcomes if o.failure is None]
     reasons = dict(Counter(o.failure for o in outcomes if o.failure is not None))

@@ -32,8 +32,10 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
 - the ``simulate`` artifacts of all eight presets at 60 replications, and of
   ``fig1-left`` at ``alpha`` 0.5, the ``qq`` tables of their statistics,
   scenarios at extreme ``sigma``, a logistic scenario whose signal
-  overflows ``exp``, and a (100, 130) AR(1) scenario whose design spans
-  three blocks of ``gen_design``'s triangular product;
+  overflows ``exp``, logistic and Cox scenarios at (60, 12) tested at step
+  3, a logistic scenario at n = 4 whose all-0 or all-1 draws fail, and a
+  (100, 130) AR(1) scenario whose design spans three blocks of
+  ``gen_design``'s triangular product;
 - error paths, among them a negative ``seed``, a repeated and a non-integer
   ``beta`` index, a Cox signal too large to draw event times for and
   Gaussian response scales whose statistics would overflow, and every
@@ -293,6 +295,18 @@ def _scenario_runs() -> list[tuple[str, list[str]]]:
                          "test": "gumbel_glm", "reps": 5, "beta": [[0, 2000]]})
     runs.append(("sim/logistic-large-signal",
                  ["simulate", "--inline", inline, "--out", "sim/logistic-large-signal"]))
+    # Blocks of GLM replications that move in lockstep over three steps.
+    for family, extra in (("logistic", {}), ("cox", {"censor_frac": 0.2})):
+        inline = json.dumps({"family": family, "design": "iid_gaussian", "n": 60, "p": 12,
+                             "test": "gumbel_glm", "k": 3, "reps": 37, "seed": 5,
+                             "beta": [[0, 12.0], [1, -12.0]], **extra})
+        runs.append((f"sim/{family}-k3", ["simulate", "--inline", inline, "--out",
+                                          f"sim/{family}-k3"]))
+    # n = 4: some draws are all 0 or all 1, failed replications inside a block.
+    inline = json.dumps({"family": "logistic", "design": "iid_gaussian", "n": 4, "p": 5,
+                         "test": "gumbel_glm", "reps": 37, "seed": 3})
+    runs.append(("sim/logistic-degenerate",
+                 ["simulate", "--inline", inline, "--out", "sim/logistic-degenerate"]))
     # p = 130 spans three blocks of gen_design's AR(1) product, so two block carries.
     inline = json.dumps({"family": "gaussian", "design": "ar1", "rho": -0.6, "n": 100,
                          "p": 130, "test": "gumbel", "k": 2, "reps": 20, "beta": [[70, 6.0]]})

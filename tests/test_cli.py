@@ -497,6 +497,27 @@ def test_option_choices_are_the_library_lists(verb, option, module, owner):
     assert option_choices(verb, option) is getattr(importlib.import_module(module), owner)
 
 
+def test_one_parser_serves_repeated_calls(identity_csv, tmp_path, capsys):
+    """``run`` builds its parser once: each verb prints the same output on
+    every call, with calls that exit 2 in between."""
+    stats = tmp_path / "stats.txt"
+    stats.write_text("0.5\n1.5\n-0.2\n")
+    calls = [["test", "--input", identity_csv, "--sigma2", "1"], ["path", "--input", identity_csv],
+             ["qq", "--input", str(stats), "--reference", "gumbel"]]
+    outputs = []
+    for _ in range(3):
+        for argv in calls:
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit) as info:
+                run([argv[0], "--no-such-option"])
+            assert info.value.code == 2
+            assert run(["qq", "--input", str(tmp_path / "none.txt"), "--reference", "exp1"]) == 2
+            capsys.readouterr()
+    assert all(outputs) and outputs == outputs[:3] * 3
+    assert _build_parser() is _build_parser()
+
+
 class TestOptionChecks:
     """An invalid option value exits 2 with one error line and no table."""
 

@@ -179,8 +179,8 @@ class TestLogisticFit:
         data = BinaryDataset(rng.standard_normal((n, 1)), y)
         fit = glm_fit(data, [])
         beta, ll, _iterations, errors = glm._newton_stack(
-            glm._logistic_problem(data).objective, np.ones((0, n)), np.ones((1, n)), np.zeros(0),
-            "logistic fit", [None])
+            glm._objective([glm._logistic_problem(data)]), np.ones((1, 0, n)), np.ones((1, 1, n)),
+            np.zeros((1, 0)), "logistic fit", [None])
         assert errors == [None]
         assert (fit.subset, fit.iterations) == ((), 0)
         np.testing.assert_allclose(fit.coefficients, beta[0], rtol=0, atol=1e-9)
@@ -194,10 +194,10 @@ class TestLogisticFit:
         n = len(eta)
         y = np.tile([1.0, 0.0], n // 2)
         data = BinaryDataset(np.eye(n), y, include_intercept=False)
-        objective = glm._logistic_problem(data).objective
+        objective = glm._objective([glm._logistic_problem(data)])
         betas = np.stack([eta, -eta])
         Z = np.tile(np.eye(n), (2, 1, 1))
-        ll, r, a, center = objective(betas)
+        ll, r, a, center = objective(betas, np.zeros(2, int))
         grad = (Z @ r[:, :, None])[:, :, 0]
         info = glm._information(Z, a, center(Z, np.arange(2)))
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad)) and np.all(np.isfinite(info))
@@ -415,10 +415,10 @@ class TestLrtDropsAll:
         data = random_binary(109, 60, 4, beta=np.array([2.0, 1.0, 0.0, -1.0]))
         Z = np.stack([np.vstack([np.ones(60), np.asarray(data.X).T[[0, j]]]) for j in (1, 2, 3)])
         Z[1, 2, 5] = np.nan
-        objective = glm._logistic_problem(data).objective
+        objective = glm._objective([glm._logistic_problem(data)])
         with np.errstate(invalid="ignore"):
             _beta, ll, iterations, errors = glm._newton_stack(
-                objective, Z[0, :2], Z[:, 2], np.zeros(2), "logistic fit", [None] * 3)
+                objective, Z[:1, :2], Z[None, :, 2], np.zeros((1, 2)), "logistic fit", [None] * 3)
         assert isinstance(errors[1], ConvergenceError)
         for row, j in ((0, 1), (2, 3)):
             single = glm_fit(data, [0, j])
@@ -431,9 +431,9 @@ class TestLrtDropsAll:
         starts = []
         newton = glm._newton_stack
 
-        def counting(objective, design, columns, base, what, errors):
-            out = newton(objective, design, columns, base, what, errors)
-            starts.append(stack_start(columns, base))
+        def counting(objective, designs, columns, bases, what, errors):
+            out = newton(objective, designs, columns, bases, what, errors)
+            starts.append(stack_start(columns, bases))
             assert out[0].shape == starts[-1].shape
             return out
 
@@ -488,8 +488,8 @@ class TestIterationCap:
         counts = []
         newton = glm._newton_stack
 
-        def recording(objective, design, columns, base, what, errors):
-            out = newton(objective, design, columns, base, what, errors)
+        def recording(objective, designs, columns, bases, what, errors):
+            out = newton(objective, designs, columns, bases, what, errors)
             counts.append(out[2].copy())
             return out
 
@@ -565,17 +565,27 @@ def monotone_cox():
 
 class TestStackIndependence:
     """A row's fate does not depend on the stack it is fitted in: along
-    ``lrt_path``, every candidate fitted alone from the same base fails
-    alike (class and message), takes the same iterations, and gives the same
-    drop within 1e-9."""
+    ``lrt_path``, or a lockstep walk of several datasets, every candidate
+    fitted alone from the same base, in a stack of one, fails alike (class
+    and message), takes the same iterations, and gives the same drop within
+    1e-9. A dataset's path in a walk is the one it takes alone."""
 
     @pytest.mark.parametrize("make, rows, failed", [
-        (lambda: glm_table("logistic", 7, 300, 48), 273, {}),
-        (lambda: glm_table("cox", 7, 300, 48), 273, {}),
-        (quasi_separated_logistic, 10,
+        (lambda: [glm_table("logistic", 7, 300, 48)], 273, {}),
+        (lambda: [glm_table("cox", 7, 300, 48)], 273, {}),
+        (lambda: [quasi_separated_logistic()], 10,
          {"logistic fit: coefficients diverging, likelihood unbounded": 2}),
-        (monotone_cox, 10, {"cox fit: step halving failed to improve the likelihood": 4}),
-    ], ids=["logistic-300x48", "cox-300x48", "quasi-separated", "monotone-cox"])
+        (lambda: [monotone_cox()], 10,
+         {"cox fit: step halving failed to improve the likelihood": 4}),
+        # A row that diverges, or whose line search fails, in one dataset of
+        # the stack leaves every row of the others as it is alone.
+        (lambda: [random_binary(31, 40, 4, beta=np.array([1.0, 0.0, -0.5, 0.0])),
+                  quasi_separated_logistic(), random_binary(37, 40, 4)], 30,
+         {"logistic fit: coefficients diverging, likelihood unbounded": 2}),
+        (lambda: [random_survival(41, 40, 4), monotone_cox(), random_survival(43, 40, 4, 0.0)],
+         30, {"cox fit: step halving failed to improve the likelihood": 4}),
+    ], ids=["logistic-300x48", "cox-300x48", "quasi-separated", "monotone-cox",
+            "mixed-quasi-separated", "mixed-monotone-cox"])
     def test_lone_fits_match_the_stack(self, make, rows, failed, monkeypatch):
         calls = []
         newton = glm._newton_stack
@@ -585,22 +595,33 @@ class TestStackIndependence:
             calls.append((args, out))
             return out
 
+        datasets = make()
+        steps = min(6, datasets[0].p)
+        alone = [lrt_path(data, max_steps=steps) for data in datasets]
         monkeypatch.setattr(glm, "_newton_stack", recording)
-        data = make()
-        lrt_path(data, max_steps=min(6, data.p))
+        walked = glm._lrt_paths(datasets, max_steps=steps)
+        for path, lone in zip(walked, alone):
+            assert [step_fields(s) for s in path] == [step_fields(s) for s in lone]
+            for s, t in zip(path, lone):
+                np.testing.assert_array_equal(s.drops, t.drops)
         fate = lambda e: e and (type(e), str(e))
         seen = {}
         for args, (_beta, ll, iterations, errors) in calls:
-            objective, design, columns, base, what, rank = args
-            for i in range(len(columns)):
-                _b, ll1, it1, (e1,) = newton(objective, design, columns[[i]], base, what,
+            objective, designs, columns, bases, what, rank = args
+            q = columns.shape[1]
+            for i in range(len(errors)):
+                b, m = divmod(i, q)
+                # Row i in a stack of one: its own design, base and dataset.
+                lone_objective = lambda eta, which, b=b: objective(eta, which + b)
+                _b, ll1, it1, (e1,) = newton(lone_objective, designs[b:b + 1],
+                                             columns[b:b + 1, m:m + 1], bases[b:b + 1], what,
                                              rank[i:i + 1])
                 assert fate(e1) == fate(errors[i]) and it1[0] == iterations[i]
                 if e1 is None:
                     assert abs(2.0 * (ll1[0] - ll[i])) <= 1e-9
                 else:
                     seen[str(e1)] = seen.get(str(e1), 0) + 1
-        assert sum(len(c) for (_o, _d, c, _b, _w, _r), _out in calls) == rows
+        assert sum(len(args[-1]) for args, _out in calls) == rows
         assert seen == failed
 
 
@@ -625,7 +646,7 @@ def oracle_loglik_at(data, M):
 
 def stacked_pieces(problem, Z, beta):
     """Log-likelihood, gradient and information of each design of the stack Z at beta."""
-    ll, r, a, center = problem.objective((beta[:, None] @ Z)[:, 0])
+    ll, r, a, center = glm._objective([problem])((beta[:, None] @ Z)[:, 0], np.zeros(len(Z), int))
     return ll, (Z @ r[:, :, None])[:, :, 0], glm._information(Z, a, center(Z, np.arange(len(Z))))
 
 
@@ -659,8 +680,9 @@ class TestNewtonPieces:
         columns = problem.columns[candidates]
         base = np.random.default_rng(151).uniform(-0.6, 0.6, len(design))
         Z = np.stack([np.vstack([design, x]) for x in columns])
-        ours = glm._shared_start(problem.objective, design, columns, base)
-        theirs = stacked_pieces(problem, Z, stack_start(columns, base))
+        ours = glm._shared_start(glm._objective([problem]), design[None], columns[None],
+                                 base[None])
+        theirs = stacked_pieces(problem, Z, stack_start(columns[None], base[None]))
         for x, y in zip(ours, theirs):
             assert x.shape == y.shape
             for row in range(len(candidates)):
@@ -696,16 +718,17 @@ class TestNewtonPieces:
     @pytest.mark.parametrize("family, formed_rows", [("logistic", 665), ("cox", 562)])
     def test_information_only_where_a_newton_step_follows(self, family, formed_rows,
                                                           monkeypatch):
-        formed, iterations = [], []
+        formed, iterations, width = [], [], []
         information, newton = glm._information, glm._newton_stack
 
         def counting(Z, a, C):
-            if Z.ndim == 3:  # a stacked evaluation, not the shared start
+            if Z.shape[1] == width[-1]:  # a stacked evaluation, not the shared start's designs
                 formed.append(len(Z))
             return information(Z, a, C)
 
-        def recording(*args):
-            out = newton(*args)
+        def recording(objective, designs, *args):
+            width.append(designs.shape[1] + 1)
+            out = newton(objective, designs, *args)
             iterations.append(out[2].copy())
             return out
 
@@ -865,9 +888,11 @@ def same_steps(ours, theirs, tol=1e-9):
     return True
 
 
-def stack_start(columns, base):
-    """The (c, d + 1) starting points of a ``_newton_stack`` call: base, then 0."""
-    return np.column_stack([np.tile(base, (len(columns), 1)), np.zeros(len(columns))])
+def stack_start(columns, bases):
+    """The (c, d + 1) starting points of a ``_newton_stack`` call: each
+    dataset's base on its q rows, then 0."""
+    (B, q, _n) = columns.shape
+    return np.column_stack([np.repeat(bases, q, axis=0), np.zeros(B * q)])
 
 
 def recording_newton(monkeypatch):
@@ -875,9 +900,9 @@ def recording_newton(monkeypatch):
     calls = []
     newton = glm._newton_stack
 
-    def recording(objective, design, columns, base, what, errors):
-        out = newton(objective, design, columns, base, what, errors)
-        calls.append((stack_start(columns, base), out[0].copy()))
+    def recording(objective, designs, columns, bases, what, errors):
+        out = newton(objective, designs, columns, bases, what, errors)
+        calls.append((stack_start(columns, bases), out[0].copy()))
         return out
 
     monkeypatch.setattr(glm, "_newton_stack", recording)

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,12 @@ from oracles import gumbel_cdf_direct
 from sigtest import (
     InfeasibleDesignError,
     Scenario,
-    SeparationError,
+    BinaryDataset,
     SigtestError,
+    SurvivalDataset,
     gen_design,
     gen_response,
+    gumbel_test,
     ks_distance,
     preset,
     preset_names,
@@ -24,6 +27,7 @@ from sigtest import (
     stepwise_path,
 )
 from sigtest import montecarlo
+from sigtest.glm import lrt_path
 from sigtest.montecarlo import replication_rng, resolve_threads
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
@@ -446,6 +450,21 @@ class TestRunScenario:
         np.testing.assert_array_equal(serial.statistics, parallel.statistics)
         assert serial.ks == parallel.ks
 
+    @pytest.mark.parametrize("name", ["fig3-left", "fig3-right"])
+    def test_glm_parallel_matches_serial(self, name, monkeypatch):
+        # 37 replications: nine blocks of 4, then one of 1, whatever the worker count.
+        s, blocks = replace(preset(name), reps=37), []
+        replicate = montecarlo._replicate
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_replicate",
+                          lambda scenario, reps: blocks.append(reps) or replicate(scenario, reps))
+            serial = run_scenario(s, threads=1)
+        assert blocks == [range(r, min(r + 4, 37)) for r in range(0, 37, 4)]
+        parallel = run_scenario(s, threads=4)
+        np.testing.assert_array_equal(serial.statistics, parallel.statistics)
+        assert serial.ks == parallel.ks
+        assert serial.failure_reasons == parallel.failure_reasons
+
     def test_single_rep_degenerate_ks(self):
         s = replace(preset("fig1-left"), reps=1)
         summ = run_scenario(s)
@@ -478,7 +497,7 @@ class TestRunScenario:
     def test_rejection_rate_at_the_scenario_alpha(self):
         default = replace(preset("fig1-left"), reps=40)
         wide = replace(default, alpha=0.5)
-        pvals = np.array([montecarlo._replicate(wide, r).p_value for r in range(40)])
+        pvals = np.array([o.p_value for o in montecarlo._replicate(wide, range(40))])
         base, summ = run_scenario(default), run_scenario(wide)
         assert summ.rejection_rate == float(np.mean(pvals <= 0.5))
         assert base.rejection_rate == base.rejection_rate_05 == float(np.mean(pvals <= 0.05))
@@ -522,10 +541,10 @@ class TestRunScenario:
                      n=3, p=50, test=test, k=k, reps=5, seed=1)
 
     def test_every_replication_failed(self, monkeypatch):
-        def diverging(*args, **kwargs):
-            raise SeparationError("logistic fit: coefficients diverging")
+        def truncated(datasets, max_steps):
+            return [[] for _data in datasets]
 
-        monkeypatch.setattr(montecarlo, "lrt_path", diverging)
+        monkeypatch.setattr(montecarlo, "_lrt_paths", truncated)
         s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
                      n=20, p=4, test="gumbel_glm", reps=3, seed=3)
         with pytest.raises(SigtestError, match="^every replication failed; nothing to summarize$"):
@@ -535,14 +554,14 @@ class TestRunScenario:
         # stepwise_path stops early once no candidate reduces the residual.
         monkeypatch.setattr(montecarlo, "stepwise_path", lambda data, max_steps, selector:
                             stepwise_path(data, max_steps=max_steps - 1, selector=selector))
-        outcome = montecarlo._replicate(preset("fig1-right"), 0)
-        assert outcome == montecarlo._RepOutcome(None, None, failure="selection path truncated")
+        outcomes = montecarlo._replicate(preset("fig1-right"), range(1))
+        assert outcomes == [montecarlo._RepOutcome(None, None, failure="selection path truncated")]
 
     def test_programming_error_is_not_a_failed_replication(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("broken test")
 
-        monkeypatch.setattr(montecarlo, "lrt_path", broken)
+        monkeypatch.setattr(montecarlo, "_lrt_paths", broken)
         s = Scenario(name="tiny", family="logistic", design="iid_gaussian",
                      n=20, p=4, test="gumbel_glm", reps=3, seed=3)
         with pytest.raises(ValueError, match="broken test"):
@@ -649,3 +668,71 @@ class TestResolveThreads:
         assert resolve_threads(np.int64(2)) == 2
         monkeypatch.setenv("SIGTEST_THREADS", " 2 ")
         assert resolve_threads() == 2
+
+
+def lone_outcomes(scenario):
+    """Each replication redrawn and tested alone: its failure's name, or its
+    statistic and whether it missed the signal; and the picks of the path of
+    each draw that gave a dataset."""
+    outcomes, picks = [], []
+    for rep in range(scenario.reps):
+        rng = replication_rng(scenario.seed, rep)
+        X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
+        response = gen_response(scenario, X, rng)
+        try:
+            data = (BinaryDataset(X, response) if scenario.family == "logistic"
+                    else SurvivalDataset(X, *response))
+            steps = lrt_path(data, max_steps=scenario.k)
+            picks.append([s.j for s in steps])
+            if len(steps) < scenario.k:
+                outcomes.append("selection path truncated")
+                continue
+            out = gumbel_test(steps[scenario.k - 1], alpha=scenario.alpha)
+        except SigtestError as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        missed = bool(scenario.support()) and not scenario.support() <= set(out.A)
+        outcomes.append((out.statistic, missed))
+    return outcomes, picks
+
+
+GLM_BLOCKS = {
+    "fig3-left": replace(preset("fig3-left"), reps=40),
+    "fig3-right": replace(preset("fig3-right"), reps=40),
+    "logistic-k3": Scenario(name="logistic-k3", family="logistic", design="iid_gaussian",
+                            n=60, p=12, beta=((0, 12.0), (1, -12.0)), test="gumbel_glm", k=3,
+                            reps=37, seed=5),
+    "cox-k3": Scenario(name="cox-k3", family="cox", design="iid_gaussian", n=60, p=12,
+                       beta=((0, 12.0), (1, -12.0)), censor_frac=0.2, test="gumbel_glm", k=3,
+                       reps=37, seed=5),
+    # n = 4: some draws are all 0 or all 1 and fail inside their block.
+    "logistic-degenerate": Scenario(name="logistic-degenerate", family="logistic",
+                                    design="iid_gaussian", n=4, p=5, test="gumbel_glm",
+                                    reps=37, seed=3),
+}
+
+
+class TestGlmBlocks:
+    """Logistic and Cox replications fitted in blocks give, one by one, what
+    ``lrt_path`` and ``gumbel_test`` give on the same draw alone."""
+
+    @pytest.mark.parametrize("name", sorted(GLM_BLOCKS))
+    def test_blocked_statistics_match_lone_paths(self, name, monkeypatch):
+        scenario, walked = GLM_BLOCKS[name], []
+        walk = montecarlo._lrt_paths
+
+        def recording(datasets, max_steps):
+            walked.extend(walk(datasets, max_steps))
+            return walked[-len(datasets):]
+
+        monkeypatch.setattr(montecarlo, "_lrt_paths", recording)
+        summary = run_scenario(scenario, threads=1)
+        lone, picks = lone_outcomes(scenario)
+        passed = [o for o in lone if not isinstance(o, str)]
+        # A row's arithmetic does not depend on its stack: equal, not close.
+        np.testing.assert_array_equal(summary.statistics, [o[0] for o in passed])
+        assert [[s.j for s in path] for path in walked] == picks
+        assert summary.failure_reasons == dict(Counter(o for o in lone if isinstance(o, str)))
+        assert summary.signal_missed == sum(o[1] for o in passed)
+        if name == "logistic-degenerate":
+            assert summary.failure_reasons["DegenerateResponseError"] > 0
