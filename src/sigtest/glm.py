@@ -22,7 +22,7 @@ from .exceptions import (
     SigtestError,
     SingularDesignError,
 )
-from .linmodel import RANK_TOL, _Shape, _check_max_steps, _check_subset
+from .linmodel import _Shape, _check_max_steps, _check_subset, _deficient
 from .selection import SelectionStep, best_candidate
 
 MAX_ITER = 100
@@ -345,13 +345,13 @@ class _Residuals:
 
     def errors(self, candidates: list[int], what: str) -> list[SigtestError | None]:
         """ActiveQR.add's rule for the model plus each candidate, an error or None:
-        it fails with n model columns or more, when the candidate's residual
-        norm r is 0, or when min(diag, r) < RANK_TOL max(diag, r)."""
+        it fails with n model columns or more, or where ``_deficient`` fails
+        min(diag, r) and max(diag, r), r the candidate's residual norm."""
         if len(self.diag) >= self.V.shape[1]:
             return [SingularDesignError(f"{what}: more columns than rows") for _ in candidates]
         last = np.linalg.norm(self.V[candidates], axis=1)
         lo, hi = min(self.diag, default=np.inf), max(self.diag, default=0.0)
-        deficient = (last == 0.0) | (np.minimum(lo, last) < RANK_TOL * np.maximum(hi, last))
+        deficient = _deficient(np.minimum(lo, last), np.maximum(hi, last))
         return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
                 for bad in deficient]
 

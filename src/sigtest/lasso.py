@@ -23,9 +23,10 @@ from .exceptions import (
 )
 from .linmodel import ActiveQR, Dataset, _check_max_steps, _check_subset, _columns
 
-# Penalty comparisons on standardized data use this absolute tolerance.
+# Penalty comparisons use this tolerance times lambda_1 = max |x_m'y|, where the
+# path starts, so that (y, sigma2) -> (c y, c^2 sigma2) changes no verdict.
 LAMBDA_TOL = 1e-10
-# A path with max |x_m' y| below this is empty (zero response).
+# A root at or below this fraction of lambda_1 is no event (y = 0 has none).
 ZERO_CORR_TOL = 1e-12
 # A trace that has not ended after this many events per column is abandoned.
 MAX_EVENTS_PER_COLUMN = 50
@@ -102,15 +103,15 @@ class KKTReport:
     violations: tuple[int, ...] = ()
 
 
-def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float) -> np.ndarray:
+def _drop_roots(b0: np.ndarray, b1: np.ndarray, lam_cur: float, lam1: float) -> np.ndarray:
     """Penalty below ``lam_cur`` where each b0_i - lam*b1_i crosses zero, else -inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = b0 / b1
-    return np.where((np.abs(b1) >= 1e-14) & (roots > ZERO_CORR_TOL)
-                    & (roots < lam_cur - LAMBDA_TOL), roots, -np.inf)
+    return np.where((np.abs(b1) >= 1e-14) & (roots > ZERO_CORR_TOL * lam1)
+                    & (roots < lam_cur - LAMBDA_TOL * lam1), roots, -np.inf)
 
 
-def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
+def _trace(data: Dataset, cols: list[int], active: list[int],
            signs: Sequence[int], lam_cur: float, just_dropped: int | None,
            stop_lambda: float, max_active: int,
            max_steps: int | None = None) -> tuple[list[Knot], list[str], list]:
@@ -125,7 +126,8 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
     the knots down to ``stop_lambda``, the entry-tie warnings, and the
     segments (see :class:`LassoPath`) of the starting state and each knot.
     """
-    active, signs = list(active), list(signs)
+    X, y, active, signs = data.X, data.y, list(active), list(signs)
+    lam_tol, zero_tol = LAMBDA_TOL * data.lam1, ZERO_CORR_TOL * data.lam1
     inactive = np.zeros(X.shape[1], dtype=bool)
     inactive[cols] = True
     inactive[active] = False
@@ -153,25 +155,25 @@ def _trace(X: np.ndarray, y: np.ndarray, cols: list[int], active: list[int],
             denom = 1.0 - v[:, None] * _ROOT_SIGNS
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 roots = a[:, None] * _ROOT_SIGNS / denom
-            ok = ((np.abs(denom) >= 1e-14) & np.isfinite(roots) & (roots > ZERO_CORR_TOL)
-                  & (roots <= lam_cur + LAMBDA_TOL))
+            ok = ((np.abs(denom) >= 1e-14) & np.isfinite(roots) & (roots > zero_tol)
+                  & (roots <= lam_cur + lam_tol))
             if just_dropped is not None:  # it re-enters only strictly below lam_cur
-                ok[idx == just_dropped] &= roots[idx == just_dropped] < lam_cur - LAMBDA_TOL
+                ok[idx == just_dropped] &= roots[idx == just_dropped] < lam_cur - lam_tol
             roots = np.where(ok, roots, -np.inf).ravel()
             best_entry_lam = float(roots.max())
-        drop_roots = _drop_roots(b0, b1, lam_cur)
+        drop_roots = _drop_roots(b0, b1, lam_cur, data.lam1)
         best_drop_lam = float(drop_roots.max(initial=-np.inf))
 
         if best_entry_lam == best_drop_lam == -np.inf:
             break
         # Deletions take precedence on exact ties so the sign vector stays valid.
-        if best_drop_lam >= best_entry_lam - LAMBDA_TOL:
+        if best_drop_lam >= best_entry_lam - lam_tol:
             pos = int(np.argmax(drop_roots))
             action, j, lam_next, tied = "leave", active[pos], best_drop_lam, ()
             signs_after = signs[:pos] + signs[pos + 1:]
         else:
-            # Entry ties within LAMBDA_TOL go to the lowest index.
-            tied = np.flatnonzero(roots >= best_entry_lam - LAMBDA_TOL)
+            # Entry ties within lam_tol go to the lowest index.
+            tied = np.flatnonzero(roots >= best_entry_lam - lam_tol)
             action, j, lam_next = "enter", int(idx[tied[0] // 2]), float(roots[tied[0]])
             signs_after = signs + [1 - 2 * int(tied[0] % 2)]
         lam_next = min(lam_next, lam_cur)
@@ -207,13 +209,13 @@ def lars_path(data: Dataset, max_steps: int | None = None) -> LassoPath:
     min(n, p) variables active. The path keeps each knot's segment (see
     :class:`LassoPath`).
 
-    Entry ties within 1e-10 are broken by lowest column index and recorded in
-    the path's warnings.
+    Entry ties within 1e-10 lambda_1 are broken by lowest column index and
+    recorded in the path's warnings.
     """
     cols = _columns(data, None)
     _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
-    knots, warnings_list, segments = _trace(data.X, data.y, cols, [], [], np.inf, None,
-                                            0.0, min(data.n, data.p), max_steps)
+    knots, warnings_list, segments = _trace(data, cols, [], [], np.inf, None, 0.0,
+                                            min(data.n, data.p), max_steps)
     return LassoPath(knots=tuple(knots), data=data,
                      warnings=tuple(warnings_list), segments=tuple(segments[1:]))
 
@@ -256,7 +258,7 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     inside = set(cols)
     state, segment = ((), (), np.inf, None), _EMPTY_SEGMENT
     # Knot penalties do not increase, so the knots above lam are a prefix.
-    above = bisect.bisect_left(path.knots, -(lam + LAMBDA_TOL), key=lambda kn: -kn.lam)
+    above = bisect.bisect_left(path.knots, -lam - LAMBDA_TOL * data.lam1, key=lambda kn: -kn.lam)
     for pos in range(min(above, len(path.segments)) - 1, -1, -1):
         kn = path.knots[pos]
         if inside.issuperset(kn.active_after):
@@ -267,9 +269,10 @@ def lasso_solve(data: Dataset, lam: float, subset: Sequence[int] | None = None,
     knots, warnings_list, segments = [], [], [segment]
     # With all of the subset active, the warm segment holds unless a deletion precedes lam.
     if segment is not None and (len(state[0]) < len(cols)
-                                or _drop_roots(*segment, state[2]).max(initial=-np.inf) >= lam):
-        knots, warnings_list, segments = _trace(data.X, data.y, cols, *state,
-                                                stop_lambda=lam, max_active=data.n)
+                                or _drop_roots(*segment, state[2], data.lam1).max(
+                                    initial=-np.inf) >= lam):
+        knots, warnings_list, segments = _trace(data, cols, *state, stop_lambda=lam,
+                                                max_active=data.n)
     warnings_list = list(path.warnings) + warnings_list
     if warnings_list:
         _warnings.warn(

@@ -25,6 +25,8 @@ from .exceptions import (
 # A subset is declared rank deficient when a triangular-factor diagonal falls
 # below this fraction of the largest diagonal.
 RANK_TOL = 1e-10
+# A kept squared residual norm below this fraction of ||x_m||^2 is recomputed.
+REFRESH_FRAC = 1e-3
 
 
 class _Shape:
@@ -83,9 +85,12 @@ class Dataset(_Shape):
     def copies(self) -> dict[int, int]:
         """Each column identical (byte for byte) to an earlier one, mapped to
         the first column of its kind; empty when all columns differ."""
+        keys = self.X[0].view(np.uint64)  # a column's first-row bytes; -0.0 is not 0.0
+        ordered = np.sort(keys)
         first: dict[bytes, int] = {}
         copies: dict[int, int] = {}
-        for j in range(self.p):
+        # Only the columns that share their first-row bytes are compared whole.
+        for j in np.flatnonzero(np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])).tolist():
             key = self.X[:, j].tobytes()
             if key in first:
                 copies[j] = first[key]
@@ -97,6 +102,11 @@ class Dataset(_Shape):
     def xty(self) -> np.ndarray:
         """X'y, so inner products y'X beta cost O(p)."""
         return self.X.T @ self.y
+
+    @cached_property
+    def lam1(self) -> float:
+        """max |x_m'y|, where the lasso path starts: the scale of its tolerances."""
+        return float(np.abs(self.xty).max())
 
     def require_sigma2(self) -> float:
         if self.sigma2 is None:
@@ -193,29 +203,24 @@ class ActiveQR:
         self._Qt, self._qty = self._rows[:, 2 * cap:-1], self._rows[:, -1]
         self.cols: list[int] = []
         self.resid = y.copy()
-        self._norms = self._den = None  # ||x_m||^2 and ||(I - P_A) x_m||^2
+        self._den = self._floor = None  # ||(I - P_A) x_m||^2 and REFRESH_FRAC ||x_m||^2
         for j in cols:
             self.add(j)
 
     def add(self, j: int) -> None:
         """Append column j; :class:`SingularDesignError` past n columns or when
         a diagonal of R falls below RANK_TOL times the largest one."""
-        k = len(self.cols)
+        k, R = len(self.cols), self._R
         if k == self._Qt.shape[0]:
             raise SingularDesignError(f"subset of size {k + 1} exceeds n={self.X.shape[0]}")
-        Qt = self._Qt[:k]
-        v = self.X[:, j].copy()
-        r = Qt @ v
-        v -= Qt.T @ r
-        c = Qt @ v  # Gram-Schmidt twice is enough
-        v -= Qt.T @ c
-        r += c
-        rho = float(np.sqrt(v @ v))
-        diag = self._R.diagonal()[:k]
-        if rho == 0.0 or diag.min(initial=rho) < RANK_TOL * diag.max(initial=rho):
+        v, rho, r = _orthogonalize(self._Qt[:k], self.X[:, j].copy())
+        R[k, k] = rho
+        diag = R.diagonal()[:k + 1]
+        if _deficient(np.minimum.reduce(diag), np.maximum.reduce(diag)):
+            R[k, k] = 0.0
             raise SingularDesignError(f"columns {self.cols + [int(j)]} are linearly dependent")
         q = np.divide(v, rho, out=self._Qt[k])
-        self._R[:k, k], self._R[k, k] = r, rho
+        R[:k, k] = r
         self._Rit[k, :k] = self._Rit[:k, :k].T @ r / -rho
         self._Rit[k, k] = 1.0 / rho
         self._qty[k] = q @ self.resid
@@ -223,7 +228,7 @@ class ActiveQR:
         self.cols.append(int(j))
         if self._den is not None:
             self._den -= (q @ self.X) ** 2
-            self._refresh()
+            _refresh(self.X, self._Qt[:k + 1], self._den, self._floor, self.cols)
 
     def drop(self, j: int) -> None:
         """Remove column j by a Givens downdate.
@@ -253,7 +258,7 @@ class ActiveQR:
         rows[k - 1] = 0.0
         del self.cols[i]
         if self._den is not None:
-            self._refresh()
+            _refresh(self.X, self._Qt[:k - 1], self._den, self._floor, self.cols)
 
     @property
     def coef(self) -> np.ndarray:
@@ -289,27 +294,56 @@ class ActiveQR:
         nearly in the span of A then stays as accurate as a fresh projection.
         """
         if self._den is None:
-            self._norms = np.einsum("ij,ij->j", self.X, self.X)
-            self._den = np.zeros_like(self._norms) if self.cols else self._norms.copy()
-            self._refresh()
-        num = (self.X.T @ self.resid) ** 2
-        drops = np.zeros(num.size)
-        ok = self._den > 1e-12
-        drops[ok] = num[ok] / self._den[ok] / sigma2
-        drops[self.cols] = np.nan
-        return drops
+            norms = np.einsum("ij,ij->j", self.X, self.X)
+            self._den = np.zeros_like(norms) if self.cols else norms
+            self._floor = REFRESH_FRAC * norms
+            _refresh(self.X, self._Qt[:len(self.cols)], self._den, self._floor, self.cols)
+        return _drops((self.resid @ self.X) ** 2, self._den, self.cols, sigma2)
 
-    def _refresh(self) -> None:
-        """Recompute, by the twice-projected residual, each kept norm outside
-        A that fell below 1e-3 ||x_m||^2."""
-        low = self._den < 1e-3 * self._norms
-        low[self.cols] = False
-        idx = np.flatnonzero(low)
-        if idx.size:
-            Qt, Z = self._Qt[:len(self.cols)], self.X[:, idx]
+
+# ActiveQR's rules, on one dataset's arrays or on stacks of them (selection's walk).
+def _orthogonalize(Qt: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vector v (n,) less its projection on the orthonormal rows of Qt
+    (k, n), by Gram-Schmidt twice, or so for stacks v (B, 1, n) and Qt
+    (B, k, n): the remainders, their norms rho and their coefficients r on Qt."""
+    Q = Qt.mT
+    r = v @ Q
+    v = v - r @ Qt
+    c = v @ Q  # Gram-Schmidt twice is enough
+    v -= c @ Qt
+    r += c
+    return v, np.sqrt(np.vecdot(v, v)), r
+
+
+def _deficient(low, high):
+    """The rank rule on the smallest and largest diagonals of R, a new column's
+    among them: it fails where the smallest is 0 or below RANK_TOL times the largest."""
+    return (low == 0.0) | (low < RANK_TOL * high)
+
+
+def _drops(num: np.ndarray, den: np.ndarray, inA: np.ndarray, sigma2) -> np.ndarray:
+    """The scaled drops num / den / sigma2 from the squares num of x_m'r_A and the
+    kept norms den (..., p): 0 where den is at most 1e-12, NaN on A (inA indexes it)."""
+    drops = np.divide(num, den, out=np.zeros(num.shape), where=den > 1e-12)
+    drops /= sigma2
+    drops[inA] = np.nan
+    return drops
+
+
+def _refresh(X: np.ndarray, Qt: np.ndarray, den: np.ndarray, floor: np.ndarray,
+             inA: np.ndarray) -> None:
+    """Recompute in place, by the twice-projected residual, each kept norm
+    den outside A (inA indexes it) that fell below its floor REFRESH_FRAC
+    ||x_m||^2, with X (..., n, p) and the rows Qt (..., k, n) of Q'."""
+    low = den < floor
+    low[inA] = False
+    if np.count_nonzero(low):
+        for b in np.ndindex(low.shape[:-1]):  # b = () for one dataset
+            idx = np.flatnonzero(low[b])
+            Z = X[b][:, idx]
             for _ in range(2):
-                Z = Z - Qt.T @ (Qt @ Z)
-            self._den[idx] = np.einsum("ij,ij->j", Z, Z)
+                Z = Z - Qt[b].T @ (Qt[b] @ Z)
+            den[b][idx] = np.einsum("ij,ij->j", Z, Z)
 
 
 def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:
@@ -330,8 +364,7 @@ def estimate_sigma2(data: Dataset) -> float:
         raise NotEstimableError(f"cannot estimate sigma2 with n={data.n} <= p={data.p}")
     fit = least_squares(data, _columns(data, None))
     est = fit.rss / (data.n - data.p)
-    scale = float(data.y @ data.y)
-    if est == 0.0 or est <= 1e-24 * max(scale, 1.0):
+    if est == 0.0 or est <= 1e-24 * float(data.y @ data.y):
         raise DegenerateVarianceError(
             "full fit is exact; variance estimate of 0 would break every test"
         )

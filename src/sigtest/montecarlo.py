@@ -22,7 +22,7 @@ from .exceptions import InfeasibleDesignError, SigtestError
 from .glm import BinaryDataset, SurvivalDataset, _lrt_paths
 from .lasso import lars_path
 from .linmodel import Dataset
-from .selection import SELECTORS, lasso_steps, stepwise_path
+from .selection import SELECTORS, _stepwise_paths, lasso_steps
 from .significance import _check_alpha, covariance_test, gumbel_test, reference_pair
 
 FAMILIES = ("gaussian", "logistic", "cox")
@@ -30,7 +30,7 @@ DESIGNS = ("orthogonal", "ar1", "iid_gaussian")
 TESTS = ("gumbel", "covariance", "gumbel_glm")
 _TYPES = {"int": Integral, "float": Real, "str": str}  # a bool is no number here
 AR1_BLOCK = 64  # columns per triangular product in gen_design("ar1")
-GLM_STACK_ELEMENTS = 40_000  # the elements a block of GLM replications may stack in one fit
+STACK_ELEMENTS = 40_000  # the elements a block of replications may stack in one walk
 
 
 def _has_type(value, kind: str) -> bool:
@@ -257,8 +257,8 @@ class _RepOutcome:
 
 def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
     """The outcomes of replications reps, each drawn from its own stream; the
-    likelihood-ratio paths of the logistic or Cox draws are traced in one
-    lockstep walk, each as ``lrt_path`` traces it alone."""
+    greedy paths of the draws are traced in one lockstep walk, each as
+    ``lrt_path`` or ``stepwise_path`` traces it alone."""
     outcomes, drawn, k = {}, {}, scenario.k
     for rep in reps:
         rng = replication_rng(scenario.seed, rep)
@@ -272,23 +272,27 @@ def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
             else:
                 data = Dataset(X, response, sigma2=scenario.sigma ** 2)
                 if scenario.test == "covariance":
-                    result = covariance_test(lars_path(data, max_steps=k + 1), k,
-                                             alpha=scenario.alpha)
+                    outcomes[rep] = _outcome(scenario, covariance_test(
+                        lars_path(data, max_steps=k + 1), k, alpha=scenario.alpha))
                 elif scenario.selector == "lasso":
-                    result = lasso_steps(lars_path(data, max_steps=k))
+                    outcomes[rep] = _outcome(scenario, lasso_steps(lars_path(data, max_steps=k)))
                 else:
-                    result = stepwise_path(data, max_steps=k, selector=scenario.selector)
-                outcomes[rep] = _outcome(scenario, result)
+                    drawn[rep] = data
         except SigtestError as exc:
             outcomes[rep] = _RepOutcome(None, None, failure=type(exc).__name__)
     if drawn:
-        for rep, steps in zip(drawn, _lrt_paths(list(drawn.values()), max_steps=k)):
+        paths = (_lrt_paths(list(drawn.values()), max_steps=k) if scenario.family != "gaussian"
+                 else _stepwise_paths(list(drawn.values()), k, scenario.selector))
+        for rep, steps in zip(drawn, paths):
             outcomes[rep] = _outcome(scenario, steps)
     return [outcomes[rep] for rep in reps]
 
 
 def _outcome(scenario: Scenario, result) -> _RepOutcome:
-    """A replication's outcome from its selection steps or covariance test outcome."""
+    """A replication's outcome from its selection steps, covariance test
+    outcome or the error its selection path raised."""
+    if isinstance(result, SigtestError):
+        return _RepOutcome(None, None, failure=type(result).__name__)
     try:
         if scenario.test != "covariance":
             if len(result) < scenario.k:
@@ -345,19 +349,20 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
 
     Deterministic given the scenario (seed included): each replication's
     stream depends only on (seed, rep), and aggregation follows replication
-    order regardless of worker count. Logistic and Cox replications are
-    fitted in fixed blocks of consecutive replications, as many as keep a
-    step's Newton stack within GLM_STACK_ELEMENTS, whatever the worker count;
-    the candidates of a block share one stack per step, and workers take
-    whole blocks. A dataset's rows compute in a block what they compute
-    alone, so each statistic is the one ``lrt_path`` gives on the same draw.
-    Gaussian replications go in blocks of the pool's chunk size.
+    order regardless of worker count. Replications go in fixed blocks of
+    consecutive replications, as many as keep a block's stack within
+    STACK_ELEMENTS, whatever the worker count, and workers take whole blocks.
+    The greedy paths of a block share one stack per step: a logistic or Cox
+    step fits the candidates of every path in one Newton stack, a Gaussian
+    max_r or stepwise step takes every path's X'r in one product. A dataset's
+    rows compute in a block what they compute alone, so each statistic is the
+    one ``lrt_path`` or ``stepwise_path`` gives on the same draw.
     """
     workers = resolve_threads(threads)
-    # A GLM step stacks at most p candidates of k + 1 columns of n observations each; Gaussian
-    # replications share nothing, so they go in the pool's chunks.
-    size = max(1, scenario.reps // (workers * 8) if scenario.family == "gaussian" else
-               GLM_STACK_ELEMENTS // (scenario.n * scenario.p * (scenario.k + 1)))
+    # A GLM step stacks at most p candidates of k + 1 columns of n observations each; a
+    # Gaussian walk stacks one n x p design per replication.
+    per_rep = scenario.n * scenario.p * (1 if scenario.family == "gaussian" else scenario.k + 1)
+    size = max(1, STACK_ELEMENTS // per_rep)
     blocks = [range(r, min(r + size, scenario.reps)) for r in range(0, scenario.reps, size)]
     if workers == 1 or len(blocks) == 1:
         outcomes = [o for block in blocks for o in _replicate(scenario, block)]

@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import PathTruncationWarning
+from .exceptions import PathTruncationWarning, SingularDesignError
 from .lasso import LassoPath
-from .linmodel import ActiveQR, Dataset, _check_max_steps
+from .linmodel import REFRESH_FRAC, ActiveQR, Dataset, _check_max_steps, _deficient, _drops
+from .linmodel import _orthogonalize, _refresh
 
 # The Gaussian selectors, in the order the command line lists them.
 SELECTORS = ("max_r", "stepwise", "lasso")
@@ -63,13 +64,15 @@ class SelectionStep:
         return len(self.drops) - len(self.A)
 
 
-def best_candidate(drops: np.ndarray) -> tuple[int, float]:
-    """Candidate with the largest drop (NaN entries are none), and that drop.
+def best_candidate(drops: np.ndarray):
+    """Candidate with the largest drop (NaN entries are none), and that drop:
+    an int and a float for drops (p,), arrays for a stack (..., p).
 
     Drops within 1e-12 of the largest count as tied; the lowest index wins.
     """
-    best = float(np.fmax.reduce(drops))
-    return int(np.argmax(drops >= best - 1e-12)), best
+    best = np.fmax.reduce(drops, axis=-1, keepdims=True)
+    j = np.argmax(drops >= best - 1e-12, axis=-1)
+    return (int(j), float(best[0])) if drops.ndim == 1 else (j, best[..., 0])
 
 
 def stepwise_path(data: Dataset, max_steps: int | None = None,
@@ -77,30 +80,65 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     """Greedy forward selection: each step adds the candidate with the
     largest scaled RSS drop, ties broken by lowest index.
 
-    Stops early (with a :class:`PathTruncationWarning`) once no candidate
-    reduces the residual.
+    Stops after ``max_steps`` steps (default min(n, p)), or early (with a
+    :class:`PathTruncationWarning`) once no candidate reduces the residual.
+    The one-dataset case of the walk that calibration blocks take in lockstep.
+    """
+    (path,) = _stepwise_paths([data], max_steps, selector)
+    if isinstance(path, SingularDesignError):
+        raise path
+    return path
+
+
+def _stepwise_paths(datasets: Sequence[Dataset], max_steps: int | None = None,
+                    selector: str = "stepwise") -> list[list[SelectionStep] | SingularDesignError]:
+    """``stepwise_path`` of each dataset (one shape), or the error it raises.
+    The paths go in lockstep over stacks, with ActiveQR's rules: a step takes
+    X'r of every path in one product and appends every pick by Gram-Schmidt
+    twice. A path that ends leaves the walk; each row computes what it would alone.
     """
     if selector not in ("stepwise", "max_r"):
         raise ValueError("stepwise_path selector must be 'stepwise' or 'max_r'")
-    limit = min(data.n, data.p)
-    _check_max_steps(max_steps, "min(n, p)", limit)
-    sigma2 = data.require_sigma2()
-
-    steps: list[SelectionStep] = []
-    qr = ActiveQR(data.X, data.y)
-    for k in range(1, (limit if max_steps is None else max_steps) + 1):
-        if steps:
-            qr.add(steps[-1].j)
-        drops = qr.drops(sigma2)
+    n, p = datasets[0].n, datasets[0].p
+    _check_max_steps(max_steps, "min(n, p)", min(n, p))
+    sigma2 = np.array([[data.require_sigma2()] for data in datasets])
+    steps = min(n, p) if max_steps is None else max_steps
+    paths: list = [[] for _ in datasets]
+    live, rows = [True] * len(datasets), np.arange(len(datasets))
+    X = np.array([data.X for data in datasets])
+    resid = np.array([data.y for data in datasets])[:, None]
+    den = np.einsum("bij,bij->bj", X, X)
+    floor, inA = REFRESH_FRAC * den, np.zeros(den.shape, dtype=bool)
+    Qt = np.zeros((len(rows), steps, n))
+    low, high = np.full((len(rows), 1), np.inf), np.zeros((len(rows), 1))  # extreme diagonals of R
+    for k in range(1, steps + 1):
+        if k > 1:  # append the pick of step k - 1 to the k - 2 columns of A
+            v, rho, _r = _orthogonalize(Qt[:, :k - 2], X[rows, None, :, j])
+            low, high = np.minimum(low, rho), np.maximum(high, rho)
+            failed = _deficient(low, high)[:, 0].tolist()
+            if True in failed:  # rows of paths that left go on, ignored, a zero remainder kept 0
+                for b in [b for b, fail in enumerate(failed) if fail and live[b]]:
+                    live[b], cols = False, [*paths[b][-1].A, paths[b][-1].j]
+                    paths[b] = SingularDesignError(f"columns {cols} are linearly dependent")
+                rho[rho == 0.0] = 1.0
+            q = np.divide(v, rho[..., None], out=Qt[:, k - 2:k - 1])
+            resid -= (q @ resid.mT) * q
+            den -= (q @ X)[:, 0] ** 2
+            inA[rows, j] = True
+            _refresh(X, Qt[:, :k - 1], den, floor, inA)
+        drops = _drops((resid @ X)[:, 0] ** 2, den, inA, sigma2)
         j, best = best_candidate(drops)
-        if best <= ZERO_DROP_TOL:
-            _warnings.warn(
-                f"selection stopped at step {k}: residual orthogonal to all candidates",
-                PathTruncationWarning)
+        for b, ended, pick in zip(rows.tolist(), (best <= ZERO_DROP_TOL).tolist(), j.tolist()):
+            if live[b] and ended:
+                live[b] = False
+                _warnings.warn(f"selection stopped at step {k}: residual orthogonal to all "
+                               "candidates", PathTruncationWarning)
+            elif live[b]:
+                A = (*paths[b][-1].A, paths[b][-1].j) if paths[b] else ()
+                paths[b].append(SelectionStep(k, A, pick, drops[b], selector))
+        if True not in live:
             break
-        steps.append(SelectionStep(k=k, A=tuple(qr.cols), j=j, drops=drops,
-                                   selector=selector))
-    return steps
+    return paths
 
 
 def lasso_steps(path: LassoPath, *, max_steps: int | None = None) -> list[SelectionStep]:

@@ -25,6 +25,8 @@ The grid, at sizes from (6, 6) to (150, 24), plus (100, 50), (40, 60) and (20, 3
   ``--sigma2 1`` and with the plug-in sigma2, and ``path`` tables;
 - identity designs with exact entry ties, and near-copy designs
   (x1 = x0 + eps z, eps from 1e-3 to 1e-12);
+- a (40, 10) table with its response scaled by 1e-12 and by 1e6, also
+  tested with ``--sigma2`` the square of the factor;
 - logistic and Cox tables, separated ones, and tables with a duplicated or
   a zero column; a (40, 4) logistic table whose column 0 separates the
   classes but for two zeros, whose candidate fit diverges, and a (40, 4) Cox
@@ -88,6 +90,7 @@ from sigtest.glm import glm_fit, lrt_path  # noqa: E402
 
 SEEDS = (3, 7, 11)
 REPS = 60
+SCALES = ("1e-12", "1e6")  # factors of the response of the scaled tables
 MAX_CHANGES = 20  # discrete changes printed per file
 
 
@@ -157,6 +160,10 @@ def _inputs() -> dict[str, tuple[str, np.ndarray]]:
     eye = np.eye(8)[:, :6]  # |x_j'y| ties: 3 and 3, 2 and 2, 1 and 1
     tables["ties-8x6"] = ("gaussian", np.column_stack([eye, [3, -3, 2, 2, 1, -1, 0.5, 0.25]]))
     tables["ties-6x6"] = ("gaussian", np.column_stack([np.eye(6), [2, 2, -2, 1, 1, 0.5]]))
+    for scale in SCALES:  # y times c, tested also with sigma2 = c^2
+        table = _gaussian((5, 10), 40, 10, 0.5)
+        table[:, -1] *= float(scale)
+        tables[f"scaled-{scale}"] = ("gaussian", table)
     for exponent in (3, 6, 9, 12):
         table = _gaussian((5, 5, exponent), 30, 12, 0.5)
         noise = _rng(5, 6, exponent).standard_normal(30)
@@ -229,6 +236,11 @@ def _cli_runs(tables: dict[str, tuple[str, np.ndarray]]) -> list[tuple[str, list
     for name, (family, _table) in tables.items():
         src = f"inputs/{name}.csv"
         if family == "gaussian":
+            if name.startswith("scaled-"):
+                sigma2 = repr(float(name.removeprefix("scaled-")) ** 2)
+                runs += [(f"test/{name}-{selector}-scaled-csv",
+                          ["test", "--input", src, "--selector", selector, "--sigma2", sigma2])
+                         for selector in ("max_r", "stepwise", "lasso")]
             for fmt in ("csv", "json"):
                 runs.append((f"path/{name}-{fmt}", ["path", "--input", src, "--format", fmt]))
                 for selector in ("max_r", "stepwise", "lasso"):

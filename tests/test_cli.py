@@ -376,6 +376,58 @@ class TestTestVerb:
         assert len(rows) == 2
 
 
+def same_cell(got: str, want: str) -> bool:
+    """Equal text, or numbers within 1e-9 of each other relative to their size."""
+    try:
+        return math.isclose(float(got), float(want), rel_tol=1e-9)
+    except ValueError:
+        return got == want
+
+
+class TestResponseScale:
+    """(y, sigma2) -> (c y, c^2 sigma2), with sigma2 given or estimated, leaves
+    every pick, model, note and exit code, and moves statistics by round-off."""
+
+    @staticmethod
+    def table(name):
+        if name == "40x10":
+            return corpus._gaussian((5, 10), 40, 10, 0.5)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((10, 4))
+        return np.column_stack([X, X @ [2.0, 0.0, 1.0, 0.0] + rng.standard_normal(10)])
+
+    @pytest.mark.parametrize("known", [True, False], ids=["sigma2", "plug-in"])
+    @pytest.mark.parametrize("selector", ["max_r", "lasso"])
+    @pytest.mark.parametrize("name", ["10x4", "40x10"])
+    def test_scaled_response(self, tmp_path, capsys, name, selector, known):
+        def rows(c):
+            table = self.table(name)
+            table[:, -1] *= c
+            path = tmp_path / f"scaled-{c!r}.csv"
+            corpus._write_table(path, table, ("y",))
+            extra = ["--sigma2", repr(c * c)] if known else []
+            code = run(["test", "--input", str(path), "--selector", selector, *extra])
+            return code, list(csv.reader(capsys.readouterr().out.splitlines()))
+
+        base_code, base = rows(1.0)
+        p = self.table(name).shape[1] - 1
+        assert base_code == 0 and len(base) == 1 + p  # a header and a row per step
+        for c in (1e-12, 1e-6, 1e6, 1e12):
+            code, got = rows(c)
+            assert code == base_code
+            assert [len(row) for row in got] == [len(row) for row in base]
+            for row, want in zip(got, base):
+                assert all(same_cell(a, b) for a, b in zip(row, want)), (c, row, want)
+
+    def test_zero_response_has_no_plug_in_estimate(self, tmp_path, capsys):
+        table = self.table("40x10")
+        table[:, -1] = 0.0
+        path = tmp_path / "zero.csv"
+        corpus._write_table(path, table, ("y",))
+        assert run(["test", "--input", str(path)]) == 4
+        assert "full fit is exact" in capsys.readouterr().err
+
+
 def pairwise_separated_columns(n=24, seed=3):
     """y = 1 exactly when s > 0, with one pair of labels 2e-5 apart in s.
     The columns s + u, s - u and s - 2u mix s with noise u, so no column

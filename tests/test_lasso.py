@@ -173,9 +173,9 @@ class TestLarsPath:
         starts = []
         trace = lasso_module._trace
 
-        def spy(X, y, cols, active, signs, lam_cur, *args, **kwargs):
+        def spy(data, cols, active, signs, lam_cur, *args, **kwargs):
             starts.append(lam_cur)
-            return trace(X, y, cols, active, signs, lam_cur, *args, **kwargs)
+            return trace(data, cols, active, signs, lam_cur, *args, **kwargs)
 
         monkeypatch.setattr(lasso_module, "_trace", spy)
         lam = 0.5 * (path.knots[1].lam + path.knots[2].lam)
@@ -226,12 +226,13 @@ class TestSegments:
         assert deletions >= 20 and capped == 12
 
     def test_numerically_dependent_entry_has_no_segment(self):
-        # Column 2 is x0 + x1 up to 1e-12 and enters last: below that knot
-        # X_A is rank deficient to RANK_TOL, so the path keeps no segment
-        # there, and a restricted fit that reaches it raises.
+        # Column 2 is x0 + x1 up to 1e-11 and enters last, at a knot near
+        # 1e-11 lambda_1 (above ZERO_CORR_TOL lambda_1): below that knot X_A
+        # is rank deficient to RANK_TOL, so the path keeps no segment there,
+        # and a restricted fit that reaches it raises.
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 4))
-        X[:, 2] = X[:, 0] + X[:, 1] + 1e-12 * rng.standard_normal(6)
+        X[:, 2] = X[:, 0] + X[:, 1] + 1e-11 * rng.standard_normal(6)
         data = Dataset(standardize(X), rng.standard_normal(6))
         path = lars_path(data)
         assert [kn.entering for kn in path.knots] == [0, 3, 1, 2]

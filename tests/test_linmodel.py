@@ -84,6 +84,55 @@ class TestDataset:
         assert np.all(np.abs(norms2(Dataset(2 * np.eye(3), np.zeros(3))) - 1.0) > 1e-8)
 
 
+def copies_oracle(X):
+    """Dataset.copies by keying every column on its bytes."""
+    first, copies = {}, {}
+    for j in range(X.shape[1]):
+        copies_of = first.setdefault(X[:, j].tobytes(), j)
+        if copies_of != j:
+            copies[j] = copies_of
+    return copies
+
+
+class TestCopies:
+    def test_duplicated_columns_map_to_the_first(self):
+        X = np.random.default_rng(3).standard_normal((6, 9))
+        X[:, 4] = X[:, 1]
+        X[:, 7] = X[:, 1]
+        X[:, 8] = X[:, 2]
+        data = Dataset(X, np.zeros(6))
+        assert data.copies == copies_oracle(data.X) == {4: 1, 7: 1, 8: 2}
+
+    def test_signed_zeros_differ(self):
+        # -0.0 and 0.0 compare equal as floats but not as bytes.
+        X = np.random.default_rng(4).standard_normal((5, 6))
+        X[:, 0] = X[:, 3] = 0.0
+        X[:, 1] = -0.0
+        X[2, 4] = 0.0
+        X[:, 5] = X[:, 4]
+        X[2, 5] = -0.0  # column 5 is column 4 but for the sign of one zero
+        data = Dataset(X, np.zeros(5))
+        assert data.copies == copies_oracle(data.X) == {3: 0}
+
+    def test_shared_first_row_is_not_enough(self):
+        X = np.random.default_rng(5).standard_normal((7, 8))
+        X[0] = 1.5
+        X[:, 6] = X[:, 2]
+        X[3, 5] = X[3, 2]  # agrees with column 2 in two rows, not all
+        data = Dataset(X, np.zeros(7))
+        assert data.copies == copies_oracle(data.X) == {6: 2}
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_bytes_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 6)), int(rng.integers(1, 12))
+        # Few distinct values, both zeros among them, so that rows and columns repeat.
+        X = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5]), size=(n, p))
+        data = Dataset(X, np.zeros(n))
+        assert data.copies == copies_oracle(data.X)
+
+
 # The arrays of each kind of dataset, X first.
 KINDS = {Dataset: ("X", "y"), BinaryDataset: ("X", "y"), SurvivalDataset: ("X", "time", "status")}
 
@@ -492,6 +541,20 @@ class TestEstimateSigma2:
         y = 3.0 * X[:, 0]
         with pytest.raises(DegenerateVarianceError):
             estimate_sigma2(Dataset(X, y))
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-12, 1.0, 1e12])
+    def test_exactness_is_relative_to_the_response(self, scale):
+        # The verdict "full fit is exact" compares the estimate with ||y||^2,
+        # so a response of any size gets its estimate scaled by scale^2.
+        data = random_dataset(6, 40, 10)
+        base = estimate_sigma2(data)
+        scaled = estimate_sigma2(Dataset(data.X, scale * data.y))
+        assert scaled == pytest.approx(scale ** 2 * base, rel=1e-9)
+
+    def test_zero_response_is_degenerate(self):
+        data = random_dataset(6, 40, 10)
+        with pytest.raises(DegenerateVarianceError):
+            estimate_sigma2(Dataset(data.X, np.zeros(40)))
 
     def test_null_gaussian_estimate_in_band(self):
         rng = np.random.default_rng(2024)

@@ -14,7 +14,10 @@ from sigtest import (
     InfeasibleDesignError,
     Scenario,
     BinaryDataset,
+    Dataset,
+    PathTruncationWarning,
     SigtestError,
+    SingularDesignError,
     SurvivalDataset,
     gen_design,
     gen_response,
@@ -29,6 +32,7 @@ from sigtest import (
 from sigtest import montecarlo
 from sigtest.glm import lrt_path
 from sigtest.montecarlo import replication_rng, resolve_threads
+from sigtest.selection import _stepwise_paths
 from sigtest.significance import exp1_quantile, gumbel_quantile
 
 
@@ -435,6 +439,96 @@ class TestScenarioValidation:
         replace(preset(name))
 
 
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process, so that
+    the blocks handed to the workers can be recorded."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def block_boundaries(scenario, threads, monkeypatch):
+    """The blocks of replications run_scenario hands to _replicate."""
+    blocks, replicate = [], montecarlo._replicate
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        patch.setattr(montecarlo, "_replicate",
+                      lambda scenario, reps: blocks.append(reps) or replicate(scenario, reps))
+        run_scenario(scenario, threads=threads)
+    return blocks
+
+
+class TestGaussianBlocks:
+    """A block of max_r or stepwise replications walks its greedy paths in
+    lockstep; each dataset must get what stepwise_path gives it alone."""
+
+    @pytest.mark.parametrize("name", ["fig1-left", "fig1-right", "fig2-left", "fig2-right"])
+    def test_block_statistics_are_the_lone_ones(self, name):
+        s = replace(preset(name), reps=37)
+        alone = []
+        for rep in range(s.reps):
+            rng = replication_rng(s.seed, rep)
+            X = gen_design(s.design, s.n, s.p, rng, s.rho)
+            data = Dataset(X, gen_response(s, X, rng), sigma2=s.sigma ** 2)
+            steps = stepwise_path(data, max_steps=s.k, selector=s.selector)
+            alone.append(gumbel_test(steps[s.k - 1], alpha=s.alpha).statistic)
+        summary = run_scenario(s, threads=1)
+        assert summary.failures == 0
+        np.testing.assert_array_equal(summary.statistics, alone)
+
+    def test_truncated_and_rank_deficient_paths_leave_the_walk(self):
+        rng = np.random.default_rng(4)
+        n, p, steps = 30, 8, 5
+        datasets = []
+        for _ in range(5):
+            X = rng.standard_normal((n, p))
+            datasets.append(Dataset(X, X[:, 0] + rng.standard_normal(n), sigma2=1.0))
+        # y in the span of columns 0 and 1: no candidate reduces the residual at step 3.
+        X = rng.standard_normal((n, p))
+        datasets.insert(1, Dataset(X, 2.0 * X[:, 0] - X[:, 1], sigma2=0.5))
+        # Column 0 is 1e11 the scale of the others. Column 3 enters after it,
+        # its diagonal of R below RANK_TOL times column 0's: the append fails.
+        X = rng.standard_normal((n, p))
+        y = 10.0 * X[:, 0] + 3.0 * X[:, 3] + 0.1 * rng.standard_normal(n)
+        X[:, 0] *= 1e11
+        datasets.insert(4, Dataset(X, y, sigma2=2.0))
+        with pytest.warns(PathTruncationWarning, match="stopped at step 3") as caught:
+            walked = _stepwise_paths(datasets, steps, "max_r")
+        assert len(caught) == 1
+        assert [type(path) for path in walked].count(SingularDesignError) == 1
+        s = Scenario(name="block", family="gaussian", design="iid_gaussian", n=n, p=p,
+                     test="gumbel", k=steps)
+        for i, (data, got) in enumerate(zip(datasets, walked)):
+            try:
+                with warnings.catch_warnings(record=True) as lone_warnings:
+                    warnings.simplefilter("always")
+                    alone = stepwise_path(data, max_steps=steps, selector="max_r")
+            except SingularDesignError as exc:
+                assert i == 4 and type(got) is SingularDesignError and str(got) == str(exc)
+                assert str(exc) == "columns [0, 3] are linearly dependent"
+                assert montecarlo._outcome(s, got) == montecarlo._RepOutcome(
+                    None, None, failure="SingularDesignError")
+                continue
+            assert [str(w.message) for w in lone_warnings] == (
+                ["selection stopped at step 3: residual orthogonal to all candidates"]
+                if i == 1 else [])
+            assert len(got) == len(alone) == (2 if i == 1 else steps)
+            for mine, lone in zip(got, alone):
+                assert (mine.k, mine.A, mine.j, mine.selector) == (
+                    lone.k, lone.A, lone.j, lone.selector)
+                assert mine.drops.tobytes() == lone.drops.tobytes()
+            assert montecarlo._outcome(s, got) == montecarlo._outcome(s, alone)
+
+
 class TestRunScenario:
     def test_determinism_serial(self):
         s = replace(preset("fig1-left"), reps=20)
@@ -443,23 +537,25 @@ class TestRunScenario:
         np.testing.assert_array_equal(a.statistics, b.statistics)
         assert a.ks == b.ks
 
-    def test_parallel_matches_serial(self):
-        s = replace(preset("fig1-left"), reps=24)
-        serial = run_scenario(s, threads=1)
-        parallel = run_scenario(s, threads=4)
-        np.testing.assert_array_equal(serial.statistics, parallel.statistics)
-        assert serial.ks == parallel.ks
+    def test_parallel_matches_serial(self, monkeypatch):
+        # Blocks of 8 (40,000 stacked elements over n p = 5,000), the last one
+        # short, whatever the worker count.
+        for name, reps in (("fig1-left", 24), ("fig2-right", 37)):
+            s = replace(preset(name), reps=reps)
+            serial = run_scenario(s, threads=1)
+            parallel = run_scenario(s, threads=4)
+            np.testing.assert_array_equal(serial.statistics, parallel.statistics)
+            assert serial.ks == parallel.ks
+            assert (block_boundaries(s, 1, monkeypatch) == block_boundaries(s, 4, monkeypatch)
+                    == [range(r, min(r + 8, reps)) for r in range(0, reps, 8)])
 
     @pytest.mark.parametrize("name", ["fig3-left", "fig3-right"])
     def test_glm_parallel_matches_serial(self, name, monkeypatch):
         # 37 replications: nine blocks of 4, then one of 1, whatever the worker count.
-        s, blocks = replace(preset(name), reps=37), []
-        replicate = montecarlo._replicate
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_replicate",
-                          lambda scenario, reps: blocks.append(reps) or replicate(scenario, reps))
-            serial = run_scenario(s, threads=1)
-        assert blocks == [range(r, min(r + 4, 37)) for r in range(0, 37, 4)]
+        s = replace(preset(name), reps=37)
+        assert (block_boundaries(s, 1, monkeypatch) == block_boundaries(s, 4, monkeypatch)
+                == [range(r, min(r + 4, 37)) for r in range(0, 37, 4)])
+        serial = run_scenario(s, threads=1)
         parallel = run_scenario(s, threads=4)
         np.testing.assert_array_equal(serial.statistics, parallel.statistics)
         assert serial.ks == parallel.ks
@@ -551,9 +647,11 @@ class TestRunScenario:
             run_scenario(s, threads=1)
 
     def test_truncated_selection_path_is_a_failed_replication(self, monkeypatch):
-        # stepwise_path stops early once no candidate reduces the residual.
-        monkeypatch.setattr(montecarlo, "stepwise_path", lambda data, max_steps, selector:
-                            stepwise_path(data, max_steps=max_steps - 1, selector=selector))
+        # stepwise_path stops early once no candidate reduces the residual; the
+        # lockstep walk of a block then gives that dataset a short path.
+        walk = montecarlo._stepwise_paths
+        monkeypatch.setattr(montecarlo, "_stepwise_paths", lambda datasets, max_steps, selector:
+                            walk(datasets, max_steps - 1, selector))
         outcomes = montecarlo._replicate(preset("fig1-right"), range(1))
         assert outcomes == [montecarlo._RepOutcome(None, None, failure="selection path truncated")]
 
