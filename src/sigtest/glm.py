@@ -23,7 +23,7 @@ from .exceptions import (
     SingularDesignError,
 )
 from .linmodel import _Shape, _check_max_steps, _check_subset, _deficient
-from .selection import SelectionStep, best_candidate
+from .selection import SelectionStep, _alone, _Walk
 
 MAX_ITER = 100
 GRAD_TOL = 1e-8
@@ -323,39 +323,6 @@ def _problem(data: BinaryDataset | SurvivalDataset) -> _Problem:
                      f"not {type(data).__name__}")
 
 
-class _Residuals:
-    """Every column of X, as a row, with a model's columns (lead first)
-    projected out in turn, twice each; and the model's triangular-factor
-    diagonal, each added column's residual norm. O(n p) per added column."""
-
-    def __init__(self, problem: _Problem, A: Sequence[int]):
-        self.V, self.diag = problem.columns.copy(), []
-        for x in problem.lead:
-            self.add(x)
-        for j in A:
-            self.add(self.V[j])
-
-    def add(self, x: np.ndarray):
-        """Add to the model a column whose residual on it is x."""
-        r = float(np.linalg.norm(x))
-        self.diag.append(r)
-        q = x / (r or 1.0)  # a residual of norm 0 is 0 and projects nothing out
-        for _ in range(2):
-            self.V -= np.outer(self.V @ q, q)
-
-    def errors(self, candidates: list[int], what: str) -> list[SigtestError | None]:
-        """ActiveQR.add's rule for the model plus each candidate, an error or None:
-        it fails with n model columns or more, or where ``_deficient`` fails
-        min(diag, r) and max(diag, r), r the candidate's residual norm."""
-        if len(self.diag) >= self.V.shape[1]:
-            return [SingularDesignError(f"{what}: more columns than rows") for _ in candidates]
-        last = np.linalg.norm(self.V[candidates], axis=1)
-        lo, hi = min(self.diag, default=np.inf), max(self.diag, default=0.0)
-        deficient = _deficient(np.minimum(lo, last), np.maximum(hi, last))
-        return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
-                for bad in deficient]
-
-
 def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResult:
     """Maximize the log-likelihood on columns M by damped Newton from zero, as
     a stack of one: logistic regression (with the dataset's intercept) for a
@@ -367,7 +334,7 @@ def glm_fit(data: BinaryDataset | SurvivalDataset, M: Sequence[int]) -> FitResul
     design = problem.design(M)
     beta, ll, iterations, errors = _newton_stack(
         _objective([problem]), design[None, :-1], design[None, -1:], np.zeros((1, len(design) - 1)),
-        problem.what, _Residuals(problem, M[:-1]).errors(M[-1:], problem.what))
+        problem.what, _rank_errors(_Walk(design[None, -1:].mT, design[None, :-1]), problem.what))
     if errors[0] is not None:
         raise errors[0]
     return FitResult(subset=tuple(M), coefficients=beta[0], loglik=float(ll[0]),
@@ -390,7 +357,7 @@ def lrt_drops_all(data: BinaryDataset | SurvivalDataset,
     length p, NaN on A and on a candidate whose fit failed, which is
     reported as ``"fit failed for candidate m: <error>"``.
     """
-    (step,) = _lrt_paths([data], 1, glm_fit(data, A))[0]
+    (step,) = _alone(_lrt_paths([data], 1, glm_fit(data, A)))
     return step.drops, step.failures
 
 
@@ -408,49 +375,50 @@ def lrt_path(data: BinaryDataset | SurvivalDataset,
     previous step's winning fit, which a refit finds wherever the maximum is
     finite.
     """
-    return _lrt_paths([data], max_steps)[0]
+    return _alone(_lrt_paths([data], max_steps))
 
 
 def _lrt_paths(datasets: Sequence[BinaryDataset | SurvivalDataset], max_steps: int | None = None,
-               start: FitResult | None = None) -> list[list[SelectionStep]]:
-    """``lrt_path`` of each dataset (one family and shape), or its steps from
-    the fit ``start`` of one dataset. The paths go in lockstep: each step fits
-    the candidates of every path still going in one ``_newton_stack``, and a
-    path leaves once it ends. A dataset's rows fit as in a stack of their
-    own, so each path is the one its dataset gives alone."""
+               start: FitResult | None = None) -> list[list[SelectionStep] | SingularDesignError]:
+    """``lrt_path`` of each dataset (one family and shape), or its steps from the fit ``start``
+    of one dataset, or the error that ends it: each step of the walk fits the candidates of
+    every path still going that ``_rank_errors`` passes in one ``_newton_stack``. A dataset's
+    rows fit as in a stack of their own, so each path is the one its dataset gives alone."""
     problems = [_problem(data) for data in datasets]
-    p, what = len(problems[0].columns), problems[0].what
+    p, what, family = len(problems[0].columns), problems[0].what, problems[0].family
     _check_max_steps(max_steps, "p", p)
     bases = [start or FitResult((), *problem.empty, iterations=0) for problem in problems]
-    residuals = [_Residuals(problem, base.subset) for problem, base in zip(problems, bases)]
-    paths: list[list[SelectionStep]] = [[] for _ in problems]
-    live = list(range(len(problems)))
-    for _ in range(p if max_steps is None else max_steps):
-        As = [list(bases[b].subset) for b in live]
-        for b, A in zip(live, As):  # a pick joins the residuals' model when another step follows
-            if paths[b]:
-                residuals[b].add(residuals[b].V[A[-1]])
-        candidates = [[m for m in range(p) if m not in A] for A in As]
-        beta, ll, iterations, errors = _newton_stack(
-            _objective([problems[b] for b in live]),
-            np.array([problems[b].design(A) for b, A in zip(live, As)]),
-            np.array([problems[b].columns[c] for b, c in zip(live, candidates)]),
-            np.array([bases[b].coefficients for b in live]), what,
-            [e for b, c in zip(live, candidates) for e in residuals[b].errors(c, what)])
-        ll[[e is not None for e in errors]], q = np.nan, p - len(As[0])
-        for i, (b, A, c) in enumerate(zip(live, As, candidates)):  # rows i q .. i q + q - 1
-            logliks = np.full(p, np.nan)
-            logliks[c] = ll[i * q:(i + 1) * q]
-            drops = np.maximum(2.0 * (logliks - bases[b].loglik), 0.0)
-            j = None if np.isnan(drops).all() else best_candidate(drops)[0]
-            paths[b].append(SelectionStep(
-                k=len(A) + 1, A=tuple(A), j=j, drops=drops, selector=problems[b].family,
-                failures=[f"fit failed for candidate {m}: {e}"
-                          for m, e in zip(c, errors[i * q:(i + 1) * q]) if e is not None]))
-            if j is not None:
-                r = i * q + c.index(j)
-                bases[b] = FitResult((*A, j), beta[r], float(ll[r]), int(iterations[r]))
-        live = [b for b in live if paths[b][-1].j is not None]
-        if not live:
-            break
-    return paths
+    # Each dataset's last fits (at first its base): the columns they end in, coefficients, logliks.
+    fits = {b: (list(f.subset[-1:]), [f.coefficients], [f.loglik]) for b, f in enumerate(bases)}
+
+    def drops(walk: _Walk):
+        rows = walk.rows.tolist()
+        base = [(fits[b], fits[b][0].index(A[-1]) if A else 0) for b, A in zip(rows, walk.A)]
+        c = np.nonzero(~walk.inA)[1].reshape(len(rows), -1)
+        beta, ll, _iterations, errors = _newton_stack(
+            _objective([problems[b] for b in rows]),
+            np.array([problems[b].design(list(A)) for b, A in zip(rows, walk.A)]),
+            np.array([problems[b].columns[m] for b, m in zip(rows, c)]),
+            np.array([fit[1][t] for fit, t in base]), what, _rank_errors(walk, what))
+        ll[[e is not None for e in errors]], q = np.nan, c.shape[1]
+        for i, (b, cb) in enumerate(zip(rows, c.tolist())):  # a path's next base is its pick's fit
+            fits[b] = cb, beta[i * q:(i + 1) * q], ll[i * q:(i + 1) * q]
+        logliks = np.full(walk.inA.shape, np.nan)
+        logliks[~walk.inA] = ll
+        return np.maximum(2.0 * (logliks - [[fit[2][t]] for fit, t in base]), 0.0), [
+            [f"fit failed for candidate {m}: {e}" for m, e in zip(cb, errors[i * q:(i + 1) * q])
+             if e is not None] for i, cb in enumerate(c.tolist())]
+
+    return _Walk(np.array([problem.columns.T for problem in problems]),
+                 np.array([problem.lead for problem in problems]), bases[0].subset,
+                 steps=p if max_steps is None else max_steps).run(family, -np.inf, drops)
+
+
+def _rank_errors(walk: _Walk, what: str) -> list[SigtestError | None]:
+    """ActiveQR.add's rule for each model plus each candidate: it fails once the model has n
+    columns, else where ``_deficient`` fails min(low, r) and max(high, r), r = sqrt(den_m)."""
+    if walk.k >= walk.X.shape[1]:
+        return [SingularDesignError(f"{what}: more columns than rows")] * int((~walk.inA).sum())
+    r = np.sqrt(walk.den[~walk.inA]).reshape(len(walk.low), -1)
+    return [SingularDesignError(f"{what}: design is rank deficient") if bad else None
+            for bad in _deficient(np.minimum(walk.low, r), np.maximum(walk.high, r)).flat]

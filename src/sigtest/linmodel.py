@@ -298,7 +298,7 @@ class ActiveQR:
             self._den = np.zeros_like(norms) if self.cols else norms
             self._floor = REFRESH_FRAC * norms
             _refresh(self.X, self._Qt[:len(self.cols)], self._den, self._floor, self.cols)
-        return _drops((self.resid @ self.X) ** 2, self._den, self.cols, sigma2)
+        return _drops((self.resid @ self.X) ** 2, self._den, self._floor, self.cols, sigma2)
 
 
 # ActiveQR's rules, on one dataset's arrays or on stacks of them (selection's walk).
@@ -321,10 +321,11 @@ def _deficient(low, high):
     return (low == 0.0) | (low < RANK_TOL * high)
 
 
-def _drops(num: np.ndarray, den: np.ndarray, inA: np.ndarray, sigma2) -> np.ndarray:
-    """The scaled drops num / den / sigma2 from the squares num of x_m'r_A and the
-    kept norms den (..., p): 0 where den is at most 1e-12, NaN on A (inA indexes it)."""
-    drops = np.divide(num, den, out=np.zeros(num.shape), where=den > 1e-12)
+def _drops(num: np.ndarray, den: np.ndarray, floor: np.ndarray, inA: np.ndarray,
+           sigma2) -> np.ndarray:
+    """The scaled drops num / den / sigma2 from the squares num of x_m'r_A and the kept norms den
+    (..., p): 0 where den <= 1e-12 ||x_m||^2 (floor / REFRESH_FRAC), NaN on A (inA indexes it)."""
+    drops = np.divide(num, den, out=np.zeros(num.shape), where=REFRESH_FRAC * den > 1e-12 * floor)
     drops /= sigma2
     drops[inA] = np.nan
     return drops

@@ -257,8 +257,8 @@ class _RepOutcome:
 
 def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
     """The outcomes of replications reps, each drawn from its own stream; the
-    greedy paths of the draws are traced in one lockstep walk, each as
-    ``lrt_path`` or ``stepwise_path`` traces it alone."""
+    greedy paths of the draws go in one ``selection._Walk``, each as ``lrt_path``
+    or ``stepwise_path`` traces it alone, and a path's rank error fails its rep."""
     outcomes, drawn, k = {}, {}, scenario.k
     for rep in reps:
         rng = replication_rng(scenario.seed, rep)
@@ -352,11 +352,11 @@ def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSu
     order regardless of worker count. Replications go in fixed blocks of
     consecutive replications, as many as keep a block's stack within
     STACK_ELEMENTS, whatever the worker count, and workers take whole blocks.
-    The greedy paths of a block share one stack per step: a logistic or Cox
-    step fits the candidates of every path in one Newton stack, a Gaussian
-    max_r or stepwise step takes every path's X'r in one product. A dataset's
-    rows compute in a block what they compute alone, so each statistic is the
-    one ``lrt_path`` or ``stepwise_path`` gives on the same draw.
+    The greedy paths of a block go in one walk over one stacked rank state: a
+    logistic or Cox step fits the candidates of every path in one Newton stack,
+    a Gaussian max_r or stepwise step takes every path's X'r in one product. A
+    dataset's rows compute in a block what they compute alone, so each statistic
+    is the one ``lrt_path`` or ``stepwise_path`` gives on the same draw.
     """
     workers = resolve_threads(threads)
     # A GLM step stacks at most p candidates of k + 1 columns of n observations each; a

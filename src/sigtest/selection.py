@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,61 +84,91 @@ def stepwise_path(data: Dataset, max_steps: int | None = None,
     :class:`PathTruncationWarning`) once no candidate reduces the residual.
     The one-dataset case of the walk that calibration blocks take in lockstep.
     """
-    (path,) = _stepwise_paths([data], max_steps, selector)
-    if isinstance(path, SingularDesignError):
-        raise path
-    return path
+    return _alone(_stepwise_paths([data], max_steps, selector))
+
+
+def _alone(paths: list) -> list[SelectionStep]:
+    """The one path of a one-dataset walk; the error that ended it is raised."""
+    if isinstance(paths[0], SingularDesignError):
+        raise paths[0]
+    return paths[0]
 
 
 def _stepwise_paths(datasets: Sequence[Dataset], max_steps: int | None = None,
                     selector: str = "stepwise") -> list[list[SelectionStep] | SingularDesignError]:
-    """``stepwise_path`` of each dataset (one shape), or the error it raises.
-    The paths go in lockstep over stacks, with ActiveQR's rules: a step takes
-    X'r of every path in one product and appends every pick by Gram-Schmidt
-    twice. A path that ends leaves the walk; each row computes what it would alone.
-    """
+    """``stepwise_path`` of each dataset (one shape), or the error it raises:
+    a walk with the drops of X'r, r each path's residual of y, in one product."""
     if selector not in ("stepwise", "max_r"):
         raise ValueError("stepwise_path selector must be 'stepwise' or 'max_r'")
     n, p = datasets[0].n, datasets[0].p
     _check_max_steps(max_steps, "min(n, p)", min(n, p))
     sigma2 = np.array([[data.require_sigma2()] for data in datasets])
     steps = min(n, p) if max_steps is None else max_steps
-    paths: list = [[] for _ in datasets]
-    live, rows = [True] * len(datasets), np.arange(len(datasets))
-    X = np.array([data.X for data in datasets])
-    resid = np.array([data.y for data in datasets])[:, None]
-    den = np.einsum("bij,bij->bj", X, X)
-    floor, inA = REFRESH_FRAC * den, np.zeros(den.shape, dtype=bool)
-    Qt = np.zeros((len(rows), steps, n))
-    low, high = np.full((len(rows), 1), np.inf), np.zeros((len(rows), 1))  # extreme diagonals of R
-    for k in range(1, steps + 1):
-        if k > 1:  # append the pick of step k - 1 to the k - 2 columns of A
-            v, rho, _r = _orthogonalize(Qt[:, :k - 2], X[rows, None, :, j])
-            low, high = np.minimum(low, rho), np.maximum(high, rho)
-            failed = _deficient(low, high)[:, 0].tolist()
-            if True in failed:  # rows of paths that left go on, ignored, a zero remainder kept 0
-                for b in [b for b, fail in enumerate(failed) if fail and live[b]]:
-                    live[b], cols = False, [*paths[b][-1].A, paths[b][-1].j]
-                    paths[b] = SingularDesignError(f"columns {cols} are linearly dependent")
-                rho[rho == 0.0] = 1.0
-            q = np.divide(v, rho[..., None], out=Qt[:, k - 2:k - 1])
-            resid -= (q @ resid.mT) * q
-            den -= (q @ X)[:, 0] ** 2
-            inA[rows, j] = True
-            _refresh(X, Qt[:, :k - 1], den, floor, inA)
-        drops = _drops((resid @ X)[:, 0] ** 2, den, inA, sigma2)
-        j, best = best_candidate(drops)
-        for b, ended, pick in zip(rows.tolist(), (best <= ZERO_DROP_TOL).tolist(), j.tolist()):
-            if live[b] and ended:
-                live[b] = False
-                _warnings.warn(f"selection stopped at step {k}: residual orthogonal to all "
-                               "candidates", PathTruncationWarning)
-            elif live[b]:
-                A = (*paths[b][-1].A, paths[b][-1].j) if paths[b] else ()
-                paths[b].append(SelectionStep(k, A, pick, drops[b], selector))
-        if True not in live:
-            break
-    return paths
+    walk = _Walk(np.array([data.X for data in datasets]), np.zeros((len(datasets), 0, n)),
+                 Y=np.array([data.y for data in datasets])[:, None], steps=steps)
+    return walk.run(selector, ZERO_DROP_TOL, lambda w: (_drops(
+        (w.resid @ w.X)[:, 0] ** 2, w.den, w.floor, w.inA, sigma2[w.rows]), [()] * len(w.A)))
+
+
+class _Walk:
+    """Greedy paths of the datasets of a stack X (B, n, p) in lockstep, each row as it would go
+    alone. A path still going (of dataset ``rows[i]``) has a model by ActiveQR's rules: k rows
+    of Q' (``lead`` (B, l, n), then A, ``start`` first), the residuals of Y (B, m, n), the kept
+    norms ``den`` of X with floors REFRESH_FRAC ||x_m||^2, and R's extreme diagonals."""
+
+    def __init__(self, X: np.ndarray, lead: np.ndarray, start: Sequence[int] = (), Y=None, steps=0):
+        (B, n, p), l = X.shape, lead.shape[1]
+        self.X, self.rows, self.A, self.k, self.steps = X, np.arange(B), [()] * B, 0, steps
+        self.resid = lead[:, :0] if Y is None else Y
+        self.den, self.Qt = np.einsum("bij,bij->bj", X, X), np.zeros((B, l + len(start) + steps, n))
+        self.floor, self.inA = REFRESH_FRAC * self.den, np.zeros((B, p), dtype=bool)
+        self.low, self.high = np.full((B, 1), np.inf), np.zeros((B, 1))
+        for i in range(l):
+            self.append(lead[:, i:i + 1])
+        for j in start:
+            self.append(X[:, None, :, j], np.full(B, j))
+
+    def append(self, v: np.ndarray, j: np.ndarray | None = None) -> None:
+        """Append to each model a column v (B, 1, n): column j (B,) of X, or a lead one."""
+        if j is not None:
+            self.inA[np.arange(len(j)), j] = True
+            self.A = [(*A, m) for A, m in zip(self.A, j.tolist())]
+        v, rho, _r = _orthogonalize(self.Qt[:, :self.k], v)
+        self.low, self.high = np.minimum(self.low, rho), np.maximum(self.high, rho)
+        q = np.divide(v, rho[..., None], out=self.Qt[:, self.k:self.k + 1],
+                      where=rho[..., None] > 0.0)  # a zero remainder leaves its row of zeros
+        self.resid -= (self.resid @ q.mT) * q
+        self.den -= (q @ self.X)[:, 0] ** 2
+        self.k += 1
+        _refresh(self.X, self.Qt[:, :self.k], self.den, self.floor, self.inA)
+
+    def run(self, selector: str, cut: float, drops: Callable) -> list:
+        """Each path of at most ``steps`` steps, cut at a best drop at most ``cut`` or ended
+        after all-NaN drops (``drops(self)`` gives them), or the error of a rank-deficient model."""
+        paths, going = [[] for _ in self.rows], np.ones(self.rows.size, dtype=bool)
+        for k in range(1, self.steps + 1):
+            for i in (going & _deficient(self.low, self.high)[:, 0]).nonzero()[0].tolist():
+                going[i], paths[self.rows[i]] = False, SingularDesignError(
+                    f"columns {list(self.A[i])} are linearly dependent")
+            if not going.all():  # the rows of paths that ended leave
+                self.A = [A for A, keep in zip(self.A, going.tolist()) if keep]
+                for name in ("rows", "X", "resid", "Qt", "den", "floor", "inA", "low", "high"):
+                    setattr(self, name, getattr(self, name)[going])
+            if not self.rows.size:
+                break
+            stack, failures = drops(self)
+            j, best = best_candidate(stack)
+            for i, (b, pick, top) in enumerate(zip(self.rows.tolist(), j.tolist(), best.tolist())):
+                if top <= cut:
+                    _warnings.warn(f"selection stopped at step {k}: residual orthogonal to all "
+                                   "candidates", PathTruncationWarning)
+                else:  # top is NaN (not equal to itself) where every drop is
+                    paths[b].append(SelectionStep(len(self.A[i]) + 1, self.A[i], pick if top == top
+                                                  else None, stack[i], selector, failures[i]))
+            going = best > cut
+            if k < self.steps:  # every row appends its pick; the rows of ended paths leave above
+                self.append(self.X[np.arange(j.size), None, :, j], j)
+        return paths
 
 
 def lasso_steps(path: LassoPath, *, max_steps: int | None = None) -> list[SelectionStep]:

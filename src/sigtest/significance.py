@@ -214,12 +214,13 @@ def covariance_test(path: LassoPath, k: int, *, alpha: float = 0.05) -> TestOutc
     decomposition = drop - lam_next * (inner_aj - inner_a) / sigma2
 
     warnings_list = list(path.warnings)
-    if abs(primary - decomposition) > 1e-6:
-        warnings_list.append(
-            f"covariance statistic routes disagree: {primary:.3e} vs {decomposition:.3e}")
     # A statistic that is 0 in exact arithmetic (at entry ties) lands on
     # either side of 0 by round-off in the two fitted inner products.
-    if primary < -NEGATIVE_TOL * (abs(fit_full) + abs(fit_restricted)) / sigma2:
+    roundoff = NEGATIVE_TOL * (abs(fit_full) + abs(fit_restricted)) / sigma2
+    if abs(primary - decomposition) > 1e-6 * abs(primary) + roundoff:
+        warnings_list.append(
+            f"covariance statistic routes disagree: {primary:.3e} vs {decomposition:.3e}")
+    if primary < -roundoff:
         warnings_list.append("negative covariance statistic; p-value clamped to 1")
     p_value = math.exp(-max(primary, 0.0))
     return TestOutcome(kind="covariance", k=k, statistic=float(primary),

@@ -419,6 +419,21 @@ class TestResponseScale:
             for row, want in zip(got, base):
                 assert all(same_cell(a, b) for a, b in zip(row, want)), (c, row, want)
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e4, 1e6, 1e8])
+    def test_route_check_scales_with_the_statistic(self, tmp_path, capsys, c):
+        # With --sigma2 1 held fixed the covariance statistics scale by c^2. The
+        # routes differ by round-off at every step and by a real 0.7% at one
+        # (0.7045 vs 0.6998 at c = 1): that one warns at every c, round-off never.
+        table = self.table("40x10")
+        table[:, -1] *= c
+        path = tmp_path / "scaled.csv"
+        corpus._write_table(path, table, ("y",))
+        argv = ["test", "--input", str(path), "--selector", "lasso", "--sigma2", "1"]
+        assert run([*argv, "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        routes = [w for r in records for w in r["warnings"] if "routes disagree" in w]
+        assert len(routes) == 1, routes
+
     def test_zero_response_has_no_plug_in_estimate(self, tmp_path, capsys):
         table = self.table("40x10")
         table[:, -1] = 0.0

@@ -32,7 +32,7 @@ from sigtest import (
 from sigtest import glm
 from sigtest.glm import _solve_rows, lrt_drops_all, lrt_path
 from sigtest.linmodel import RANK_TOL, ActiveQR
-from sigtest.selection import SelectionStep, best_candidate
+from sigtest.selection import SelectionStep, _Walk, best_candidate
 
 
 def random_binary(seed, n, p, beta=None, intercept=True):
@@ -1079,6 +1079,12 @@ def stacked_rank_errors(Z, what):
             for bad in deficient]
 
 
+def candidate_verdicts(problem, A, what):
+    """The walk's rank verdict on each candidate outside A, ascending, from
+    the kept norms of the model on A (lead columns first)."""
+    return glm._rank_errors(_Walk(problem.columns.T[None], problem.lead[None], A), what)
+
+
 def rank_case(name):
     """(problem, A, candidates, the candidates whose stack is rank deficient)."""
     rng = np.random.default_rng(127)
@@ -1141,7 +1147,8 @@ class TestRankCheck:
         problem, A, candidates, deficient = rank_case(name)
         design = problem.design(A)
         Z = np.stack([np.vstack([design, problem.columns[m]]).T for m in candidates])
-        ours = glm._Residuals(problem, A).errors(candidates, problem.what)
+        assert candidates == [m for m in range(problem.columns.shape[0]) if m not in A]
+        ours = candidate_verdicts(problem, A, problem.what)
         theirs = stacked_rank_errors(Z, problem.what)
         assert [(type(e), str(e)) if e else None for e in ours] == [
             (type(e), str(e)) if e else None for e in theirs]
@@ -1165,7 +1172,8 @@ class TestRankCheck:
     def test_rank_deficient_base_is_caught(self):
         # A base with two equal columns: every model beside it is deficient.
         problem, _A, _candidates, _bad = rank_case("duplicate")
-        errors = glm._Residuals(problem, [1, 4]).errors([0, 2], "fit")
+        errors = candidate_verdicts(problem, [1, 4], "fit")  # candidates 0, 2, 3 and 5
+        assert len(errors) == 4
         assert all(isinstance(e, SingularDesignError) for e in errors)
 
     @pytest.mark.parametrize("family", ["cox", "logistic"])

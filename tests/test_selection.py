@@ -100,6 +100,23 @@ class TestStepwisePath:
         steps = stepwise_path(IDENTITY)
         assert [s.m_remaining for s in steps] == [3, 2, 1]
 
+    @pytest.mark.parametrize("a", 10.0 ** np.arange(-9, 8))
+    def test_column_scale_leaves_picks_and_drops(self, a):
+        # Drops do not depend on a column's scale, so neither may the cut that
+        # zeroes the drop of a column in the span of A: x3 of norm 5e-9 still enters.
+        def path(a):
+            rng = np.random.default_rng(4)
+            X = rng.standard_normal((30, 8))
+            y = 10.0 * X[:, 0] + 3.0 * X[:, 3] + rng.standard_normal(30)
+            X[:, 3] *= a
+            return stepwise_path(Dataset(X, y, sigma2=1.0), max_steps=5, selector="max_r")
+
+        steps, base = path(a), path(1.0)
+        assert [s.j for s in base] == [0, 3, 4, 1, 6]
+        assert [s.j for s in steps] == [s.j for s in base]
+        for s, t in zip(steps, base):
+            np.testing.assert_allclose(s.drops, t.drops, rtol=1e-12, atol=0)
+
 
 class TestLassoSteps:
     def test_orthonormal_matches_stepwise(self):
