@@ -143,34 +143,28 @@ def _shared_start(objective, designs: np.ndarray, columns: np.ndarray, bases: np
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_stack(objective, designs: np.ndarray, columns: np.ndarray, bases: np.ndarray,
                   what: str, errors: Sequence[SigtestError | None]):
-    """Damped Newton ascent on the c = B q models [designs[b], columns[b, m]]
-    of B datasets of one family and shape, each started from ``bases[b]`` on
-    ``designs[b]`` (d, n) and 0 on its own column, observations last. Rows
-    run dataset by dataset: row i = b q + m. A row whose rank check failed
-    (``errors[i]``, else None) is not fitted.
-
-    ``objective(eta, which)`` maps a (c, n) stack of linear predictors, row i
-    of dataset ``which[i]``, to the pieces ``(loglik, r, a, center)`` of
-    ``_Problem``; a design Z of the stack has gradient Z r and information
-    (a Z) Z' - C C', C = ``center(Z, rows)`` (for Cox, sqrt(m_k) S1_k / D_k at
-    each position k). Each row reads only its own dataset and design, and the
-    objective sums over observations per dataset, so a dataset's rows fit as
-    in a stack of their own. All rows start from one evaluation per
-    dataset at ``bases[b] @ designs[b]`` (``_shared_start``); then only rows
-    that accepted their step and go on form the information, with which a
-    row's step solves ``info @ step = grad``. Each row keeps the rules of a
-    single fit under its own mask: convergence once the gradient norm is
-    below GRAD_TOL (at the start or an accepted step), and step halving until
-    the log-likelihood falls by no more than round-off, 1e-12 * max(1, |ll|):
-    at round h <= MAX_HALVINGS every pending row tries its coefficients plus
-    0.5**h times its step. A row that accepts a step is judged at once: first
-    SeparationError once the coefficient norm passes DIVERGENCE_NORM, then
-    convergence, with the steps taken as its iterations. ConvergenceError
-    follows a singular information matrix, a failed line search or MAX_ITER
-    steps. A failed row stops with 0 iterations; the others go on unchanged.
-
-    Returns ``(beta, loglik, iterations, errors)``, where ``errors[i]`` is the
-    exception a fit of row i alone raises, or None when the row converged.
+    """Damped Newton ascent on the c = B q models [designs[b], columns[b, m]] of B
+    datasets of one family and shape, each started from ``bases[b]`` on ``designs[b]``
+    (d, n) and 0 on its own column, observations last; row i = b q + m. A row whose
+    rank check failed (``errors[i]``, else None) is not fitted. ``objective(eta,
+    which)`` maps a (c, n) stack of linear predictors, row i of dataset ``which[i]``,
+    to the pieces ``(loglik, r, a, center)`` of ``_Problem``: a design Z has gradient
+    Z r and information (a Z) Z' - C C', C = ``center(Z, rows)`` (for Cox, sqrt(m_k)
+    S1_k / D_k at each position k). Each row reads only its own dataset and design,
+    and the objective sums over observations per dataset, so a dataset's rows fit as
+    in a stack of their own. All rows start from one evaluation per dataset at
+    ``bases[b] @ designs[b]`` (``_shared_start``); then only rows that accepted their
+    step and go on form the information, and a step solves ``info @ step = grad``.
+    Each row keeps a single fit's rules under its own mask: convergence once the
+    gradient norm is below GRAD_TOL (at the start or an accepted step); step halving
+    until the log-likelihood falls by no more than 1e-12 * max(1, |ll|), round h <=
+    MAX_HALVINGS trying the coefficients plus 0.5**h times the step. A row that
+    accepts a step is judged at once: SeparationError once the coefficient norm
+    passes DIVERGENCE_NORM, then convergence, its steps as its iterations.
+    ConvergenceError follows a singular information matrix, a failed line search or
+    MAX_ITER steps; a failed row stops with 0 iterations, the others go on. Returns
+    ``(beta, loglik, iterations, errors)``, ``errors[i]`` the exception a fit of row
+    i alone raises, or None when it converged.
     """
     (B, q, n), d = columns.shape, designs.shape[1]
     c, which = B * q, np.repeat(np.arange(B), q)
@@ -221,17 +215,14 @@ def _newton_stack(objective, designs: np.ndarray, columns: np.ndarray, bases: np
 
 
 class _Problem(NamedTuple):
-    """A family's model, with rows in the order its objective needs, and the
-    fit of the model on A = [] (the lead columns alone) in closed form.
-
-    ``objective(*data, eta, which)`` takes the ``data`` of B such problems,
-    each array stacked (B, n), and a stack of linear predictors (c, n) whose
-    row i is of dataset which[i]. It gives the log-likelihood, a residual r
-    and weights a, and center(Z, rows): a design Z (d, n), observations last,
-    has gradient Z r and information (a Z) Z' - C C' with C = center(Z, rows).
-    C is empty for logistic. For Cox, with rows latest first, C_k = sqrt(m_k)
-    S1_k / D_k at each position k, where m_k events have the risk set 0..k
-    and S1_k, D_k sum w Z and w = e^eta on it."""
+    """A family's model, with rows in the order its objective needs, and the fit of the
+    model on A = [] (the lead columns alone) in closed form. ``objective(*data, eta,
+    which)`` takes the ``data`` of B such problems, each array stacked (B, n), and
+    linear predictors (c, n), row i of dataset which[i]. It gives the log-likelihood, a
+    residual r, weights a and center(Z, rows): a design Z (d, n), observations last, has
+    gradient Z r and information (a Z) Z' - C C' with C = center(Z, rows), empty for
+    logistic. For Cox, rows latest first, C_k = sqrt(m_k) S1_k / D_k at each position
+    k, where m_k events have the risk set 0..k and S1_k, D_k sum w Z and w = e^eta on it."""
 
     lead: np.ndarray  # (0, n) or (1, n): the columns every model has (the intercept)
     columns: np.ndarray  # (p, n): every column of X

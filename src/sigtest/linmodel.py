@@ -127,11 +127,8 @@ class SubsetFit:
 
 
 def standardize(X: np.ndarray) -> np.ndarray:
-    """Rescale each column to unit squared Euclidean norm.
-
-    Unit *norm* (not unit variance) is used throughout so that path knots
-    coincide with absolute residual correlations.
-    """
+    """Rescale each column to unit squared Euclidean norm (not unit variance), so that
+    path knots coincide with absolute residual correlations."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d matrix")
@@ -181,17 +178,13 @@ def _check_max_steps(max_steps: int | None, bound: str, limit: int) -> None:
 
 
 class ActiveQR:
-    """Thin QR factor X_A = Q R of an ordered list A of design columns.
-
-    Holds R, R^{-T}, Q' and Q'y (row i of each belongs to the ith column of
-    A), the residual of y on A and, once :meth:`drops` asks for them, the p
-    squared residual norms ||(I - P_A) x_m||^2; no n x p state. :meth:`add`
-    appends a column by Gram-Schmidt with one reorthogonalisation, in O(nk).
-    :meth:`drop` is a downdate (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., sec. 6.5): Givens rotations restore the triangle of R without the
-    dropped column, in O(nk + k^2). While the norms are kept, each update
-    also costs one O(np) product X'q with the column q that enters or leaves.
-    """
+    """Thin QR factor X_A = Q R of an ordered list A of design columns. Holds R, R^{-T},
+    Q' and Q'y (row i of each belongs to the ith column of A), the residual of y on A
+    and, once :meth:`drops` asks for them, the p squared residual norms
+    ||(I - P_A) x_m||^2; no n x p state. :meth:`add` appends a column by Gram-Schmidt
+    with one reorthogonalisation, in O(nk); :meth:`drop` is a downdate (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., sec. 6.5) in O(nk + k^2). While the norms are
+    kept, each update also costs one O(np) product X'q with the column q that moves."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, cols: Sequence[int] = ()):
         self.X, self.y = X, y
@@ -231,34 +224,17 @@ class ActiveQR:
             _refresh(self.X, self._Qt[:k + 1], self._den, self._floor, self.cols)
 
     def drop(self, j: int) -> None:
-        """Remove column j by a Givens downdate.
-
-        Deleting column i of R leaves rows i..k-1 upper Hessenberg; rotating
-        rows (m, m+1) for m = i..k-2 restores the triangle, and the same
-        rotations G act on the rows of Q' and Q'y. With P the permutation
-        that moves column i last, G R P is triangular with inverse
-        P' R^{-1} G', so the new R^{-1} is R^{-1} without row i, its columns
-        rotated by G, less its last column: R^{-T} without column i, its rows
-        rotated, less its last row. The last rotated row q of Q' has left the
-        span; it returns to the residual, and (x_m'q)^2 to each kept squared
-        residual norm.
-        """
+        """Remove column j by :func:`_downdate`. The last rotated row q of Q' has left the
+        span: it returns to the residual, and (x_m'q)^2 to each kept squared residual norm."""
         i, k = self.cols.index(j), len(self.cols)
-        R, Rit, rows = self._R, self._Rit, self._rows
-        R[:k, i:k - 1], Rit[:k, i:k - 1] = R[:k, i + 1:k].copy(), Rit[:k, i + 1:k].copy()
-        R[:k, k - 1] = Rit[:k, k - 1] = 0.0
-        for m in range(i, k - 1):
-            a, b = R[m, m], R[m + 1, m]
-            rows[m:m + 2] = np.array([[a, b], [-b, a]]) / math.hypot(a, b) @ rows[m:m + 2]
-            R[m + 1, m] = 0.0
+        _downdate(self._rows, self._R.shape[0], i, k)
         q_out = self._Qt[k - 1]
         self.resid += self._qty[k - 1] * q_out
-        if self._den is not None:
-            self._den += (q_out @ self.X) ** 2
-        rows[k - 1] = 0.0
         del self.cols[i]
         if self._den is not None:
+            self._den += (q_out @ self.X) ** 2
             _refresh(self.X, self._Qt[:k - 1], self._den, self._floor, self.cols)
+        self._rows[k - 1] = 0.0
 
     @property
     def coef(self) -> np.ndarray:
@@ -266,33 +242,17 @@ class ActiveQR:
         k = len(self.cols)
         return self._Rit[:k, :k].T @ self._qty[:k]
 
-    def segment(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lasso segment b0 - lam*b1 on A for the signs s: the least-squares
-        coefficients b0, b1 = (X_A' X_A)^{-1} s = R^{-1} R^{-T} s, and the
-        direction X_A b1 = Q R^{-T} s."""
-        k = len(s)
-        w = self._Rit[:k, :k] @ s
-        return self.coef, self._Rit[:k, :k].T @ w, self._Qt[:k].T @ w
-
     def drops(self, sigma2: float) -> np.ndarray:
-        """Scaled RSS drop from adding each column m outside A, as an array
-        of length p indexed by column that holds NaN for the columns in A.
-
-        Uses the projection identity: the drop equals
-        (x_m' r_A)^2 / ||(I - P_A) x_m||^2 / sigma2 with r_A the residual of
-        y on A. Columns numerically in the span of A get a drop of 0.
-
-        The numerator is formed fresh from X'r_A. The denominators are the
-        downdated column norms of QR with column pivoting (Businger & Golub,
-        *Numer. Math.* 7, 1965; Quintana-Orti, Sun & Bischof, *SIAM J. Sci.
-        Comput.* 19(5), 1998): computed exactly at the first call, then
-        each :meth:`add` subtracts (x_m'q)^2 and each :meth:`drop` adds it
-        back. With A empty that exact first value is ||x_m||^2, and no
-        projection runs. A kept value carries an error of about
-        eps ||x_m||^2 per update, so a column outside A whose value falls
-        below 1e-3 of its own ||x_m||^2 is recomputed exactly: a column
-        nearly in the span of A then stays as accurate as a fresh projection.
-        """
+        """Scaled RSS drop from adding each column m outside A, indexed by column (NaN
+        on A): (x_m' r_A)^2 / ||(I - P_A) x_m||^2 / sigma2 with r_A the residual of y on
+        A, 0 for columns numerically in the span of A. The numerator is fresh from X'r_A;
+        the denominators are the downdated column norms of QR with column pivoting
+        (Businger & Golub, *Numer. Math.* 7, 1965; Quintana-Orti, Sun & Bischof, *SIAM J.
+        Sci. Comput.* 19(5), 1998): exact at the first call (||x_m||^2 with A empty, no
+        projection), then each :meth:`add` subtracts (x_m'q)^2 and each :meth:`drop`
+        adds it back. A kept value errs by about eps ||x_m||^2 per update, so one that
+        falls below 1e-3 of ||x_m||^2 is recomputed exactly, as accurate as a fresh
+        projection for a column nearly in the span of A."""
         if self._den is None:
             norms = np.einsum("ij,ij->j", self.X, self.X)
             self._den = np.zeros_like(norms) if self.cols else norms
@@ -301,7 +261,7 @@ class ActiveQR:
         return _drops((self.resid @ self.X) ** 2, self._den, self._floor, self.cols, sigma2)
 
 
-# ActiveQR's rules, on one dataset's arrays or on stacks of them (selection's walk).
+# ActiveQR's rules, on one dataset's arrays or on stacks of them (the walk, the lasso trace).
 def _orthogonalize(Qt: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vector v (n,) less its projection on the orthonormal rows of Qt
     (k, n), by Gram-Schmidt twice, or so for stacks v (B, 1, n) and Qt
@@ -313,6 +273,22 @@ def _orthogonalize(Qt: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     v -= c @ Qt
     r += c
     return v, np.sqrt(np.vecdot(v, v)), r
+
+
+def _downdate(rows: np.ndarray, cap: int, i: int, k: int) -> None:
+    """Remove column i of the k of a factor's rows [R | R^{-T} | Q' | Q'y] (R cap wide) by
+    Givens rotations. Deleting column i of R leaves rows i..k-1 upper Hessenberg; rotating
+    rows (m, m+1) for m = i..k-2 restores the triangle, and the same rotations G act on the
+    rows of Q' and Q'y. With P the permutation that moves column i last, G R P is triangular
+    with inverse P' R^{-1} G', so the new R^{-T} is R^{-T} without column i, its rows
+    rotated, less its last row. Row k - 1 of Q' then leaves the span, to the caller."""
+    R, Rit = rows[:, :cap], rows[:, cap:2 * cap]
+    R[:k, i:k - 1], Rit[:k, i:k - 1] = R[:k, i + 1:k].copy(), Rit[:k, i + 1:k].copy()
+    R[:k, k - 1] = Rit[:k, k - 1] = 0.0
+    for m in range(i, k - 1):
+        a, b = R[m, m], R[m + 1, m]
+        rows[m:m + 2] = np.array([[a, b], [-b, a]]) / math.hypot(a, b) @ rows[m:m + 2]
+        R[m + 1, m] = 0.0
 
 
 def _deficient(low, high):
@@ -348,11 +324,8 @@ def _refresh(X: np.ndarray, Qt: np.ndarray, den: np.ndarray, floor: np.ndarray,
 
 
 def least_squares(data: Dataset, M: Sequence[int]) -> SubsetFit:
-    """Least-squares fit on columns M, solved by an :class:`ActiveQR` factor.
-
-    Raises :class:`SingularDesignError` when X_M is rank deficient (diagonal
-    of the triangular factor below RANK_TOL times its largest entry).
-    """
+    """Least-squares fit on columns M, solved by an :class:`ActiveQR` factor;
+    :class:`SingularDesignError` when X_M is rank deficient (see ``_deficient``)."""
     M = _check_subset(data, M)
     qr = ActiveQR(data.X, data.y, M)
     return SubsetFit(subset=tuple(M), coefficients=qr.coef, rss=float(qr.resid @ qr.resid),

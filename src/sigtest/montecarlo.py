@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import InfeasibleDesignError, SigtestError
 from .glm import BinaryDataset, SurvivalDataset, _lrt_paths
-from .lasso import lars_path
-from .linmodel import Dataset
+from .lasso import LassoPath, _lars_paths
+from .linmodel import Dataset, _columns
 from .selection import SELECTORS, _stepwise_paths, lasso_steps
 from .significance import _check_alpha, covariance_test, gumbel_test, reference_pair
 
@@ -185,20 +185,15 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
 
 def gen_design(kind: str, n: int, p: int, rng: np.random.Generator,
                rho: float = 0.0) -> np.ndarray:
-    """Draw a design matrix with unit-norm columns.
-
-    orthogonal: exactly orthonormal columns (QR of a Gaussian matrix).
-    ar1: rows i.i.d. mean-zero Gaussian with coordinate covariance
-    rho^|i-j|, columns rescaled to unit norm. The stationary AR recursion
-    x_0 = z_0, x_j = rho x_{j-1} + s z_j (s = sqrt(1 - rho^2)) unrolls to
-    x_j = rho^j z_0 + s sum_{1<=k<=j} rho^(j-k) z_k: a triangular Toeplitz
-    product T[k, j] = rho^(j-k) (k <= j) on the draw with columns 1.. scaled
-    by s, taken in blocks of at most AR1_BLOCK columns. A later block's
-    product also takes the last column of the block before, as its first
-    column, whose row of T holds rho^1..rho^b. iid_gaussian is the rho = 0
-    case of the same construction, where the product leaves the draw as it
-    is and is skipped.
-    """
+    """Draw a design matrix with unit-norm columns. orthogonal: exactly orthonormal
+    columns (QR of a Gaussian matrix). ar1: rows i.i.d. mean-zero Gaussian with
+    coordinate covariance rho^|i-j|, columns rescaled to unit norm. The stationary AR
+    recursion x_0 = z_0, x_j = rho x_{j-1} + s z_j (s = sqrt(1 - rho^2)) unrolls to
+    x_j = rho^j z_0 + s sum_{1<=k<=j} rho^(j-k) z_k: a triangular Toeplitz product
+    T[k, j] = rho^(j-k) (k <= j) on the draw with columns 1.. scaled by s, in blocks of
+    at most AR1_BLOCK columns; a later block also takes the last column of the block
+    before, first, whose row of T holds rho^1..rho^b. iid_gaussian is the rho = 0
+    case, where the product would leave the draw as it is and is skipped."""
     if kind == "orthogonal":
         if n < p:
             raise InfeasibleDesignError(f"orthogonal design needs n >= p, got {n} < {p}")
@@ -256,10 +251,12 @@ class _RepOutcome:
 
 
 def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
-    """The outcomes of replications reps, each drawn from its own stream; the
-    greedy paths of the draws go in one ``selection._Walk``, each as ``lrt_path``
-    or ``stepwise_path`` traces it alone, and a path's rank error fails its rep."""
+    """The outcomes of replications reps, each drawn from its own stream. The paths of the
+    draws go in one ``selection._Walk`` (greedy) or ``lasso._trace`` (lasso), each as
+    ``lrt_path``, ``stepwise_path`` or ``lars_path`` traces it alone; a path's error
+    fails its replication alone."""
     outcomes, drawn, k = {}, {}, scenario.k
+    lasso = scenario.test == "covariance" or scenario.selector == "lasso"
     for rep in reps:
         rng = replication_rng(scenario.seed, rep)
         X = gen_design(scenario.design, scenario.n, scenario.p, rng, scenario.rho)
@@ -271,30 +268,32 @@ def _replicate(scenario: Scenario, reps: range) -> list[_RepOutcome]:
                 drawn[rep] = SurvivalDataset(X, *response)
             else:
                 data = Dataset(X, response, sigma2=scenario.sigma ** 2)
-                if scenario.test == "covariance":
-                    outcomes[rep] = _outcome(scenario, covariance_test(
-                        lars_path(data, max_steps=k + 1), k, alpha=scenario.alpha))
-                elif scenario.selector == "lasso":
-                    outcomes[rep] = _outcome(scenario, lasso_steps(lars_path(data, max_steps=k)))
-                else:
-                    drawn[rep] = data
+                if lasso:  # lars_path's check of the columns
+                    _columns(data, None)
+                drawn[rep] = data
         except SigtestError as exc:
             outcomes[rep] = _RepOutcome(None, None, failure=type(exc).__name__)
     if drawn:
-        paths = (_lrt_paths(list(drawn.values()), max_steps=k) if scenario.family != "gaussian"
-                 else _stepwise_paths(list(drawn.values()), k, scenario.selector))
+        walk = list(drawn.values())
+        paths = (_lrt_paths(walk, max_steps=k) if scenario.family != "gaussian"
+                 else _lars_paths(walk, k + (scenario.test == "covariance")) if lasso
+                 else _stepwise_paths(walk, k, scenario.selector))
         for rep, steps in zip(drawn, paths):
             outcomes[rep] = _outcome(scenario, steps)
     return [outcomes[rep] for rep in reps]
 
 
 def _outcome(scenario: Scenario, result) -> _RepOutcome:
-    """A replication's outcome from its selection steps, covariance test
-    outcome or the error its selection path raised."""
+    """A replication's outcome from its selection steps or lasso path, or the
+    error its path raised."""
     if isinstance(result, SigtestError):
         return _RepOutcome(None, None, failure=type(result).__name__)
     try:
-        if scenario.test != "covariance":
+        if scenario.test == "covariance":
+            result = covariance_test(result, scenario.k, alpha=scenario.alpha)
+        else:
+            if isinstance(result, LassoPath):
+                result = lasso_steps(result)
             if len(result) < scenario.k:
                 return _RepOutcome(None, None, failure="selection path truncated")
             result = gumbel_test(result[scenario.k - 1], alpha=scenario.alpha)
@@ -345,19 +344,17 @@ def ks_distance(statistics: Sequence[float], reference: str) -> float:
 
 
 def run_scenario(scenario: Scenario, threads: int | None = None) -> MonteCarloSummary:
-    """Execute every replication and aggregate the diagnostics.
-
-    Deterministic given the scenario (seed included): each replication's
-    stream depends only on (seed, rep), and aggregation follows replication
-    order regardless of worker count. Replications go in fixed blocks of
-    consecutive replications, as many as keep a block's stack within
-    STACK_ELEMENTS, whatever the worker count, and workers take whole blocks.
-    The greedy paths of a block go in one walk over one stacked rank state: a
-    logistic or Cox step fits the candidates of every path in one Newton stack,
-    a Gaussian max_r or stepwise step takes every path's X'r in one product. A
-    dataset's rows compute in a block what they compute alone, so each statistic
-    is the one ``lrt_path`` or ``stepwise_path`` gives on the same draw.
-    """
+    """Execute every replication and aggregate the diagnostics, deterministically given
+    the scenario (seed included): each replication's stream depends only on (seed, rep),
+    and aggregation follows replication order. Replications go in fixed blocks of
+    consecutive ones, as many as keep a block's stack within STACK_ELEMENTS, whatever
+    the worker count; workers take whole blocks. The paths of a block go in one walk: a
+    greedy one over one stacked rank state (a logistic or Cox step fits the candidates of
+    every path in one Newton stack, a Gaussian max_r or stepwise step takes every path's
+    X'r in one product), a lasso one (covariance test, lasso selector) in one lockstep
+    LARS trace, each event's X'[r, X_A b1] of every path in one product. A dataset's rows
+    compute in a block what they compute alone, so each statistic is the one that
+    ``lrt_path``, ``stepwise_path`` or ``lars_path`` gives on the same draw."""
     workers = resolve_threads(threads)
     # A GLM step stacks at most p candidates of k + 1 columns of n observations each; a
     # Gaussian walk stacks one n x p design per replication.

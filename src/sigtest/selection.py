@@ -1,10 +1,9 @@
 """Selector-agnostic sequence of selection steps consumed by the tests.
 
-A step records the model A before the step, the drop of every remaining
-candidate and the variable j added at the step. Forward stepwise regression
-and the lasso entry order (scaled RSS drops) and the greedy logistic and Cox
-paths of :mod:`sigtest.glm` (likelihood-ratio drops) produce the same record
-type.
+A step records the model A before the step, the drop of every remaining candidate
+and the variable j added at the step. Forward stepwise regression and the lasso entry
+order (scaled RSS drops) and the greedy logistic and Cox paths of :mod:`sigtest.glm`
+(likelihood-ratio drops) produce the same record type.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import PathTruncationWarning, SingularDesignError
-from .lasso import LassoPath
+from .lasso import LassoPath, _alone
 from .linmodel import REFRESH_FRAC, ActiveQR, Dataset, _check_max_steps, _deficient, _drops
 from .linmodel import _orthogonalize, _refresh
 
@@ -28,15 +27,11 @@ ZERO_DROP_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SelectionStep:
-    """One step of a selection path.
-
-    ``drops`` is a float array of length p, indexed by column: the drop of
-    every candidate m not in A, so the maximum can be checked exactly, and
-    NaN for the columns in A and for the candidates of a GLM step whose fit
-    failed, which ``failures`` notes. ``j`` is None only for a GLM step
-    where no fit converged. ``conservative`` marks steps where the selected
-    j does not attain the maximum (possible for the lasso ordering on
-    correlated designs).
+    """One step of a selection path. ``drops`` (length p, by column) holds the drop of
+    every candidate m not in A, so the maximum can be checked exactly, and NaN for the
+    columns in A and the candidates of a GLM step whose fit failed, which ``failures``
+    notes. ``j`` is None only for a GLM step where no fit converged. ``conservative``
+    marks a j that does not attain the maximum (the lasso order on correlated designs).
     """
 
     k: int
@@ -77,21 +72,11 @@ def best_candidate(drops: np.ndarray):
 
 def stepwise_path(data: Dataset, max_steps: int | None = None,
                   selector: str = "stepwise") -> list[SelectionStep]:
-    """Greedy forward selection: each step adds the candidate with the
-    largest scaled RSS drop, ties broken by lowest index.
-
-    Stops after ``max_steps`` steps (default min(n, p)), or early (with a
-    :class:`PathTruncationWarning`) once no candidate reduces the residual.
-    The one-dataset case of the walk that calibration blocks take in lockstep.
-    """
+    """Greedy forward selection: each step adds the candidate with the largest scaled
+    RSS drop, ties broken by lowest index. Stops after ``max_steps`` steps (default
+    min(n, p)), or early (with a :class:`PathTruncationWarning`) once no candidate
+    reduces the residual. The one-dataset case of the walk that calibration blocks take."""
     return _alone(_stepwise_paths([data], max_steps, selector))
-
-
-def _alone(paths: list) -> list[SelectionStep]:
-    """The one path of a one-dataset walk; the error that ended it is raised."""
-    if isinstance(paths[0], SingularDesignError):
-        raise paths[0]
-    return paths[0]
 
 
 def _stepwise_paths(datasets: Sequence[Dataset], max_steps: int | None = None,
@@ -145,16 +130,19 @@ class _Walk:
     def run(self, selector: str, cut: float, drops: Callable) -> list:
         """Each path of at most ``steps`` steps, cut at a best drop at most ``cut`` or ended
         after all-NaN drops (``drops(self)`` gives them), or the error of a rank-deficient model."""
-        paths, going = [[] for _ in self.rows], np.ones(self.rows.size, dtype=bool)
+        paths, going = [[] for _ in self.rows], [True] * self.rows.size
         for k in range(1, self.steps + 1):
-            for i in (going & _deficient(self.low, self.high)[:, 0]).nonzero()[0].tolist():
-                going[i], paths[self.rows[i]] = False, SingularDesignError(
-                    f"columns {list(self.A[i])} are linearly dependent")
-            if not going.all():  # the rows of paths that ended leave
-                self.A = [A for A, keep in zip(self.A, going.tolist()) if keep]
+            failed = _deficient(self.low, self.high)[:, 0].tolist() if self.k else ()
+            if True in failed:  # the rank rule, on the models that just appended
+                for i in [i for i, fails in enumerate(failed) if fails and going[i]]:
+                    going[i], paths[self.rows[i]] = False, SingularDesignError(
+                        f"columns {list(self.A[i])} are linearly dependent")
+            if False in going:  # the rows of paths that ended leave
+                keep, self.A = np.array(going), [A for A, g in zip(self.A, going) if g]
                 for name in ("rows", "X", "resid", "Qt", "den", "floor", "inA", "low", "high"):
-                    setattr(self, name, getattr(self, name)[going])
-            if not self.rows.size:
+                    setattr(self, name, getattr(self, name)[keep])
+                going = [True] * len(self.A)
+            if not going:
                 break
             stack, failures = drops(self)
             j, best = best_candidate(stack)
@@ -165,19 +153,16 @@ class _Walk:
                 else:  # top is NaN (not equal to itself) where every drop is
                     paths[b].append(SelectionStep(len(self.A[i]) + 1, self.A[i], pick if top == top
                                                   else None, stack[i], selector, failures[i]))
-            going = best > cut
+                going[i] = top > cut
             if k < self.steps:  # every row appends its pick; the rows of ended paths leave above
                 self.append(self.X[np.arange(j.size), None, :, j], j)
         return paths
 
 
 def lasso_steps(path: LassoPath, *, max_steps: int | None = None) -> list[SelectionStep]:
-    """One step per lasso entry event, with the drop on ``path.data`` of the
-    entering variable, for the first ``max_steps`` entry events (default all).
-
-    Steps where the entering variable does not maximize the drop over the
-    remaining candidates are flagged conservative.
-    """
+    """One step per lasso entry event, with the drop on ``path.data`` of the entering
+    variable, for the first ``max_steps`` entry events (default all); a step whose
+    entering variable does not maximize the drop is flagged conservative."""
     data = path.data
     _check_max_steps(max_steps, "min(n, p)", min(data.n, data.p))
     sigma2 = data.require_sigma2()

@@ -129,14 +129,11 @@ class TestOutcome:
 
 
 def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
-    """Extreme-value test of the variable added at ``step``: its drop minus
-    the centering for the m remaining candidates, against the Gumbel
-    reference.
-
-    Logistic and Cox steps are tested alike (kind ``gumbel_glm``); their
-    failed fits are kept as warnings, and if more than 10% of them fail, or
-    none converges, the maximum is unreliable and the test aborts. Alpha is
-    checked first, then m >= 3, then the failed fits.
+    """Extreme-value test of the variable added at ``step``: its drop minus the
+    centering for the m remaining candidates, against the Gumbel reference. Logistic
+    and Cox steps are tested alike (kind ``gumbel_glm``); their failed fits are kept as
+    warnings, and if more than 10% of them fail, or none converges, the maximum is
+    unreliable and the test aborts. Alpha is checked first, then m >= 3, then the fits.
     """
     _check_alpha(alpha)
     corr = gumbel_correction(step.m_remaining)
@@ -154,22 +151,18 @@ def gumbel_test(step: SelectionStep, alpha: float = 0.05) -> TestOutcome:
 
 
 def covariance_test(path: LassoPath, k: int, *, alpha: float = 0.05) -> TestOutcome:
-    """Covariance test of the variable entering at the path's kth entry event.
-
-    The statistic is the drop in fitted inner product, at the next knot,
-    between the full lasso and the lasso restricted to the pre-entry model.
-    It is evaluated twice: directly from the two solutions, and through the
-    RSS-drop decomposition using sign vectors and the least-squares
-    coefficients that the segments of ``path`` (from :func:`lars_path`) hold
-    above and below the kth entry; ``decomposition`` carries the second
-    value. The restricted solution (:func:`lasso_solve`, warm-started from
-    ``path``) is the segment above the kth entry at the next knot, unless
-    the restricted path deletes a variable of A first; then it is traced.
-    Both routes take y'X beta from the cached X'y of ``path.data``;
-    ``replace(path, data=replace(path.data, sigma2=s))`` tests another sigma2.
-    The p-value is the standard exponential upper tail exp(-statistic), clamped
-    to 1 for negative statistics; a statistic more negative than round-off
-    (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.
+    """Covariance test of the variable entering at the path's kth entry event: the drop
+    in fitted inner product, at the next knot, between the full lasso and the lasso
+    restricted to the pre-entry model A. It is evaluated directly from the two solutions
+    and, as ``decomposition``, through the RSS-drop decomposition with the signs and
+    least-squares coefficients that the segments of ``path`` (from :func:`lars_path`)
+    hold above and below the kth entry. The restricted solution (:func:`lasso_solve`,
+    warm-started from ``path``) is the segment above the kth entry at the next knot,
+    unless the restricted path deletes a variable of A first; then it is traced. Both
+    routes take y'X beta from the cached X'y of ``path.data``; ``replace(path,
+    data=replace(path.data, sigma2=s))`` tests another sigma2. The p-value is
+    exp(-statistic), clamped to 1 for negative statistics; one more negative than
+    round-off (``NEGATIVE_TOL`` of the fitted inner products) also adds a warning.
     """
     _check_alpha(alpha)
     if k < 1:

@@ -173,9 +173,9 @@ class TestLarsPath:
         starts = []
         trace = lasso_module._trace
 
-        def spy(data, cols, active, signs, lam_cur, *args, **kwargs):
+        def spy(datasets, cols, active, signs, lam_cur, *args, **kwargs):
             starts.append(lam_cur)
-            return trace(data, cols, active, signs, lam_cur, *args, **kwargs)
+            return trace(datasets, cols, active, signs, lam_cur, *args, **kwargs)
 
         monkeypatch.setattr(lasso_module, "_trace", spy)
         lam = 0.5 * (path.knots[1].lam + path.knots[2].lam)
@@ -190,6 +190,65 @@ class TestLarsPath:
         assert {kn.entering for kn in path.knots[:2]} == {0, 1}
         assert path.knots[0].lam == pytest.approx(path.knots[1].lam, abs=1e-10)
         assert any("tie" in w for w in path.warnings)
+
+
+def block_rows():
+    """Datasets of one shape (6, 4): their lone paths delete, tie, run out of
+    events and end at a rank-deficient segment, next to a plain one."""
+    rng = np.random.default_rng(5)  # enters 3, 1 and 2, deletes 1, enters 0 and 1
+    X = rng.standard_normal((6, 4))
+    X[:, 1] += 0.9 * X[:, 0]
+    X[:, 3] += 0.8 * X[:, 2]
+    rows = [Dataset(standardize(X), rng.standard_normal(6)),
+            Dataset(np.eye(6)[:, :4], np.array([2.0, 2.0, 1.0, 0.5, 0.3, 0.1]))]  # 0 and 1 tie
+    X = standardize(np.random.default_rng(2).standard_normal((6, 4)))
+    rows.append(Dataset(X, 3.0 * X[:, 1]))  # no event once column 1 is active
+    rng = np.random.default_rng(1)  # column 2 is x0 + x1 up to 1e-11; it enters last
+    X = rng.standard_normal((6, 4))
+    X[:, 2] = X[:, 0] + X[:, 1] + 1e-11 * rng.standard_normal(6)
+    return rows + [Dataset(standardize(X), rng.standard_normal(6)), random_dataset(3, 6, 4)]
+
+
+class TestLockstepTrace:
+    """Datasets of one shape trace their lasso paths in one lockstep trace, and
+    the rows whose actions differ go on as stacks of their own: each dataset
+    gets what lars_path gives it alone, bit for bit."""
+
+    @pytest.mark.parametrize("max_steps", [None, 2, 4])
+    def test_rows_get_their_lone_paths(self, max_steps):
+        rows = block_rows()
+        traced = lasso_module._lars_paths(rows, max_steps)
+        for data, got in zip(rows, traced):
+            alone = lars_path(data, max_steps=max_steps)
+            assert (got.knots, got.warnings) == (alone.knots, alone.warnings)
+            assert [None if s is None else (s[0].tobytes(), s[1].tobytes())
+                    for s in got.segments] == [None if s is None else (
+                        s[0].tobytes(), s[1].tobytes()) for s in alone.segments]
+        actions = [[kn.action for kn in path.knots] for path in traced]
+        if max_steps is None:
+            assert actions[0] == ["enter"] * 3 + ["leave"] + ["enter"] * 2
+            assert traced[1].warnings == ("entry tie at lambda=2 among [0, 1]; chose 0",)
+            assert actions[2] == ["enter"] and traced[3].segments[-1] is None
+        elif max_steps == 4:  # four entries, one deletion: it stops with three active
+            assert actions[0][-1] == "enter" and len(traced[0].knots[-1].active_after) == 3
+        else:
+            assert [len(a) for a in actions] == [2, 2, 1, 2, 2]
+
+    def test_non_termination_fails_only_its_row(self, monkeypatch):
+        monkeypatch.setattr(lasso_module, "MAX_EVENTS_PER_COLUMN", 1)  # 4 events a path
+        rows = block_rows()
+        traced = lasso_module._lars_paths(rows)
+        for data, got in zip(rows, traced):
+            try:
+                alone = lars_path(data)
+            except PathNonTerminationError as exc:
+                assert type(got) is PathNonTerminationError and str(got) == str(exc)
+                continue
+            assert (got.knots, got.warnings) == (alone.knots, alone.warnings)
+        # The rank-deficient row's fourth event ends it, as its lone trace does.
+        assert [type(got).__name__ for got in traced] == [
+            "PathNonTerminationError", "PathNonTerminationError", "LassoPath", "LassoPath",
+            "PathNonTerminationError"]
 
 
 class TestKnot:

@@ -19,10 +19,13 @@ from sigtest import (
     SigtestError,
     SingularDesignError,
     SurvivalDataset,
+    covariance_test,
     gen_design,
     gen_response,
     gumbel_test,
     ks_distance,
+    lars_path,
+    lasso_steps,
     preset,
     preset_names,
     qq_points,
@@ -485,6 +488,26 @@ class TestGaussianBlocks:
         assert summary.failures == 0
         np.testing.assert_array_equal(summary.statistics, alone)
 
+    @pytest.mark.parametrize("name, fields", [("cov-null", {}), ("cov-null-ar08", {}),
+                                              ("fig2-right", {"selector": "lasso"})])
+    def test_lasso_block_statistics_are_the_lone_ones(self, name, fields):
+        # A block of covariance or lasso-selector replications traces its lasso
+        # paths in one lockstep trace; each dataset gets what lars_path gives it.
+        s = replace(preset(name), reps=37, **fields)
+        alone = []
+        for rep in range(s.reps):
+            rng = replication_rng(s.seed, rep)
+            X = gen_design(s.design, s.n, s.p, rng, s.rho)
+            data = Dataset(X, gen_response(s, X, rng), sigma2=s.sigma ** 2)
+            if s.test == "covariance":
+                alone.append(covariance_test(lars_path(data, max_steps=s.k + 1), s.k).statistic)
+            else:
+                steps = lasso_steps(lars_path(data, max_steps=s.k))
+                alone.append(gumbel_test(steps[s.k - 1], alpha=s.alpha).statistic)
+        summary = run_scenario(s, threads=1)
+        assert summary.failures == 0
+        np.testing.assert_array_equal(summary.statistics, alone)
+
     def test_truncated_and_rank_deficient_paths_leave_the_walk(self):
         rng = np.random.default_rng(4)
         n, p, steps = 30, 8, 5
@@ -540,7 +563,7 @@ class TestRunScenario:
     def test_parallel_matches_serial(self, monkeypatch):
         # Blocks of 8 (40,000 stacked elements over n p = 5,000), the last one
         # short, whatever the worker count.
-        for name, reps in (("fig1-left", 24), ("fig2-right", 37)):
+        for name, reps in (("fig1-left", 24), ("fig2-right", 37), ("cov-null", 37)):
             s = replace(preset(name), reps=reps)
             serial = run_scenario(s, threads=1)
             parallel = run_scenario(s, threads=4)

@@ -462,7 +462,7 @@ class TestWarmStartedRestrictedFit:
 
         def counting(*args, **kwargs):
             out = original_trace(*args, **kwargs)
-            traces.append(out[0])
+            traces.append(out[0][0])  # the knots of the one dataset traced
             return out
 
         original_trace = lasso_module._trace
@@ -524,27 +524,31 @@ class TestWarmStartedRestrictedFit:
         assert checked >= 20
 
     def test_factor_work(self, monkeypatch):
-        # Counted on the one ActiveQR factor: every column appended (also when
-        # a factor is built or refactored) and every column dropped; and the
-        # deletions that restricted traces in lasso_solve take.
+        # Counted on the two factors, ActiveQR and the lasso trace's stack (of one
+        # dataset here, so an add appends one column): every column appended
+        # (also when a factor is built or refactored) and every column dropped
+        # (the trace's downdates); and the deletions that restricted traces in
+        # lasso_solve take.
         calls, restricted_leaves = [], []
 
-        def counting(name):
-            original = getattr(ActiveQR, name)
+        def counting(owner, name, call):
+            original = getattr(owner, name)
 
-            def wrapper(self, j):
-                calls.append(name)
-                return original(self, j)
+            def wrapper(*args):
+                calls.append(call)
+                return original(*args)
             return wrapper
 
         def trace(*args, **kwargs):
             out = original_trace(*args, **kwargs)
-            restricted_leaves.extend(kn for kn in out[0] if kn.action == "leave")
+            restricted_leaves.extend(kn for kn in out[0][0] if kn.action == "leave")
             return out
 
         original_trace = lasso_module._trace
-        monkeypatch.setattr(ActiveQR, "add", counting("add"))
-        monkeypatch.setattr(ActiveQR, "drop", counting("drop"))
+        for owner, name, call in ((ActiveQR, "add", "add"), (ActiveQR, "drop", "drop"),
+                                  (lasso_module._Stack, "add", "add"),
+                                  (lasso_module, "_downdate", "drop")):
+            monkeypatch.setattr(owner, name, counting(owner, name, call))
 
         # lars_path: one append per entry and one downdate per deletion, which
         # appends nothing. lasso_steps follows the same active sets.
